@@ -31,12 +31,14 @@ mesh, tags = cp.build_solid_mesh(spec, layers=2)
 print(f"mesh: {mesh.nx} x {mesh.n_layers} elements, a_fe = {mesh.a_fe} mm")
 
 material = cp.FORMLABS_CLEAR
-system = cp.assemble(mesh, [cp.Layer(material, "conforming", t) for t in tags])
-cp.apply_constraints(system, cp.apply_boundary(mesh, cp.BoundaryCondition.CLAMPED, spec))
-system.P = cp.apply_load(mesh, cp.LoadCase(60.0), spec)
-cp.solve(system)
-field = cp.recover(system)
+result = cp.analyze(
+    mesh,
+    [cp.Layer(material, "conforming", t) for t in tags],
+    cp.apply_boundary(mesh, cp.BoundaryCondition.CLAMPED, spec),
+    cp.apply_load(mesh, cp.LoadCase(60.0), spec),
+)
+field = result.field
 
-print(f"max |u_y| = {abs(system.u[1::2]).max():.4f} mm")
+print(f"max |u_y| = {abs(result.u[1::2]).max():.4f} mm")
 print(f"sigma_max = {field.max_se():.2f} MPa")
 print(f"F_crit    = {60.0 * material.sigma_el / field.max_se():.2f} N")

@@ -30,7 +30,6 @@ from .materials import (
     von_mises_plane,
 )
 from .honeycomb import (
-    EffectiveCoreProperties,
     TetrachiralGeometry,
     effective_E1,
     effective_E2,
@@ -53,15 +52,15 @@ from .elements import (
     strain_displacement_full,
 )
 from .assembly import (
-    GlobalSystem,
+    Analysis,
     Layer,
     Mesh,
     StressField,
-    apply_constraints,
+    analyze,
     assemble,
     correspondence_matrix,
-    debug_dump,
     expanded_stiffness,
+    free_dofs,
     recover,
     solve,
 )
@@ -81,6 +80,7 @@ from .experiments import (
     RHO_GRID,
     V_CL,
     LayerStressLedger,
+    composite_model,
     honeycomb_grid,
     mesh_convergence_study,
     poisson_diagram,

@@ -1,5 +1,10 @@
 """Mesh, global assembly, constraints, solve and stress recovery.
 
+:func:`analyze` runs the whole linear pipeline for one load case:
+:func:`assemble` the global stiffness, eliminate the fixed DOFs
+(:func:`free_dofs`), :func:`solve` the reduced system and :func:`recover`
+the corner stresses. Each step is a pure function of its inputs.
+
 The mesh is a structured grid of axis-aligned rectangles grouped into
 horizontal layers; every element of a layer shares the same height and
 material. Degrees of freedom are node-major (x then y per node), matching
@@ -11,8 +16,8 @@ at global block ``(m, n)``. The node-correspondence matrix ``A`` with
 ``A[m, i] = q`` (1-based, 0 when node ``m`` does not belong to element
 ``i``) expresses the same placement rule and is available for inspection.
 
-Constraints are handled by physical row/column elimination with an index
-map, so the reduced matrix stays symmetric positive definite once enough
+Constraints are handled by physical row/column elimination over the free
+DOFs, so the reduced matrix stays symmetric positive definite once enough
 DOFs are fixed; the full displacement vector is reconstructed with zeros at
 the fixed slots. The solve is a dense symmetric (Cholesky) factorization:
 problem sizes stay in the low thousands of DOFs and determinism matters
@@ -21,7 +26,7 @@ more than asymptotics here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -47,15 +52,15 @@ from .materials import (
 __all__ = [
     "Layer",
     "Mesh",
-    "GlobalSystem",
     "StressField",
+    "Analysis",
+    "analyze",
     "assemble",
-    "apply_constraints",
+    "free_dofs",
     "solve",
     "recover",
     "correspondence_matrix",
     "expanded_stiffness",
-    "debug_dump",
 ]
 
 Material = IsotropicMaterial | TransverselyIsotropicMaterial
@@ -106,8 +111,8 @@ class Mesh:
         widths = np.diff(self.x)
         if not np.allclose(widths, widths[0], rtol=1e-12, atol=1e-12):
             raise MeshError("all elements must share the same width a_fe")
-        if h <= 0:
-            raise MeshError(f"depth must be positive, got {h}")
+        if not 0 < h < np.inf:
+            raise MeshError(f"depth must be positive and finite, got {h}")
         self.h = float(h)
         self.a_fe = float(widths[0])
         self.nx = len(self.x) - 1
@@ -206,34 +211,8 @@ def expanded_stiffness(mesh: Mesh, elem: int, k_e: np.ndarray) -> np.ndarray:
     return K
 
 
-@dataclass
-class GlobalSystem:
-    """Assembled model: stiffness, constraints, load and solution state."""
-
-    mesh: Mesh
-    layers: tuple[Layer, ...]
-    K: np.ndarray
-    fixed_nodes: np.ndarray | None = None
-    free_dofs: np.ndarray | None = None
-    P: np.ndarray | None = None
-    u: np.ndarray | None = None
-
-    @property
-    def K_a(self) -> np.ndarray:
-        """Reduced stiffness after constraint elimination."""
-        if self.free_dofs is None:
-            raise ConstraintError("constraints not applied yet")
-        return self.K[np.ix_(self.free_dofs, self.free_dofs)]
-
-    @property
-    def P_a(self) -> np.ndarray:
-        if self.free_dofs is None or self.P is None:
-            raise ConstraintError("constraints or load not set")
-        return self.P[self.free_dofs]
-
-
-def assemble(mesh: Mesh, layers) -> GlobalSystem:
-    """Assemble the global stiffness by summing expanded element matrices.
+def assemble(mesh: Mesh, layers) -> np.ndarray:
+    """Global stiffness K, summed from the expanded element matrices.
 
     ``layers`` maps layer index to a :class:`Layer`; every element of a
     layer shares one stiffness matrix, computed once per layer.
@@ -253,37 +232,29 @@ def assemble(mesh: Mesh, layers) -> GlobalSystem:
             dofs[0::2] = [2 * m for m in nodes]
             dofs[1::2] = [2 * m + 1 for m in nodes]
             K[np.ix_(dofs, dofs)] += k_e
-    return GlobalSystem(mesh=mesh, layers=layers, K=K)
+    return K
 
 
-def apply_constraints(system: GlobalSystem, fixed_nodes) -> GlobalSystem:
-    """Fix both DOFs of the given nodes by row/column elimination.
-
-    The system keeps an index map so the full displacement vector can be
-    reconstructed with zeros at the fixed slots.
-    """
+def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
+    """Sorted DOFs left free once both DOFs of ``fixed_nodes`` are fixed."""
     fixed_nodes = np.unique(np.asarray(fixed_nodes, dtype=int))
     if len(fixed_nodes) == 0:
         raise ConstraintError("no nodes to fix; the system would be singular")
-    if len(fixed_nodes) >= system.mesh.n_nodes:
+    if len(fixed_nodes) >= mesh.n_nodes:
         raise ConstraintError("every node fixed; nothing left to solve")
-    fixed_dofs = np.concatenate([2 * fixed_nodes, 2 * fixed_nodes + 1])
-    system.fixed_nodes = fixed_nodes
-    system.free_dofs = np.setdiff1d(np.arange(system.mesh.n_dofs), fixed_dofs)
-    return system
+    fixed = np.concatenate([2 * fixed_nodes, 2 * fixed_nodes + 1])
+    return np.setdiff1d(np.arange(mesh.n_dofs), fixed)
 
 
-def solve(system: GlobalSystem) -> np.ndarray:
+def solve(K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Direct symmetric solve of the reduced system; returns the full u.
 
-    Uses a Cholesky factorization, so an indefinite or singular reduced
-    matrix (not enough constraints) raises :class:`SolveError` naming the
-    number of non-positive eigenvalues found.
+    Eliminates the fixed rows and columns of ``K`` and factors the reduced
+    matrix by Cholesky, so an indefinite or singular reduced matrix (not
+    enough constraints) raises :class:`SolveError` naming the number of
+    non-positive eigenvalues found. Fixed DOFs get zero displacement.
     """
-    if system.P is None:
-        raise ConstraintError("no load vector set")
-    K_a = system.K_a
-    P_a = system.P_a
+    K_a = K[np.ix_(free, free)]
     try:
         c, low = cho_factor(K_a, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -294,10 +265,8 @@ def solve(system: GlobalSystem) -> np.ndarray:
             f"({bad} near-zero/negative modes); fix more DOFs",
             rigid_modes=bad,
         ) from exc
-    u_a = cho_solve((c, low), P_a, check_finite=False)
-    u = np.zeros(system.mesh.n_dofs)
-    u[system.free_dofs] = u_a
-    system.u = u
+    u = np.zeros(len(K))
+    u[free] = cho_solve((c, low), P[free], check_finite=False)
     return u
 
 
@@ -332,57 +301,24 @@ class StressField:
     def max_se(self) -> float:
         return float(self.se.max())
 
-    def corner_coords(self, elem: int, q: int) -> tuple[float, float]:
-        nodes = self.mesh.element_nodes(elem)
-        coords = self.mesh.node_coords()
-        return tuple(coords[nodes[q]])
 
-
-def debug_dump(system: GlobalSystem, directory) -> list[str]:
-    """Plain-text matrix-market dump of K (and u, once solved).
-
-    Writes ``K.mtx`` (coordinate, symmetric: upper triangle) and, if the
-    system has been solved, ``u.mtx`` (dense array). Returns the file names
-    written. Meant for offline inspection, not as a data interchange path.
-    """
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    n = system.mesh.n_dofs
-    with open(directory / "K.mtx", "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        rows, cols = np.nonzero(np.tril(system.K))  # lower triangle
-        fh.write(f"{n} {n} {len(rows)}\n")
-        for i, j in zip(rows, cols):
-            fh.write(f"{i + 1} {j + 1} {system.K[i, j]:.17g}\n")
-    written.append("K.mtx")
-    if system.u is not None:
-        with open(directory / "u.mtx", "w") as fh:
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{n} 1\n")
-            for val in system.u:
-                fh.write(f"{val:.17g}\n")
-        written.append("u.mtx")
-    return written
-
-
-def recover(system: GlobalSystem, mode: str = "standard") -> StressField:
+def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> StressField:
     """Recover nodal strains and stresses at the four element corners.
 
-    ``mode="standard"`` applies the 2-row strain matrix and the 2x2 recovery
-    matrix (shear eliminated) and treats the recovered normal stresses as
-    the principal pair for the equivalent stress. ``mode="diagnostic"``
-    additionally evaluates the shear strain/stress from the full 3-row
-    matrix and rotates to principal stresses before the equivalent stress;
-    it sits outside the normative pipeline and exists for inspection.
+    ``u`` is the full displacement vector of the mesh under the layer cards
+    ``layers``. ``mode="standard"`` applies the 2-row strain matrix and the
+    2x2 recovery matrix (shear eliminated) and treats the recovered normal
+    stresses as the principal pair for the equivalent stress.
+    ``mode="diagnostic"`` additionally evaluates the shear strain/stress
+    from the full 3-row matrix and rotates to principal stresses before the
+    equivalent stress; it sits outside the normative pipeline and exists
+    for inspection.
     """
-    if system.u is None:
-        raise SolveError("system not solved yet")
+    u = np.asarray(u, dtype=float)
+    if u.shape != (mesh.n_dofs,):
+        raise SolveError(f"need a solved displacement vector of {mesh.n_dofs} entries")
     if mode not in ("standard", "diagnostic"):
         raise MeshError(f"unknown recovery mode {mode!r}")
-    mesh = system.mesh
     n_el = mesh.n_elements
     exx = np.zeros((n_el, 4))
     eyy = np.zeros((n_el, 4))
@@ -393,7 +329,7 @@ def recover(system: GlobalSystem, mode: str = "standard") -> StressField:
     sxy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
     layer_idx = np.array([mesh.layer_of(e) for e in range(n_el)], dtype=int)
 
-    for j, layer in enumerate(system.layers):
+    for j, layer in enumerate(layers):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
         mat = layer.material
         if isinstance(mat, TransverselyIsotropicMaterial):
@@ -415,8 +351,8 @@ def recover(system: GlobalSystem, mode: str = "standard") -> StressField:
             e = j * mesh.nx + i
             nodes = mesh.element_nodes(e)
             v = np.empty(8)
-            v[0::2] = system.u[[2 * m for m in nodes]]
-            v[1::2] = system.u[[2 * m + 1 for m in nodes]]
+            v[0::2] = u[[2 * m for m in nodes]]
+            v[1::2] = u[[2 * m + 1 for m in nodes]]
             for q in range(4):
                 eps = B2[q] @ v
                 sig = chi2 @ eps
@@ -441,7 +377,27 @@ def recover(system: GlobalSystem, mode: str = "standard") -> StressField:
         syy=syy,
         se=se,
         layer=layer_idx,
-        tags=tuple(layer.tag for layer in system.layers),
+        tags=tuple(layer.tag for layer in layers),
         exy=exy,
         sxy=sxy,
     )
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One linear analysis: free DOFs, full displacements and stresses."""
+
+    free_dofs: np.ndarray
+    u: np.ndarray
+    field: StressField
+
+
+def analyze(mesh: Mesh, layers, fixed_nodes, P: np.ndarray) -> Analysis:
+    """Assemble, constrain, solve and recover one load case.
+
+    ``layers`` is the sequence of layer cards, ``fixed_nodes`` the nodes
+    whose two DOFs are fixed and ``P`` the full load vector.
+    """
+    free = free_dofs(mesh, fixed_nodes)
+    u = solve(assemble(mesh, layers), free, P)
+    return Analysis(free_dofs=free, u=u, field=recover(mesh, layers, u))

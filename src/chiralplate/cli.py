@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,15 +26,14 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .assembly import Layer, apply_constraints, assemble, recover, solve as solve_system
+from .assembly import Layer, analyze
 from .errors import ChiralplateError, ConfigError
 from .experiments import (
     DA_GRID,
     RHO_GRID,
+    composite_model,
     honeycomb_grid,
     mesh_convergence_study,
-    run_case,
-    run_solid_case,
     run_sweep,
 )
 from .materials import IsotropicMaterial
@@ -43,10 +43,8 @@ from .plates import (
     PlateSpec,
     apply_boundary,
     apply_load,
-    build_composite_mesh,
     build_solid_mesh,
 )
-from . import honeycomb as hc
 from .reporting import (
     fmt,
     write_convergence_csv,
@@ -113,6 +111,8 @@ def _check_section(name: str | None, data: dict) -> None:
             _check_section(key, value)
         elif not isinstance(value, expected) or isinstance(value, bool):
             raise ConfigError(f"{where}.{key} has wrong type {type(value).__name__}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}.{key} must be finite, got {value}")
     for key, (_, required) in schema.items():
         if required and key not in data:
             raise ConfigError(f"missing required key {key!r} in {where}")
@@ -216,18 +216,9 @@ def cmd_solve(args) -> int:
                 "setup1/setup2 solve needs honeycomb.d_a_mm and honeycomb.rho_rel"
             )
         setup = 1 if scenario == "setup1" else 2
-        ledger = run_case(
-            setup, hc_cfg["d_a_mm"], hc_cfg["rho_rel"], bc, algorithm,
-            F_probe=load_n, material=material, spec=spec, allow_off_grid=True,
+        spec, _, mesh, layer_cards = composite_model(
+            setup, hc_cfg["d_a_mm"], hc_cfg["rho_rel"], algorithm, material, spec
         )
-        spec = PlateSpec(
-            a=spec.a, h=spec.h, t_p=2 * spec.t_fl + ledger.t_cl,
-            t_fl=spec.t_fl, t_cl=ledger.t_cl, l_1=spec.l_1, x1=spec.x1, x2=spec.x2,
-        )
-        cell = hc.geometry_from_cell(ledger.d_a, ledger.t_sw, t_h=ledger.t_cl)
-        core = hc.effective_material(cell, material)
-        mesh, layer_cards = build_composite_mesh(spec, core, material,
-                                                 algorithm=algorithm)
 
     if args.dry_run:
         print(
@@ -237,15 +228,15 @@ def cmd_solve(args) -> int:
         return EXIT_OK
 
     out = _prepare_out(args, ["field.csv", "summary.csv", "manifest.json"])
-    system = assemble(mesh, layer_cards)
-    apply_constraints(system, apply_boundary(mesh, bc, spec))
-    system.P = apply_load(mesh, LoadCase(load_n), spec)
-    u = solve_system(system)
-    field = recover(system)
+    analysis = analyze(
+        mesh, layer_cards, apply_boundary(mesh, bc, spec),
+        apply_load(mesh, LoadCase(load_n), spec),
+    )
+    field = analysis.field
     by_tag = field.max_se_by_tag()
     f_crit = load_n * material.sigma_el / field.max_se()
 
-    write_field_csv(field, u, out / "field.csv", max_rows=args.max_rows)
+    write_field_csv(field, analysis.u, out / "field.csv", max_rows=args.max_rows)
     with open(out / "summary.csv", "w", newline="") as fh:
         fh.write("quantity,value\n")
         for tag, val in sorted(by_tag.items()):
@@ -327,6 +318,12 @@ def cmd_honeycomb(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiralplate",
@@ -346,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--algorithm", choices=("conforming", "incompatible"))
         p.add_argument("--bc", choices=("clamped", "supported"))
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print derived mesh dimensions only")
-        p.add_argument("--max-rows", type=int, default=None,
+        p.add_argument("--max-rows", type=_positive_int, default=None,
                        help="cap field-dump rows")
         p.set_defaults(func=func)
     return parser

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .assembly import Layer, apply_constraints, assemble, recover, solve
+from .assembly import Layer, Mesh, analyze
 from .errors import GeometryError
 from . import honeycomb as hc
 from .materials import IsotropicMaterial
@@ -46,6 +46,7 @@ __all__ = [
     "V_CL",
     "FORMLABS_CLEAR",
     "LayerStressLedger",
+    "composite_model",
     "run_case",
     "run_solid_case",
     "run_sweep",
@@ -89,13 +90,38 @@ class LayerStressLedger:
         return max(self.sigma_core, self.sigma_top, self.sigma_bottom)
 
 
-def _setup_thicknesses(setup: int, rho_rel: float, spec: PlateSpec) -> tuple[float, float]:
-    """(t_fl, t_cl) for the given setup; setup 2 follows the volume rule."""
+def composite_model(
+    setup: int,
+    d_a: float,
+    rho_rel: float,
+    algorithm: str,
+    material: IsotropicMaterial,
+    spec: PlateSpec,
+    core_layers: int | None = None,
+) -> tuple[PlateSpec, float, Mesh, list[Layer]]:
+    """Homogenized three-layer model of one design case.
+
+    Setup 1 keeps the layer thicknesses of ``spec``; setup 2 derives the
+    core thickness from the volume rule. The wall thickness is inverted
+    from ``rho_rel`` and the cell homogenized into the core card. Returns
+    the case's plate spec, the wall thickness, the mesh and its layer cards.
+    """
     if setup == 1:
-        return spec.t_fl, spec.t_cl
-    if setup == 2:
-        return spec.t_fl, V_CL / (rho_rel * spec.a * spec.h)
-    raise GeometryError(f"setup must be 1 or 2, got {setup}")
+        t_cl = spec.t_cl
+    elif setup == 2:
+        t_cl = V_CL / (rho_rel * spec.a * spec.h)
+    else:
+        raise GeometryError(f"setup must be 1 or 2, got {setup}")
+    case_spec = PlateSpec(
+        a=spec.a, h=spec.h, t_p=2 * spec.t_fl + t_cl, t_fl=spec.t_fl, t_cl=t_cl,
+        l_1=spec.l_1, x1=spec.x1, x2=spec.x2,
+    )
+    t_sw = hc.wall_thickness_for_density(d_a, rho_rel)
+    core = hc.effective_material(hc.geometry_from_cell(d_a, t_sw), material)
+    mesh, layers = build_composite_mesh(
+        case_spec, core, material, core_layers=core_layers, algorithm=algorithm
+    )
+    return case_spec, t_sw, mesh, layers
 
 
 def run_case(
@@ -125,23 +151,12 @@ def run_case(
             )
     if F_probe is None:
         F_probe = DEFAULT_PROBE[setup]
-    t_fl, t_cl = _setup_thicknesses(setup, rho_rel, spec)
-    case_spec = PlateSpec(
-        a=spec.a, h=spec.h, t_p=2 * t_fl + t_cl, t_fl=t_fl, t_cl=t_cl,
-        l_1=spec.l_1, x1=spec.x1, x2=spec.x2,
+    case_spec, t_sw, mesh, layers = composite_model(
+        setup, d_a, rho_rel, algorithm, material, spec, core_layers
     )
-    t_sw = hc.wall_thickness_for_density(d_a, rho_rel, t_h=t_cl)
-    cell = hc.geometry_from_cell(d_a, t_sw, t_h=t_cl)
-    core = hc.effective_material(cell, material)
-
-    mesh, layers = build_composite_mesh(
-        case_spec, core, material, core_layers=core_layers, algorithm=algorithm
-    )
-    system = assemble(mesh, layers)
-    apply_constraints(system, apply_boundary(mesh, bc, case_spec))
-    system.P = apply_load(mesh, LoadCase(F_probe), case_spec)
-    solve(system)
-    by_tag = recover(system).max_se_by_tag()
+    P = apply_load(mesh, LoadCase(F_probe), case_spec)
+    analysis = analyze(mesh, layers, apply_boundary(mesh, bc, case_spec), P)
+    by_tag = analysis.field.max_se_by_tag()
 
     sigma = {
         "core": by_tag.get("core", 0.0),
@@ -155,7 +170,7 @@ def run_case(
         d_a=d_a,
         rho_rel=rho_rel,
         t_sw=t_sw,
-        t_cl=t_cl,
+        t_cl=case_spec.t_cl,
         bc=bc.value,
         algorithm=algorithm,
         F_probe=F_probe,
@@ -183,11 +198,10 @@ def run_solid_case(
     solid_spec = spec.solid()
     mesh, tags = build_solid_mesh(solid_spec, layers)
     kind = "incompatible" if algorithm == "incompatible_faces" else algorithm
-    system = assemble(mesh, [Layer(material, kind, tag) for tag in tags])
-    apply_constraints(system, apply_boundary(mesh, bc, solid_spec))
-    system.P = apply_load(mesh, LoadCase(F_probe), solid_spec)
-    solve(system)
-    sigma_max = recover(system).max_se()
+    cards = [Layer(material, kind, tag) for tag in tags]
+    P = apply_load(mesh, LoadCase(F_probe), solid_spec)
+    analysis = analyze(mesh, cards, apply_boundary(mesh, bc, solid_spec), P)
+    sigma_max = analysis.field.max_se()
     return LayerStressLedger(
         setup=0,
         d_a=float("nan"),
@@ -263,19 +277,19 @@ def mesh_convergence_study(
         for bc in (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED):
             for layers in range(1, max_layers + 1):
                 mesh, tags = build_solid_mesh(solid_spec, layers, snap="equal_aspect")
-                system = assemble(mesh, [Layer(material, kind, t) for t in tags])
-                apply_constraints(system, apply_boundary(mesh, bc, solid_spec))
-                system.P = apply_load(
-                    mesh, LoadCase(F_probe), solid_spec, split=True
+                analysis = analyze(
+                    mesh,
+                    [Layer(material, kind, t) for t in tags],
+                    apply_boundary(mesh, bc, solid_spec),
+                    apply_load(mesh, LoadCase(F_probe), solid_spec, split=True),
                 )
-                solve(system)
                 rows.append(
                     ConvergenceRow(
                         element_kind=kind,
                         bc=bc.value,
                         layers=layers,
-                        dofs=len(system.free_dofs),
-                        sigma_max=recover(system).max_se(),
+                        dofs=len(analysis.free_dofs),
+                        sigma_max=analysis.field.max_se(),
                     )
                 )
     return rows
@@ -297,14 +311,13 @@ def honeycomb_grid(
     d_a_values: Sequence[float] = DA_GRID,
     rho_values: Sequence[float] = RHO_GRID,
     material: IsotropicMaterial = FORMLABS_CLEAR,
-    t_h: float | None = None,
 ) -> list[HoneycombRow]:
     """Cell properties and both Poisson estimates along the density grid."""
     rows = []
     for d_a in d_a_values:
         for rho in rho_values:
-            t_sw = hc.wall_thickness_for_density(d_a, rho, t_h=t_h)
-            g = hc.geometry_from_cell(d_a, t_sw, t_h=t_h)
+            t_sw = hc.wall_thickness_for_density(d_a, rho)
+            g = hc.geometry_from_cell(d_a, t_sw)
             try:
                 mu_lu = hc.poisson_lu(g)
             except GeometryError:

@@ -35,7 +35,6 @@ from .materials import IsotropicMaterial, TransverselyIsotropicMaterial
 
 __all__ = [
     "TetrachiralGeometry",
-    "EffectiveCoreProperties",
     "geometry_from_cell",
     "relative_density",
     "max_relative_density",
@@ -63,8 +62,6 @@ class TetrachiralGeometry:
         L_h: lattice pitch, ``1.6 * d_a``.
         l: rib length between tangency points.
         theta: rib angle against the line of centres [rad].
-        t_h: out-of-plane core thickness; only the Poisson estimate of
-            ``poisson_lu`` refers to it, and it cancels there. Optional.
     """
 
     d_a: float
@@ -72,7 +69,6 @@ class TetrachiralGeometry:
     L_h: float
     l: float
     theta: float
-    t_h: float | None = None
 
     @property
     def r_a(self) -> float:
@@ -95,21 +91,7 @@ class TetrachiralGeometry:
         return self.t_sw / self.r
 
 
-@dataclass(frozen=True)
-class EffectiveCoreProperties:
-    """Homogenized transversely isotropic constants of the core [MPa]."""
-
-    E1_tet: float
-    E2_tet: float
-    G2_tet: float
-    mu_xy: float
-    mu_yx: float
-    rho_rel: float
-
-
-def geometry_from_cell(
-    d_a: float, t_sw: float, t_h: float | None = None
-) -> TetrachiralGeometry:
+def geometry_from_cell(d_a: float, t_sw: float) -> TetrachiralGeometry:
     """Construct the cell geometry from diameter and wall thickness.
 
     Parameters
@@ -119,8 +101,6 @@ def geometry_from_cell(
     t_sw : float
         Wall thickness [mm]; must satisfy ``0 < t_sw < d_a`` so that
         ``beta = t_sw / r`` stays below 1.
-    t_h : float, optional
-        Out-of-plane core thickness [mm].
     """
     if not d_a > 0:
         raise GeometryError(f"cylinder diameter must be positive, got {d_a}")
@@ -129,7 +109,7 @@ def geometry_from_cell(
     L_h = PITCH_RATIO * d_a
     l = math.sqrt(L_h**2 - d_a**2)
     theta = math.atan2(d_a, l)
-    g = TetrachiralGeometry(d_a=d_a, t_sw=t_sw, L_h=L_h, l=l, theta=theta, t_h=t_h)
+    g = TetrachiralGeometry(d_a=d_a, t_sw=t_sw, L_h=L_h, l=l, theta=theta)
     if not g.beta < 1.0:
         raise GeometryError(
             f"wall thickness {t_sw} too large for d_a={d_a}: t_sw/r = {g.beta:g} >= 1"
@@ -160,9 +140,7 @@ def max_relative_density(d_a: float) -> float:
     return relative_density(geometry_from_cell(d_a, d_a * (1.0 - 1e-12)))
 
 
-def wall_thickness_for_density(
-    d_a: float, rho_target: float, t_h: float | None = None
-) -> float:
+def wall_thickness_for_density(d_a: float, rho_target: float) -> float:
     """Invert the relative-density relation for the wall thickness.
 
     Bisection on the monotone branch ``t_sw in (0, d_a)``; the returned
@@ -179,7 +157,7 @@ def wall_thickness_for_density(
     lo, hi = 0.0, d_a * (1.0 - 1e-12)
     while hi - lo > _BISECTION_TOL * max(1.0, d_a):
         mid = 0.5 * (lo + hi)
-        if relative_density(geometry_from_cell(d_a, mid, t_h)) < rho_target:
+        if relative_density(geometry_from_cell(d_a, mid)) < rho_target:
             lo = mid
         else:
             hi = mid
@@ -227,20 +205,6 @@ def effective_material(
     )
 
 
-def core_properties(
-    g: TetrachiralGeometry, solid: IsotropicMaterial
-) -> EffectiveCoreProperties:
-    """All homogenized constants bundled, including the density."""
-    return EffectiveCoreProperties(
-        E1_tet=effective_E1(g, solid.E),
-        E2_tet=effective_E2(g, solid.E),
-        G2_tet=effective_G2(g, solid.G),
-        mu_xy=0.0,
-        mu_yx=solid.mu,
-        rho_rel=relative_density(g),
-    )
-
-
 def poisson_qi(g: TetrachiralGeometry) -> float:
     """Closed-form in-plane Poisson's ratio, rib-rotation model.
 
@@ -272,8 +236,7 @@ def poisson_lu(g: TetrachiralGeometry) -> float:
             f"effective rib span negative (l_e = {l_e:g}); "
             "walls too thick for the flexure model"
         )
-    t_h = g.t_h if g.t_h is not None else 1.0  # cancels in a_h / b_h
-    E = 1.0  # cancels as well
+    t_h = E = 1.0  # core thickness and modulus cancel in the ratio
     I = t_h * t**3 / 12.0
     a_h = l_e**3 / (24.0 * E * I)
     b_h = l / (2.0 * t_h * t * E)

@@ -17,6 +17,7 @@ and triaxial (three principal stresses) cases round out the module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +61,20 @@ class IsotropicMaterial:
     sigma_el: float | None = None
 
     def __post_init__(self):
-        if not self.E > 0:
-            raise MaterialError(f"Young's modulus must be positive, got E={self.E}")
+        if not 0 < self.E < math.inf:
+            raise MaterialError(
+                f"Young's modulus must be positive and finite, got E={self.E}"
+            )
         if not (0.0 <= self.mu < 0.5):
             raise MaterialError(
                 f"Poisson's ratio must lie in [0, 0.5), got mu={self.mu}"
             )
-        if self.sigma_el is not None and self.sigma_el <= 0:
-            raise MaterialError(f"sigma_el must be positive, got {self.sigma_el}")
+        if not math.isfinite(self.rho):
+            raise MaterialError(f"density must be finite, got rho={self.rho}")
+        if self.sigma_el is not None and not 0 < self.sigma_el < math.inf:
+            raise MaterialError(
+                f"sigma_el must be positive and finite, got {self.sigma_el}"
+            )
 
     @property
     def G(self) -> float:

@@ -65,8 +65,8 @@ class PlateSpec:
     x2: float = 42.0
 
     def __post_init__(self):
-        if min(self.a, self.h, self.t_p) <= 0:
-            raise MeshError("plate dimensions must be positive")
+        if not all(0 < v < math.inf for v in (self.a, self.h, self.t_p)):
+            raise MeshError("plate dimensions must be positive and finite")
         if not (0 < self.x1 < self.l_1 < self.x2 < self.a):
             raise MeshError(
                 f"require 0 < x1 < l_1 < x2 < a, got "
@@ -75,7 +75,7 @@ class PlateSpec:
         if (self.t_fl is None) != (self.t_cl is None):
             raise MeshError("t_fl and t_cl must be given together (or both None)")
         if self.t_fl is not None:
-            if self.t_fl <= 0 or self.t_cl <= 0:
+            if not (self.t_fl > 0 and self.t_cl > 0):
                 raise MeshError("layer thicknesses must be positive")
             if abs(2 * self.t_fl + self.t_cl - self.t_p) > 1e-9:
                 raise MeshError(

@@ -2,12 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. Criteria are asserted exactly at their stated tolerances; no
-tolerance is relaxed here. Three criteria probe behavior that the
-homogenized plane model demonstrably does not possess (the published
-density tables, the cell-resolved core-governed regime, and flattening of
-the supported-edge singularity under refinement); they are asserted
-faithfully and fail with diagnostics rather than being weakened. The
-analysis lives in the project decision notes.
+tolerance is relaxed here. Four criteria probe behavior that the
+homogenized plane model demonstrably does not possess: 3 (the published
+density table), 8 (conforming and incompatible faces agreeing at the
+softest cores), 9 (the cell-resolved core-governed regime) and 10
+(flattening of the supported-edge singularity under refinement). They are
+asserted faithfully and fail with diagnostics rather than being weakened.
 """
 
 import time
@@ -143,7 +143,8 @@ def test_criterion_06_rigid_modes_and_patch(rng, resin):
     n_zero = int(np.sum(np.abs(eig) < 1e-10 * eig.max()))
 
     mesh = cp.Mesh(np.linspace(0, 6.0, 7), np.linspace(0, 2.0, 5), 1.0)
-    system = cp.assemble(mesh, [cp.Layer(resin, "conforming", "plate")] * 4)
+    layers = [cp.Layer(resin, "conforming", "plate")] * 4
+    K = cp.assemble(mesh, layers)
     coords = mesh.node_coords()
     exx, eyy = 1.5e-3, -0.5e-3
     u_exact = np.zeros(mesh.n_dofs)
@@ -157,10 +158,9 @@ def test_criterion_06_rigid_modes_and_patch(rng, resin):
     free = np.setdiff1d(np.arange(mesh.n_dofs), bdofs)
     u = u_exact.copy()
     u[free] = np.linalg.solve(
-        system.K[np.ix_(free, free)], -system.K[np.ix_(free, bdofs)] @ u_exact[bdofs]
+        K[np.ix_(free, free)], -K[np.ix_(free, bdofs)] @ u_exact[bdofs]
     )
-    system.u = u
-    field = cp.recover(system)
+    field = cp.recover(mesh, layers, u)
     patch_err = max(
         np.abs(field.exx / exx - 1).max(), np.abs(field.eyy / eyy - 1).max()
     )

@@ -16,11 +16,12 @@ from chiralplate import (
     Mesh,
     MeshError,
     SolveError,
-    apply_constraints,
+    analyze,
     assemble,
     conforming_stiffness_iso,
     correspondence_matrix,
     expanded_stiffness,
+    free_dofs,
     recover,
     solve,
     stress_recovery_matrix_iso,
@@ -78,14 +79,14 @@ class TestAssemble:
     def test_single_element_equals_element_matrix(self, steelish):
         # equal up to the local->global corner permutation of the A rule
         mesh = single_element_mesh()
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
         k_e = conforming_stiffness_iso(ElementGeometry(1, 1, 1), steelish)
-        assert_allclose(system.K, expanded_stiffness(mesh, 0, k_e), rtol=0, atol=0)
+        assert_allclose(K, expanded_stiffness(mesh, 0, k_e), rtol=0, atol=0)
         nodes = mesh.element_nodes(0)
         for q_r, m in enumerate(nodes):
             for q_s, n in enumerate(nodes):
                 assert_allclose(
-                    system.K[2 * m : 2 * m + 2, 2 * n : 2 * n + 2],
+                    K[2 * m : 2 * m + 2, 2 * n : 2 * n + 2],
                     k_e[2 * q_r : 2 * q_r + 2, 2 * q_s : 2 * q_s + 2],
                     rtol=0,
                     atol=0,
@@ -93,18 +94,18 @@ class TestAssemble:
 
     def test_two_elements_against_expanded_sum(self, steelish):
         mesh = grid_mesh(2, 1)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
         k_e = conforming_stiffness_iso(ElementGeometry(1, 1, 1), steelish)
         K_oracle = expanded_stiffness(mesh, 0, k_e) + expanded_stiffness(mesh, 1, k_e)
-        assert_allclose(system.K, K_oracle, rtol=0, atol=1e-15)
+        assert_allclose(K, K_oracle, rtol=0, atol=1e-15)
 
     def test_symmetry_and_rigid_translation(self, steelish):
         mesh = grid_mesh(4, 3)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 3)
-        assert_allclose(system.K, system.K.T, rtol=0, atol=0)
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 3)
+        assert_allclose(K, K.T, rtol=0, atol=0)
         v = np.zeros(mesh.n_dofs)
         v[0::2] = 1.0  # pure x translation
-        assert np.abs(system.K @ v).max() < 1e-11 * np.abs(system.K).max()
+        assert np.abs(K @ v).max() < 1e-11 * np.abs(K).max()
 
     def test_layer_count_mismatch(self, steelish):
         with pytest.raises(MeshError):
@@ -113,92 +114,82 @@ class TestAssemble:
     def test_unconstrained_K_has_three_zero_modes(self, steelish):
         # connected conforming mesh: two translations + one rotation
         mesh = grid_mesh(4, 2)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
-        eig = np.linalg.eigvalsh(system.K)
+        eig = np.linalg.eigvalsh(
+            assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
+        )
         assert np.sum(np.abs(eig) < 1e-10 * eig.max()) == 3
 
 
 class TestConstraintsAndSolve:
-    def test_fix_everything_rejected(self, steelish):
+    def test_fix_everything_rejected(self):
         mesh = single_element_mesh()
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
         with pytest.raises(ConstraintError):
-            apply_constraints(system, [0, 1, 2, 3])
+            free_dofs(mesh, [0, 1, 2, 3])
         with pytest.raises(ConstraintError):
-            apply_constraints(system, [])
+            free_dofs(mesh, [])
 
     def test_reduced_matrix_positive_definite(self, steelish):
         mesh = single_element_mesh()
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        apply_constraints(system, [0, 1])  # bottom edge: 4 DOFs > 3 rigid modes
-        eig = np.linalg.eigvalsh(system.K_a)
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        free = free_dofs(mesh, [0, 1])  # bottom edge: 4 DOFs > 3 rigid modes
+        eig = np.linalg.eigvalsh(K[np.ix_(free, free)])
         assert eig.min() > 0
 
     def test_underconstrained_reports_rigid_modes(self, steelish):
         mesh = single_element_mesh()
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        apply_constraints(system, [0])  # rotation about node 0 remains
-        system.P = np.zeros(mesh.n_dofs)
-        system.P[2 * 2 + 1] = 1.0
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        free = free_dofs(mesh, [0])  # rotation about node 0 remains
+        P = np.zeros(mesh.n_dofs)
+        P[2 * 2 + 1] = 1.0
         with pytest.raises(SolveError) as err:
-            solve(system)
+            solve(K, free, P)
         assert err.value.rigid_modes >= 1
 
     def test_zero_load_zero_displacement(self, steelish):
         mesh = grid_mesh(3, 1)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        apply_constraints(system, [0, 4])
-        system.P = np.zeros(mesh.n_dofs)
-        u = solve(system)
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        u = solve(K, free_dofs(mesh, [0, 4]), np.zeros(mesh.n_dofs))
         assert_allclose(u, 0.0, atol=0)
 
     def test_against_dense_oracle_and_linearity(self, steelish):
         mesh = single_element_mesh()
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        apply_constraints(system, [0, 1])
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        keep = free_dofs(mesh, [0, 1])
         P = np.zeros(mesh.n_dofs)
         P[2 * 3 + 1] = -1.0  # unit downward load at a top node
-        system.P = P
-        u = solve(system)
-        keep = system.free_dofs
-        u_oracle = np.linalg.solve(system.K[np.ix_(keep, keep)], P[keep])
+        u = solve(K, keep, P)
+        u_oracle = np.linalg.solve(K[np.ix_(keep, keep)], P[keep])
         assert_allclose(u[keep], u_oracle, rtol=1e-12)
         assert_allclose(u[[0, 1, 2, 3]], 0.0, atol=0)
-        system.P = 2 * P
-        assert_allclose(solve(system), 2 * u, rtol=1e-12)
+        assert_allclose(solve(K, keep, 2 * P), 2 * u, rtol=1e-12)
 
     def test_residual_small(self, steelish):
         mesh = grid_mesh(6, 2)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
-        apply_constraints(system, [0, 6])
+        layers = [Layer(steelish, "conforming", "plate")] * 2
         P = np.zeros(mesh.n_dofs)
         P[2 * 17 + 1] = -5.0
-        system.P = P
-        solve(system)
-        res = system.K_a @ system.u[system.free_dofs] - system.P_a
-        assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(system.P_a)
+        result = analyze(mesh, layers, [0, 6], P)
+        free = result.free_dofs
+        K_a = assemble(mesh, layers)[np.ix_(free, free)]
+        res = K_a @ result.u[free] - P[free]
+        assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(P[free])
 
 
 class TestRecovery:
     def test_zero_displacement_zero_stress(self, steelish):
         mesh = grid_mesh(2, 1)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        apply_constraints(system, [0, 2])
-        system.P = np.zeros(mesh.n_dofs)
-        solve(system)
-        field = recover(system)
+        layers = [Layer(steelish, "conforming", "plate")]
+        field = analyze(mesh, layers, [0, 2], np.zeros(mesh.n_dofs)).field
         assert_allclose(field.se, 0.0, atol=0)
 
     def test_uniform_stretch_patch(self, steelish):
         # prescribe a linear displacement field directly: eps_xx = 1e-3
         mesh = grid_mesh(3, 2)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
         coords = mesh.node_coords()
         eps = 1e-3
         u = np.zeros(mesh.n_dofs)
         u[0::2] = eps * coords[:, 0]
-        system.u = u
-        field = recover(system)
+        field = recover(mesh, [Layer(steelish, "conforming", "plate")] * 2, u)
         chi2 = stress_recovery_matrix_iso(steelish)
         assert_allclose(field.exx, eps, rtol=1e-12)
         assert_allclose(field.eyy, 0.0, atol=1e-18)
@@ -207,44 +198,33 @@ class TestRecovery:
 
     def test_unsolved_system_rejected(self, steelish):
         mesh = grid_mesh(2, 1)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        layers = [Layer(steelish, "conforming", "plate")]
         with pytest.raises(SolveError):
-            recover(system)
+            recover(mesh, layers, None)
+        with pytest.raises(SolveError):
+            recover(mesh, layers, np.zeros(mesh.n_dofs - 1))
 
     def test_se_nonnegative_random_solve(self, steelish, rng):
         mesh = grid_mesh(5, 2)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
-        apply_constraints(system, [0, 5])
         P = np.zeros(mesh.n_dofs)
         P[rng.integers(12, mesh.n_dofs, 5)] = rng.normal(0, 3, 5)
-        system.P = P
-        solve(system)
-        assert recover(system).se.min() >= 0.0
+        layers = [Layer(steelish, "conforming", "plate")] * 2
+        assert analyze(mesh, layers, [0, 5], P).field.se.min() >= 0.0
 
     def test_superposition_componentwise(self, steelish):
         mesh = grid_mesh(4, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
         fixed = [0, 4]
 
-        def run(load_dof, value):
-            system = assemble(mesh, layers)
-            apply_constraints(system, fixed)
+        def run(*loads):
             P = np.zeros(mesh.n_dofs)
-            P[load_dof] = value
-            system.P = P
-            solve(system)
-            return recover(system)
+            for load_dof, value in loads:
+                P[load_dof] = value
+            return analyze(mesh, layers, fixed, P).field
 
-        f1 = run(2 * 14 + 1, -2.0)
-        f2 = run(2 * 12 + 1, 1.5)
-        system = assemble(mesh, layers)
-        apply_constraints(system, fixed)
-        P = np.zeros(mesh.n_dofs)
-        P[2 * 14 + 1] = -2.0
-        P[2 * 12 + 1] = 1.5
-        system.P = P
-        solve(system)
-        f12 = recover(system)
+        f1 = run((2 * 14 + 1, -2.0))
+        f2 = run((2 * 12 + 1, 1.5))
+        f12 = run((2 * 14 + 1, -2.0), (2 * 12 + 1, 1.5))
         for name in ("exx", "eyy", "sxx", "syy"):
             a = getattr(f1, name) + getattr(f2, name)
             b = getattr(f12, name)
@@ -252,14 +232,12 @@ class TestRecovery:
 
     def test_diagnostic_mode_adds_shear(self, steelish):
         mesh = grid_mesh(3, 1)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        apply_constraints(system, [0, 3])
+        layers = [Layer(steelish, "conforming", "plate")]
         P = np.zeros(mesh.n_dofs)
         P[2 * 6 + 1] = -1.0
-        system.P = P
-        solve(system)
-        standard = recover(system, mode="standard")
-        diag = recover(system, mode="diagnostic")
+        result = analyze(mesh, layers, [0, 3], P)
+        standard = result.field
+        diag = recover(mesh, layers, result.u, mode="diagnostic")
         assert standard.sxy is None and standard.exy is None
         assert diag.sxy is not None and np.abs(diag.sxy).max() > 0
         # normal components agree between modes
@@ -268,46 +246,15 @@ class TestRecovery:
     def test_max_by_tag(self, steelish):
         mesh = grid_mesh(2, 2)
         soft = IsotropicMaterial(E=10.0, mu=0.0)
-        system = assemble(
-            mesh,
-            [Layer(steelish, "conforming", "bottom"), Layer(soft, "conforming", "top")],
-        )
-        apply_constraints(system, [0, 2])
+        layers = [
+            Layer(steelish, "conforming", "bottom"),
+            Layer(soft, "conforming", "top"),
+        ]
         P = np.zeros(mesh.n_dofs)
         P[2 * 7 + 1] = -1.0
-        system.P = P
-        solve(system)
-        by_tag = recover(system).max_se_by_tag()
+        by_tag = analyze(mesh, layers, [0, 2], P).field.max_se_by_tag()
         assert set(by_tag) == {"bottom", "top"}
         assert by_tag["bottom"] > 0 and by_tag["top"] > 0
-
-
-class TestDebugDump:
-    def test_round_trips_through_mmread(self, steelish, tmp_path):
-        from scipy.io import mmread
-
-        from chiralplate import debug_dump
-
-        mesh = grid_mesh(3, 2)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
-        apply_constraints(system, [0, 3])
-        P = np.zeros(mesh.n_dofs)
-        P[2 * 9 + 1] = -1.0
-        system.P = P
-        solve(system)
-        written = debug_dump(system, tmp_path)
-        assert written == ["K.mtx", "u.mtx"]
-        K_back = np.asarray(mmread(tmp_path / "K.mtx").todense())
-        assert_allclose(K_back, system.K, rtol=1e-15)
-        u_back = np.asarray(mmread(tmp_path / "u.mtx")).ravel()
-        assert_allclose(u_back, system.u, rtol=1e-15)
-
-    def test_unsolved_dumps_stiffness_only(self, steelish, tmp_path):
-        from chiralplate import debug_dump
-
-        mesh = grid_mesh(2, 1)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        assert debug_dump(system, tmp_path) == ["K.mtx"]
 
 
 class TestPatchTest:
@@ -315,7 +262,8 @@ class TestPatchTest:
         # linear displacement field imposed on the boundary reproduces the
         # constant strain state at every interior recovery point
         mesh = grid_mesh(6, 4, a_fe=0.9, b_fe=0.5)
-        system = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 4)
+        layers = [Layer(steelish, "conforming", "plate")] * 4
+        K = assemble(mesh, layers)
         coords = mesh.node_coords()
         exx, eyy = 2e-3, -1e-3
         u_exact = np.zeros(mesh.n_dofs)
@@ -331,12 +279,11 @@ class TestPatchTest:
         bdofs = np.array([[2 * m, 2 * m + 1] for m in boundary]).ravel()
         free = np.setdiff1d(np.arange(mesh.n_dofs), bdofs)
         # Dirichlet lift: K_ff u_f = -K_fb u_b
-        rhs = -system.K[np.ix_(free, bdofs)] @ u_exact[bdofs]
+        rhs = -K[np.ix_(free, bdofs)] @ u_exact[bdofs]
         u = u_exact.copy()
-        u[free] = np.linalg.solve(system.K[np.ix_(free, free)], rhs)
+        u[free] = np.linalg.solve(K[np.ix_(free, free)], rhs)
         assert_allclose(u, u_exact, rtol=1e-9, atol=1e-15)
 
-        system.u = u
-        field = recover(system)
+        field = recover(mesh, layers, u)
         assert_allclose(field.exx, exx, rtol=1e-9)
         assert_allclose(field.eyy, eyy, rtol=1e-9)

@@ -85,6 +85,37 @@ class TestSolve:
             outs[algo] = float(dict(l.split(",") for l in summary[1:])["F_crit_n"])
         assert outs["conforming"] != outs["incompatible"]
 
+    def test_setup2_solves_once(self, tmp_path, monkeypatch):
+        import chiralplate.cli as cli
+        from chiralplate.experiments import run_case
+        from chiralplate.plates import BoundaryCondition
+        from chiralplate.reporting import fmt
+
+        calls = []
+        real_analyze = cli.analyze
+
+        def counting_analyze(*args):
+            calls.append(args)
+            return real_analyze(*args)
+
+        monkeypatch.setattr(cli, "analyze", counting_analyze)
+        data = {
+            "scenario": "setup2",
+            "honeycomb": {"d_a_mm": 1.3, "rho_rel": 0.3},
+            "load": {"F_y_n": 50.0},
+        }
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", out, "--dry-run"]) == EXIT_OK
+        assert calls == []
+        assert run(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+        assert len(calls) == 1
+        summary = (out / "summary.csv").read_text().splitlines()
+        f_crit = dict(line.split(",") for line in summary[1:])["F_crit_n"]
+        ledger = run_case(2, 1.3, 0.3, BoundaryCondition.CLAMPED,
+                          F_probe=50.0, allow_off_grid=True)
+        assert f_crit == fmt(ledger.F_crit)
+
     def test_max_rows_caps_field_dump(self, tmp_path):
         cfg = write_config(tmp_path, SOLID_CONFIG)
         out = tmp_path / "out"
@@ -137,6 +168,28 @@ class TestConfigValidation:
         data = dict(SOLID_CONFIG, material={"E_mpa": 2800.0, "mu": 0.6})
         cfg = write_config(tmp_path, data)
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "section, key", [("plate", "h_mm"), ("material", "E_mpa")]
+    )
+    @pytest.mark.parametrize("text", [".nan", ".inf", "-.inf"])
+    def test_non_finite_number_rejected(self, tmp_path, section, key, text):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"scenario: solid\n{section}: {{{key}: {text}}}\n")
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--max-rows", "--workers"])
+    @pytest.mark.parametrize("value", ["-5", "0", "two"])
+    def test_non_positive_count_rejected(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, SOLID_CONFIG)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--config", cfg, "--out", out, flag, value])
+        assert exc.value.code == EXIT_CONFIG
+        assert "positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # support abscissa off the composite node grid -> mesh error

@@ -248,12 +248,6 @@ class TestPoissonEstimates:
             val = poisson_lu(geometry_from_cell(1.0, t))
             assert -1.0 <= val <= 0.0
 
-    def test_lu_independent_of_thickness_parameter(self):
-        # t_h enters the flexure model but cancels in the compliance ratio
-        a = poisson_lu(geometry_from_cell(1.0, 0.2, t_h=1.0))
-        b = poisson_lu(geometry_from_cell(1.0, 0.2, t_h=7.3))
-        assert a == pytest.approx(b, rel=1e-14)
-
     def test_lu_rejects_thick_walls(self):
         with pytest.raises(GeometryError):
             poisson_lu(geometry_from_cell(1.0, 0.5489))

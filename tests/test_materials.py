@@ -77,6 +77,12 @@ class TestIsotropicMatrix:
         with pytest.raises(MaterialError):
             IsotropicMaterial(E=0.0, mu=0.3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        for card in ({"E": bad}, {"mu": bad}, {"rho": bad}, {"sigma_el": bad}):
+            with pytest.raises(MaterialError):
+                IsotropicMaterial(**{"E": 1.0, "mu": 0.3, **card})
+
 
 class TestSubmatrices:
     def test_mu_zero_split(self):

@@ -1,5 +1,7 @@
 """Plate mesh builders, boundary conditions and load cases."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,17 +11,18 @@ from chiralplate import (
     IsotropicMaterial,
     Layer,
     LoadCase,
+    Mesh,
     MeshError,
     PlateSpec,
     TransverselyIsotropicMaterial,
+    analyze,
     apply_boundary,
-    apply_constraints,
     apply_load,
     assemble,
     build_composite_mesh,
     build_solid_mesh,
+    composite_model,
     core_layer_count,
-    solve,
 )
 
 
@@ -44,6 +47,14 @@ class TestPlateSpec:
     def test_rejects_bad_abscissas(self):
         with pytest.raises(MeshError):
             PlateSpec(x1=30.0, l_1=27.0)  # x1 must precede l_1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        for field in ("a", "h", "t_p", "t_fl", "t_cl", "l_1", "x1", "x2"):
+            with pytest.raises(MeshError):
+                PlateSpec(**{field: bad})
+        with pytest.raises(MeshError):
+            Mesh([0.0, 1.0], [0.0, 1.0], bad)
 
 
 class TestSolidMesh:
@@ -189,10 +200,13 @@ class TestMirrorSymmetry:
         # l_1 = a/2 and x1 + x2 = a: u_y even, u_x odd about midspan
         solid = spec.solid()
         mesh, tags = build_solid_mesh(solid, 2)
-        system = assemble(mesh, [Layer(resin, "conforming", t) for t in tags])
-        apply_constraints(system, apply_boundary(mesh, bc, solid))
-        system.P = apply_load(mesh, LoadCase(60.0), solid)
-        u = solve(system)
+        result = analyze(
+            mesh,
+            [Layer(resin, "conforming", t) for t in tags],
+            apply_boundary(mesh, bc, solid),
+            apply_load(mesh, LoadCase(60.0), solid),
+        )
+        u = result.u
         nxn = len(mesh.x)
         scale = np.abs(u).max()
         for j in range(len(mesh.y)):
@@ -206,9 +220,7 @@ class TestMirrorSymmetry:
 
         # recovered equivalent stresses mirror as well: element i maps to
         # nx-1-i with corners swapped left-right
-        from chiralplate import recover
-
-        field = recover(system)
+        field = result.field
         corner_mirror = {0: 1, 1: 0, 2: 3, 3: 2}
         se_scale = field.se.max()
         for e in range(mesh.n_elements):
@@ -218,3 +230,25 @@ class TestMirrorSymmetry:
                 assert field.se[e, q] == pytest.approx(
                     field.se[e_ref, corner_mirror[q]], abs=1e-8 * se_scale
                 )
+
+
+class TestEquilibrium:
+    @pytest.mark.parametrize("bc", [BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED])
+    @pytest.mark.parametrize("plate", ["solid", "composite"])
+    def test_reactions_balance_load(self, spec, resin, bc, plate):
+        # the y-reactions (K u - P) at the fixed DOFs carry the applied F_y
+        if plate == "solid":
+            case_spec = spec.solid()
+            mesh, tags = build_solid_mesh(case_spec, 2)
+            layers = [Layer(resin, "incompatible", t) for t in tags]
+        else:
+            case_spec, _, mesh, layers = composite_model(
+                2, 1.6, 0.14, "incompatible_faces", resin, spec
+            )
+        F_y = 45.0
+        P = apply_load(mesh, LoadCase(F_y), case_spec)
+        result = analyze(mesh, layers, apply_boundary(mesh, bc, case_spec), P)
+        reactions = assemble(mesh, layers) @ result.u - P
+        fixed = np.setdiff1d(np.arange(mesh.n_dofs), result.free_dofs)
+        assert len(fixed) > 0
+        assert reactions[fixed[fixed % 2 == 1]].sum() == pytest.approx(F_y, rel=1e-9)
