@@ -58,8 +58,6 @@ from .assembly import (
     StressField,
     analyze,
     assemble,
-    correspondence_matrix,
-    expanded_stiffness,
     free_dofs,
     recover,
     solve,

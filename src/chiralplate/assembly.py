@@ -10,18 +10,19 @@ horizontal layers; every element of a layer shares the same height and
 material. Degrees of freedom are node-major (x then y per node), matching
 the element block layout.
 
-Assembly sums expanded element matrices: for element ``i`` with local node
-``q`` sitting at global node ``m``, the element's 2x2 block ``(q, s)`` lands
-at global block ``(m, n)``. The node-correspondence matrix ``A`` with
-``A[m, i] = q`` (1-based, 0 when node ``m`` does not belong to element
-``i``) expresses the same placement rule and is available for inspection.
+Assembly places element ``i``'s 2x2 block ``(q, s)`` at global block
+``(m, n)`` when its local nodes ``q`` and ``s`` sit at global nodes ``m``
+and ``n``. The ``(n_elements, 8)`` table ``Mesh.element_dofs`` spells out
+that placement, so every element block lands in the dense ``K`` in a
+single scatter.
 
 Constraints are handled by physical row/column elimination over the free
 DOFs, so the reduced matrix stays symmetric positive definite once enough
 DOFs are fixed; the full displacement vector is reconstructed with zeros at
-the fixed slots. The solve is a dense symmetric (Cholesky) factorization:
-problem sizes stay in the low thousands of DOFs and determinism matters
-more than asymptotics here.
+the fixed slots. The solve orders the free DOFs column by column (y fastest
+within a node column, x before y at each node), in which the reduced matrix
+has half-bandwidth at most ``2 * len(mesh.y) + 3``, and factors only that
+band by Cholesky. The dense ``K`` is read along its band only.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConstraintError, MeshError, SolveError
 from .elements import (
@@ -38,7 +38,6 @@ from .elements import (
     ElementGeometry,
     element_stiffness,
     full_elasticity_matrix,
-    strain_displacement,
     strain_displacement_full,
 )
 from .materials import (
@@ -59,8 +58,6 @@ __all__ = [
     "free_dofs",
     "solve",
     "recover",
-    "correspondence_matrix",
-    "expanded_stiffness",
 ]
 
 Material = IsotropicMaterial | TransverselyIsotropicMaterial
@@ -98,7 +95,9 @@ class Mesh:
 
     Nodes are numbered row-major (x fastest); element corner order is
     (-1,-1), (1,-1), (1,1), (-1,1). Elements are numbered row-major as
-    well, so the layer of element ``i`` is ``i // nx``.
+    well, so the layer of element ``i`` is ``i // nx``. ``element_dofs``
+    is the read-only ``(n_elements, 8)`` table of each element's global
+    DOFs in local block order (x, y of corner 1, then corner 2, ...).
     """
 
     def __init__(self, x_lines, y_lines, h: float):
@@ -117,6 +116,12 @@ class Mesh:
         self.a_fe = float(widths[0])
         self.nx = len(self.x) - 1
         self.n_layers = len(self.y) - 1
+        row = len(self.x)
+        corner1 = np.add.outer(np.arange(self.n_layers) * row, np.arange(self.nx))
+        nodes = corner1.reshape(-1, 1) + np.array([0, 1, row + 1, row])
+        dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=2).reshape(-1, 8)
+        dofs.flags.writeable = False
+        self.element_dofs = dofs
 
     @property
     def n_nodes(self) -> int:
@@ -146,13 +151,7 @@ class Mesh:
 
     def element_nodes(self, elem: int) -> tuple[int, int, int, int]:
         """Global node ids of the element's corners in local order 1..4."""
-        j, i = divmod(elem, self.nx)
-        return (
-            self.node_id(i, j),
-            self.node_id(i + 1, j),
-            self.node_id(i + 1, j + 1),
-            self.node_id(i, j + 1),
-        )
+        return tuple(int(d) // 2 for d in self.element_dofs[elem, 0::2])
 
     def element_geometry(self, elem: int) -> ElementGeometry:
         return ElementGeometry(self.a_fe, self.layer_height(self.layer_of(elem)), self.h)
@@ -175,64 +174,37 @@ class Mesh:
         return np.array(out, dtype=int)
 
 
-def correspondence_matrix(mesh: Mesh) -> np.ndarray:
-    """Dense node-correspondence matrix A with A[m, i] in {0, 1, 2, 3, 4}.
-
-    ``A[m, i] = q`` when global node ``m`` is local corner ``q`` (1-based)
-    of element ``i``; zero otherwise. Each element column carries exactly
-    four nonzero entries with distinct values 1..4.
-    """
-    A = np.zeros((mesh.n_nodes, mesh.n_elements), dtype=int)
-    for e in range(mesh.n_elements):
-        for q, m in enumerate(mesh.element_nodes(e), start=1):
-            A[m, e] = q
-    return A
-
-
-def expanded_stiffness(mesh: Mesh, elem: int, k_e: np.ndarray) -> np.ndarray:
-    """Element stiffness scattered to global size via the A-matrix rule.
-
-    Dense and quadratic in mesh size; used as a brute-force oracle in tests,
-    not in production assembly.
-    """
-    A = correspondence_matrix(mesh)
-    K = np.zeros((mesh.n_dofs, mesh.n_dofs))
-    for m in range(mesh.n_nodes):
-        r = A[m, elem]
-        if r == 0:
-            continue
-        for n in range(mesh.n_nodes):
-            s = A[n, elem]
-            if s == 0:
-                continue
-            K[2 * m : 2 * m + 2, 2 * n : 2 * n + 2] = k_e[
-                2 * (r - 1) : 2 * r, 2 * (s - 1) : 2 * s
-            ]
-    return K
+def _layer_cards(mesh: Mesh, layers) -> tuple[Layer, ...]:
+    """The layer cards as a tuple, one per element layer of ``mesh``."""
+    layers = tuple(layers)
+    if len(layers) != mesh.n_layers:
+        raise MeshError(
+            f"{mesh.n_layers} element layers but {len(layers)} layer cards"
+        )
+    return layers
 
 
 def assemble(mesh: Mesh, layers) -> np.ndarray:
     """Global stiffness K, summed from the expanded element matrices.
 
     ``layers`` maps layer index to a :class:`Layer`; every element of a
-    layer shares one stiffness matrix, computed once per layer.
+    layer shares one stiffness matrix, computed once per layer. All element
+    blocks are scattered in one pass through ``mesh.element_dofs``, adding
+    the contributions to each entry in element order.
     """
-    layers = tuple(layers)
-    if len(layers) != mesh.n_layers:
-        raise MeshError(
-            f"{mesh.n_layers} element layers but {len(layers)} layer cards"
+    layers = _layer_cards(mesh, layers)
+    k_layers = np.array([
+        element_stiffness(
+            layer.kind, ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h),
+            layer.material,
         )
-    K = np.zeros((mesh.n_dofs, mesh.n_dofs))
-    for j, layer in enumerate(layers):
-        g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
-        k_e = element_stiffness(layer.kind, g, layer.material)
-        for i in range(mesh.nx):
-            nodes = mesh.element_nodes(j * mesh.nx + i)
-            dofs = np.empty(8, dtype=int)
-            dofs[0::2] = [2 * m for m in nodes]
-            dofs[1::2] = [2 * m + 1 for m in nodes]
-            K[np.ix_(dofs, dofs)] += k_e
-    return K
+        for j, layer in enumerate(layers)
+    ])
+    n = mesh.n_dofs
+    dofs = mesh.element_dofs
+    flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+    weights = np.repeat(k_layers, mesh.nx, axis=0).ravel()
+    return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
 
 
 def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
@@ -246,28 +218,55 @@ def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
     return np.setdiff1d(np.arange(mesh.n_dofs), fixed)
 
 
-def solve(K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
+def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Direct symmetric solve of the reduced system; returns the full u.
 
     Eliminates the fixed rows and columns of ``K`` and factors the reduced
-    matrix by Cholesky, so an indefinite or singular reduced matrix (not
-    enough constraints) raises :class:`SolveError` naming the number of
-    non-positive eigenvalues found. Fixed DOFs get zero displacement.
+    matrix by a banded Cholesky in column-major order (node columns left
+    to right, y fastest within a column, x before y at each node), reading
+    only the band of ``K``. A singular or indefinite reduced matrix (not
+    enough constraints), or one whose smallest pivot is below 1e-10 of its
+    largest diagonal entry, raises :class:`SolveError` naming the number of
+    near-zero or negative eigenvalues. Fixed DOFs get zero displacement.
     """
-    K_a = K[np.ix_(free, free)]
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    order = (
+        np.arange(mesh.n_dofs).reshape(len(mesh.y), len(mesh.x), 2)
+        .transpose(1, 0, 2).ravel()
+    )
+    keep = np.zeros(mesh.n_dofs, dtype=bool)
+    keep[free] = True
+    p = order[keep[order]]
+    # an element couples DOFs at most this many places apart in that order
+    bw = min(2 * len(mesh.y) + 3, len(p) - 1)
+    # Lower band storage, ab[d, j] = K_a[j + d, j]. The upper form factored
+    # ~5x slower on a 2-CPU host, with stalls of up to 1 s, unless OpenBLAS
+    # ran single-threaded.
+    ab = np.zeros((bw + 1, len(p)))
+    ab[0] = K[p, p]
+    for d in range(1, bw + 1):
+        ab[d, :-d] = K[p[d:], p[:-d]]
     try:
-        c, low = cho_factor(K_a, check_finite=False)
+        cb = cholesky_banded(ab, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        eigvals = np.linalg.eigvalsh(K_a)
-        bad = int(np.sum(eigvals <= 1e-10 * max(eigvals.max(), 1.0)))
-        raise SolveError(
-            f"reduced stiffness not positive definite "
-            f"({bad} near-zero/negative modes); fix more DOFs",
-            rigid_modes=bad,
-        ) from exc
+        raise _rigid_mode_error(K, free) from exc
+    if np.min(cb[0] ** 2) <= 1e-10 * max(ab[0].max(), 1.0):
+        raise _rigid_mode_error(K, free)
     u = np.zeros(len(K))
-    u[free] = cho_solve((c, low), P[free], check_finite=False)
+    u[p] = cho_solve_banded((cb, True), P[p], check_finite=False)
     return u
+
+
+def _rigid_mode_error(K: np.ndarray, free: np.ndarray) -> SolveError:
+    """SolveError counting the near-zero/negative modes of ``K[free, free]``."""
+    eigvals = np.linalg.eigvalsh(K[np.ix_(free, free)])
+    bad = int(np.sum(eigvals <= 1e-10 * max(eigvals.max(), 1.0)))
+    return SolveError(
+        f"reduced stiffness not positive definite "
+        f"({bad} near-zero/negative modes); fix more DOFs",
+        rigid_modes=bad,
+    )
 
 
 @dataclass
@@ -294,7 +293,7 @@ class StressField:
         """Maximum von Mises value over all recovery points, per layer tag."""
         out: dict[str, float] = {}
         for tag in dict.fromkeys(self.tags):
-            sel = np.array([self.tags[j] == tag for j in self.layer])
+            sel = np.isin(self.layer, [j for j, t in enumerate(self.tags) if t == tag])
             out[tag] = float(self.se[sel].max()) if sel.any() else 0.0
         return out
 
@@ -312,22 +311,20 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
     ``mode="diagnostic"`` additionally evaluates the shear strain/stress
     from the full 3-row matrix and rotates to principal stresses before the
     equivalent stress; it sits outside the normative pipeline and exists
-    for inspection.
+    for inspection. The elements of a layer share their strain matrices, so
+    each layer is one gather of element DOFs and one ``einsum``.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_dofs,):
         raise SolveError(f"need a solved displacement vector of {mesh.n_dofs} entries")
     if mode not in ("standard", "diagnostic"):
         raise MeshError(f"unknown recovery mode {mode!r}")
+    layers = _layer_cards(mesh, layers)
     n_el = mesh.n_elements
-    exx = np.zeros((n_el, 4))
-    eyy = np.zeros((n_el, 4))
-    sxx = np.zeros((n_el, 4))
-    syy = np.zeros((n_el, 4))
-    se = np.zeros((n_el, 4))
+    exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
     exy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
     sxy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
-    layer_idx = np.array([mesh.layer_of(e) for e in range(n_el)], dtype=int)
+    U = u[mesh.element_dofs]
 
     for j, layer in enumerate(layers):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
@@ -338,36 +335,24 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
         else:
             chi2 = stress_recovery_matrix_iso(mat)
             mu = mat.mu
-        chi3 = full_elasticity_matrix(mat)
-        B2 = [
-            strain_displacement(layer.kind, g, XI_CORNERS[q], ETA_CORNERS[q], mu)
-            for q in range(4)
-        ]
-        B3 = [
+        # rows 0-1 of the 3-row matrix are the 2-row normal-strain matrix
+        B3 = np.array([
             strain_displacement_full(layer.kind, g, XI_CORNERS[q], ETA_CORNERS[q], mu)
             for q in range(4)
-        ]
-        for i in range(mesh.nx):
-            e = j * mesh.nx + i
-            nodes = mesh.element_nodes(e)
-            v = np.empty(8)
-            v[0::2] = u[[2 * m for m in nodes]]
-            v[1::2] = u[[2 * m + 1 for m in nodes]]
-            for q in range(4):
-                eps = B2[q] @ v
-                sig = chi2 @ eps
-                exx[e, q], eyy[e, q] = eps
-                sxx[e, q], syy[e, q] = sig
-                if mode == "standard":
-                    se[e, q] = von_mises_plane(sig[0], sig[1])
-                else:
-                    eps3 = B3[q] @ v
-                    sig3 = chi3 @ eps3
-                    exy[e, q] = eps3[2]
-                    sxy[e, q] = sig3[2]
-                    mid = 0.5 * (sig[0] + sig[1])
-                    rad = np.hypot(0.5 * (sig[0] - sig[1]), sig3[2])
-                    se[e, q] = von_mises_plane(mid + rad, mid - rad)
+        ])
+        rows = slice(j * mesh.nx, (j + 1) * mesh.nx)
+        eps3 = np.einsum("qkd,ed->eqk", B3, U[rows])  # (nx, 4 corners, 3)
+        sig = eps3[..., :2] @ chi2.T
+        exx[rows], eyy[rows] = eps3[..., 0], eps3[..., 1]
+        sxx[rows], syy[rows] = sig[..., 0], sig[..., 1]
+        if mode == "standard":
+            se[rows] = von_mises_plane(sig[..., 0], sig[..., 1])
+        else:
+            exy[rows] = eps3[..., 2]
+            sxy[rows] = eps3 @ full_elasticity_matrix(mat)[2]
+            mid = 0.5 * (sig[..., 0] + sig[..., 1])
+            rad = np.hypot(0.5 * (sig[..., 0] - sig[..., 1]), sxy[rows])
+            se[rows] = von_mises_plane(mid + rad, mid - rad)
 
     return StressField(
         mesh=mesh,
@@ -376,7 +361,7 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
         sxx=sxx,
         syy=syy,
         se=se,
-        layer=layer_idx,
+        layer=np.repeat(np.arange(mesh.n_layers), mesh.nx),
         tags=tuple(layer.tag for layer in layers),
         exy=exy,
         sxy=sxy,
@@ -399,5 +384,5 @@ def analyze(mesh: Mesh, layers, fixed_nodes, P: np.ndarray) -> Analysis:
     whose two DOFs are fixed and ``P`` the full load vector.
     """
     free = free_dofs(mesh, fixed_nodes)
-    u = solve(assemble(mesh, layers), free, P)
+    u = solve(mesh, assemble(mesh, layers), free, P)
     return Analysis(free_dofs=free, u=u, field=recover(mesh, layers, u))

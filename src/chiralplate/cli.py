@@ -97,6 +97,10 @@ _SCHEMA = {
     "convergence": {"max_layers": (int, False)},
 }
 
+# Numbers that must be strictly positive: a zero or negative load has no
+# critical-load scaling, and a zero layer count leaves nothing to solve.
+_POSITIVE = {("load", "F_y_n"), ("solid", "layers"), ("convergence", "max_layers")}
+
 
 def _check_section(name: str | None, data: dict) -> None:
     schema = _SCHEMA[name]
@@ -113,6 +117,8 @@ def _check_section(name: str | None, data: dict) -> None:
             raise ConfigError(f"{where}.{key} has wrong type {type(value).__name__}")
         elif isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{where}.{key} must be finite, got {value}")
+        elif (name, key) in _POSITIVE and value <= 0:
+            raise ConfigError(f"{where}.{key} must be positive, got {value}")
     for key, (_, required) in schema.items():
         if required and key not in data:
             raise ConfigError(f"missing required key {key!r} in {where}")
@@ -270,7 +276,7 @@ def cmd_sweep(args) -> int:
     out = _prepare_out(args, ["sweep.csv", "manifest.json"])
     rows = run_sweep(
         setup, _bc(cfg, args), _algorithm(cfg, args), F_probe=load_cfg,
-        material=material, spec=spec, workers=args.workers,
+        material=material, spec=spec,
     )
     write_sweep_csv(rows, out / "sweep.csv")
     write_manifest(out / "manifest.json", cfg, ["sweep.csv"])
@@ -343,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--algorithm", choices=("conforming", "incompatible"))
         p.add_argument("--bc", choices=("clamped", "supported"))
-        p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
         p.add_argument("--dry-run", action="store_true",

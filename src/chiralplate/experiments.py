@@ -229,24 +229,12 @@ def run_sweep(
     spec: PlateSpec = PlateSpec(),
     d_a_values: Sequence[float] = DA_GRID,
     rho_values: Sequence[float] = RHO_GRID,
-    workers: int = 1,
 ) -> list[LayerStressLedger]:
     """All grid cases in deterministic order (d_a outer, rho inner)."""
-    cases = [(d_a, rho) for d_a in d_a_values for rho in rho_values]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    run_case, setup, d_a, rho, bc, algorithm, F_probe, material, spec
-                )
-                for d_a, rho in cases
-            ]
-            return [f.result() for f in futures]
     return [
         run_case(setup, d_a, rho, bc, algorithm, F_probe, material, spec)
-        for d_a, rho in cases
+        for d_a in d_a_values
+        for rho in rho_values
     ]
 
 

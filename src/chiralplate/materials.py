@@ -206,13 +206,15 @@ def stress_recovery_matrix_ti(mat: TransverselyIsotropicMaterial) -> np.ndarray:
     return ti_plane_strain_matrix(mat)[:2, :2].copy()
 
 
-def von_mises_plane(s1: float, s2: float) -> float:
+def von_mises_plane(s1, s2):
     """Equivalent stress from two principal stresses [MPa].
 
     ``sqrt(s1^2 + s2^2 - s1*s2)``; symmetric in its arguments and equal to
-    ``|s|`` for equal-biaxial or uniaxial states.
+    ``|s|`` for equal-biaxial or uniaxial states. Scalars give a float;
+    arrays are evaluated elementwise.
     """
-    return float(np.sqrt(s1 * s1 + s2 * s2 - s1 * s2))
+    se = np.sqrt(s1 * s1 + s2 * s2 - s1 * s2)
+    return float(se) if np.ndim(se) == 0 else se
 
 
 def von_mises_3d(s1: float, s2: float, s3: float) -> float:

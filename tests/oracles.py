@@ -1,0 +1,115 @@
+"""Brute-force reference implementations the tests check the library against.
+
+Each oracle follows the textbook rule one element, node or corner at a time
+and trades speed for obviousness:
+
+* :func:`correspondence_matrix` and :func:`expanded_stiffness` place an
+  element matrix at global size through the node-correspondence matrix A;
+* :func:`solve_dense` factors the dense reduced matrix ``K[free, free]``;
+* :func:`recover_loop` recovers the corner stresses element by element and
+  corner by corner with scalar von Mises evaluations.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from chiralplate import (
+    Mesh,
+    StressField,
+    TransverselyIsotropicMaterial,
+    stress_recovery_matrix_iso,
+    stress_recovery_matrix_ti,
+    von_mises_plane,
+)
+from chiralplate.elements import (
+    ETA_CORNERS,
+    XI_CORNERS,
+    ElementGeometry,
+    full_elasticity_matrix,
+    strain_displacement,
+    strain_displacement_full,
+)
+
+
+def correspondence_matrix(mesh: Mesh) -> np.ndarray:
+    """Dense node-correspondence matrix A with A[m, i] in {0, 1, 2, 3, 4}.
+
+    ``A[m, i] = q`` when global node ``m`` is local corner ``q`` (1-based)
+    of element ``i``; zero otherwise. Each element column carries exactly
+    four nonzero entries with distinct values 1..4.
+    """
+    A = np.zeros((mesh.n_nodes, mesh.n_elements), dtype=int)
+    for e in range(mesh.n_elements):
+        for q, m in enumerate(mesh.element_nodes(e), start=1):
+            A[m, e] = q
+    return A
+
+
+def expanded_stiffness(mesh: Mesh, elem: int, k_e: np.ndarray) -> np.ndarray:
+    """Element stiffness scattered to global size via the A-matrix rule."""
+    A = correspondence_matrix(mesh)
+    K = np.zeros((mesh.n_dofs, mesh.n_dofs))
+    for m in range(mesh.n_nodes):
+        r = A[m, elem]
+        if r == 0:
+            continue
+        for n in range(mesh.n_nodes):
+            s = A[n, elem]
+            if s == 0:
+                continue
+            K[2 * m : 2 * m + 2, 2 * n : 2 * n + 2] = k_e[
+                2 * (r - 1) : 2 * r, 2 * (s - 1) : 2 * s
+            ]
+    return K
+
+
+def solve_dense(K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Dense Cholesky solve of ``K[free, free] u_f = P[free]``; full u."""
+    u = np.zeros(len(K))
+    factor = cho_factor(K[np.ix_(free, free)])
+    u[free] = cho_solve(factor, P[free])
+    return u
+
+
+def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
+    """Corner strains and stresses, one element and one corner at a time."""
+    n_el = mesh.n_elements
+    exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
+    exy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
+    sxy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
+    for j, layer in enumerate(layers):
+        g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
+        mat = layer.material
+        if isinstance(mat, TransverselyIsotropicMaterial):
+            chi2, mu = stress_recovery_matrix_ti(mat), mat.mu1
+        else:
+            chi2, mu = stress_recovery_matrix_iso(mat), mat.mu
+        chi3 = full_elasticity_matrix(mat)
+        for i in range(mesh.nx):
+            e = j * mesh.nx + i
+            nodes = mesh.element_nodes(e)
+            v = np.empty(8)
+            v[0::2] = u[[2 * m for m in nodes]]
+            v[1::2] = u[[2 * m + 1 for m in nodes]]
+            for q in range(4):
+                xi, eta = XI_CORNERS[q], ETA_CORNERS[q]
+                eps = strain_displacement(layer.kind, g, xi, eta, mu) @ v
+                sig = chi2 @ eps
+                exx[e, q], eyy[e, q] = eps
+                sxx[e, q], syy[e, q] = sig
+                if mode == "standard":
+                    se[e, q] = von_mises_plane(sig[0], sig[1])
+                else:
+                    eps3 = strain_displacement_full(layer.kind, g, xi, eta, mu) @ v
+                    sig3 = chi3 @ eps3
+                    exy[e, q], sxy[e, q] = eps3[2], sig3[2]
+                    mid = 0.5 * (sig[0] + sig[1])
+                    rad = np.hypot(0.5 * (sig[0] - sig[1]), sig3[2])
+                    se[e, q] = von_mises_plane(mid + rad, mid - rad)
+    return StressField(
+        mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
+        layer=np.array([mesh.layer_of(e) for e in range(n_el)], dtype=int),
+        tags=tuple(layer.tag for layer in layers), exy=exy, sxy=sxy,
+    )

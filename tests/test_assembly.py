@@ -1,8 +1,8 @@
 """Assembly, constraints, solve and recovery on small meshes.
 
 Oracles: dense brute-force summation of expanded element matrices for the
-assembly rule, numpy's generic solver for the reduced system, and
-hand-computed constant-strain patches for the recovery path.
+assembly rule (``oracles.py``), numpy's generic solver for the reduced
+system, and hand-computed constant-strain patches for the recovery path.
 """
 
 import numpy as np
@@ -19,14 +19,13 @@ from chiralplate import (
     analyze,
     assemble,
     conforming_stiffness_iso,
-    correspondence_matrix,
-    expanded_stiffness,
     free_dofs,
     recover,
     solve,
     stress_recovery_matrix_iso,
 )
 from chiralplate.elements import ElementGeometry
+from oracles import correspondence_matrix, expanded_stiffness
 
 
 def single_element_mesh(a=1.0, b=1.0, h=1.0):
@@ -108,8 +107,12 @@ class TestAssemble:
         assert np.abs(K @ v).max() < 1e-11 * np.abs(K).max()
 
     def test_layer_count_mismatch(self, steelish):
+        mesh = grid_mesh(2, 2)
+        layers = [Layer(steelish, "conforming", "plate")]
         with pytest.raises(MeshError):
-            assemble(grid_mesh(2, 2), [Layer(steelish, "conforming", "plate")])
+            assemble(mesh, layers)
+        with pytest.raises(MeshError):
+            recover(mesh, layers, np.zeros(mesh.n_dofs))
 
     def test_unconstrained_K_has_three_zero_modes(self, steelish):
         # connected conforming mesh: two translations + one rotation
@@ -142,13 +145,13 @@ class TestConstraintsAndSolve:
         P = np.zeros(mesh.n_dofs)
         P[2 * 2 + 1] = 1.0
         with pytest.raises(SolveError) as err:
-            solve(K, free, P)
+            solve(mesh, K, free, P)
         assert err.value.rigid_modes >= 1
 
     def test_zero_load_zero_displacement(self, steelish):
         mesh = grid_mesh(3, 1)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        u = solve(K, free_dofs(mesh, [0, 4]), np.zeros(mesh.n_dofs))
+        u = solve(mesh, K, free_dofs(mesh, [0, 4]), np.zeros(mesh.n_dofs))
         assert_allclose(u, 0.0, atol=0)
 
     def test_against_dense_oracle_and_linearity(self, steelish):
@@ -157,11 +160,11 @@ class TestConstraintsAndSolve:
         keep = free_dofs(mesh, [0, 1])
         P = np.zeros(mesh.n_dofs)
         P[2 * 3 + 1] = -1.0  # unit downward load at a top node
-        u = solve(K, keep, P)
+        u = solve(mesh, K, keep, P)
         u_oracle = np.linalg.solve(K[np.ix_(keep, keep)], P[keep])
         assert_allclose(u[keep], u_oracle, rtol=1e-12)
         assert_allclose(u[[0, 1, 2, 3]], 0.0, atol=0)
-        assert_allclose(solve(K, keep, 2 * P), 2 * u, rtol=1e-12)
+        assert_allclose(solve(mesh, K, keep, 2 * P), 2 * u, rtol=1e-12)
 
     def test_residual_small(self, steelish):
         mesh = grid_mesh(6, 2)

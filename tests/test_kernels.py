@@ -1,0 +1,143 @@
+"""Banded solve and array recovery against the brute-force oracles.
+
+Hypothesis draws structured meshes (wide, tall and single-row), fixed node
+sets, conforming and incompatible layers, and isotropic and transversely
+isotropic cards. The oracles in ``oracles.py`` are the dense Cholesky solve
+of ``K[free, free]`` and the element-by-element, corner-by-corner recovery.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from chiralplate import (
+    IsotropicMaterial,
+    Layer,
+    Mesh,
+    SolveError,
+    TransverselyIsotropicMaterial,
+    assemble,
+    free_dofs,
+    recover,
+    solve,
+)
+from oracles import recover_loop, solve_dense
+
+# Moduli within one decade keep cond(K[free, free]) below ~1e6 on these
+# meshes, so the rounding of either solver (~eps * cond) stays well under
+# the 1e-10 agreement asserted below; wider contrasts reach cond ~1e7.
+moduli = st.floats(1e3, 1e4)
+poisson = st.floats(0.0, 0.3)
+
+
+@st.composite
+def iso_cards(draw):
+    return IsotropicMaterial(E=draw(moduli), mu=draw(poisson))
+
+
+@st.composite
+def ti_cards(draw):
+    E1, mu1, E2, mu2 = draw(moduli), draw(poisson), draw(moduli), draw(poisson)
+    assume((1 + mu1) * (1 - mu1 - 2 * (E1 / E2) * mu2**2) > 0.05)
+    return TransverselyIsotropicMaterial(
+        E1=E1, mu1=mu1, E2=E2, mu2=mu2, G2=draw(moduli)
+    )
+
+
+@st.composite
+def layer_cards(draw, tags=("plate",)):
+    tag = draw(st.sampled_from(tags))
+    if draw(st.booleans()):
+        return Layer(draw(ti_cards()), "conforming", tag)
+    kind = draw(st.sampled_from(("conforming", "incompatible")))
+    return Layer(draw(iso_cards()), kind, tag)
+
+
+@st.composite
+def meshes(draw, max_cells=7):
+    nx = draw(st.integers(1, max_cells))
+    ny = draw(st.integers(1, max_cells))
+    a_fe = draw(st.floats(0.5, 2.0))
+    heights = draw(st.lists(st.floats(0.5, 2.0), min_size=ny, max_size=ny))
+    y = np.concatenate([[0.0], np.cumsum(heights)])
+    return Mesh(a_fe * np.arange(nx + 1), y, draw(st.floats(0.5, 3.0)))
+
+
+@st.composite
+def systems(draw):
+    """A mesh, its layer cards, >= 2 fixed nodes (no rigid mode left) and P."""
+    mesh = draw(meshes())
+    layers = [draw(layer_cards()) for _ in range(mesh.n_layers)]
+    fixed = draw(
+        st.lists(st.integers(0, mesh.n_nodes - 1), min_size=2, unique=True)
+        .filter(lambda nodes: len(nodes) < mesh.n_nodes)
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    P = np.random.default_rng(seed).normal(0.0, 10.0, mesh.n_dofs)
+    return mesh, layers, fixed, P
+
+
+class TestBandedSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def test_matches_dense_oracle(self, system):
+        mesh, layers, fixed, P = system
+        K = assemble(mesh, layers)
+        free = free_dofs(mesh, fixed)
+        u = solve(mesh, K, free, P)
+        u_ref = solve_dense(K, free, P)
+        assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+        assert_allclose(np.delete(u, free), 0.0, atol=0)
+
+    @pytest.mark.parametrize("nx, ny", [(12, 1), (1, 12), (3, 9)])
+    def test_single_row_and_tall_meshes(self, nx, ny):
+        mesh = Mesh(np.arange(nx + 1.0), np.arange(ny + 1.0), 1.0)
+        card = IsotropicMaterial(E=1000.0, mu=0.3)
+        layers = [Layer(card, "conforming", "plate")] * ny
+        K = assemble(mesh, layers)
+        free = free_dofs(mesh, [0, mesh.n_nodes - 1])
+        P = np.linspace(-1.0, 1.0, mesh.n_dofs)
+        u_ref = solve_dense(K, free, P)
+        u = solve(mesh, K, free, P)
+        assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(meshes(), st.data())
+    def test_under_constrained_reports_rigid_modes(self, mesh, data):
+        # one fixed node leaves the rigid rotation about it
+        kinds = st.sampled_from(("conforming", "incompatible"))
+        layers = [
+            Layer(data.draw(iso_cards()), data.draw(kinds), "plate")
+            for _ in range(mesh.n_layers)
+        ]
+        node = data.draw(st.integers(0, mesh.n_nodes - 1))
+        K = assemble(mesh, layers)
+        with pytest.raises(SolveError) as err:
+            solve(mesh, K, free_dofs(mesh, [node]), np.ones(mesh.n_dofs))
+        assert err.value.rigid_modes >= 1
+
+
+class TestArrayRecovery:
+    @settings(max_examples=100, deadline=None)
+    @given(meshes(), st.data(), st.sampled_from(("standard", "diagnostic")))
+    def test_matches_loop_oracle(self, mesh, data, mode):
+        tags = ("core", "face_top", "face_bottom")
+        layers = [data.draw(layer_cards(tags)) for _ in range(mesh.n_layers)]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        u = np.random.default_rng(seed).normal(0.0, 1e-2, mesh.n_dofs)
+        field = recover(mesh, layers, u, mode=mode)
+        ref = recover_loop(mesh, layers, u, mode=mode)
+        names = ("exx", "eyy", "sxx", "syy", "se")
+        if mode == "diagnostic":
+            names += ("exy", "sxy")
+        for name in names:
+            got, want = getattr(field, name), getattr(ref, name)
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert_allclose(field.layer, ref.layer, atol=0)
+        by_tag = field.max_se_by_tag()
+        assert list(by_tag) == list(dict.fromkeys(ref.tags))
+        for tag, value in by_tag.items():
+            sel = np.array([ref.tags[j] == tag for j in ref.layer])
+            assert value == field.se[sel].max()
