@@ -21,12 +21,9 @@ from .materials import (
     IsotropicMaterial,
     TransverselyIsotropicMaterial,
     plane_strain_matrix,
-    plane_strain_submatrices,
     stress_recovery_matrix_iso,
     stress_recovery_matrix_ti,
     ti_plane_strain_matrix,
-    ti_submatrices,
-    von_mises_3d,
     von_mises_plane,
 )
 from .honeycomb import (
@@ -47,7 +44,6 @@ from .elements import (
     conforming_stiffness_ti,
     incompatible_stiffness_iso,
     incompatible_stiffness_iso_layered,
-    quadrature_stiffness,
     strain_displacement,
     strain_displacement_full,
 )

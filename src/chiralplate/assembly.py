@@ -13,16 +13,20 @@ the element block layout.
 Assembly places element ``i``'s 2x2 block ``(q, s)`` at global block
 ``(m, n)`` when its local nodes ``q`` and ``s`` sit at global nodes ``m``
 and ``n``. The ``(n_elements, 8)`` table ``Mesh.element_dofs`` spells out
-that placement, so every element block lands in the dense ``K`` in a
-single scatter.
+that placement, so every element block lands in ``K`` in a single scatter.
+
+``K`` is stored as its lower band in column-major DOF order: node columns
+left to right, y fastest within a column, x before y at each node. With
+``q`` a DOF's place in that order, ``K[d, q_c]`` holds the global entry
+coupling DOFs ``q_c + d`` and ``q_c`` (LAPACK's lower band storage). An
+element couples DOFs at most ``bw = 2 * len(mesh.y) + 3`` places apart, so
+the array is ``(bw + 1, n_dofs)``.
 
 Constraints are handled by physical row/column elimination over the free
 DOFs, so the reduced matrix stays symmetric positive definite once enough
 DOFs are fixed; the full displacement vector is reconstructed with zeros at
-the fixed slots. The solve orders the free DOFs column by column (y fastest
-within a node column, x before y at each node), in which the reduced matrix
-has half-bandwidth at most ``2 * len(mesh.y) + 3``, and factors only that
-band by Cholesky. The dense ``K`` is read along its band only.
+the fixed slots. :func:`solve` gathers the reduced band from ``K`` in the
+same order and factors it by banded Cholesky.
 """
 
 from __future__ import annotations
@@ -184,13 +188,30 @@ def _layer_cards(mesh: Mesh, layers) -> tuple[Layer, ...]:
     return layers
 
 
-def assemble(mesh: Mesh, layers) -> np.ndarray:
-    """Global stiffness K, summed from the expanded element matrices.
+def _band_layout(mesh: Mesh) -> tuple[np.ndarray, int]:
+    """Band layout of ``K``: each DOF's place in column-major order, and ``bw``.
 
-    ``layers`` maps layer index to a :class:`Layer`; every element of a
-    layer shares one stiffness matrix, computed once per layer. All element
-    blocks are scattered in one pass through ``mesh.element_dofs``, adding
-    the contributions to each entry in element order.
+    Node columns run left to right, y fastest within a column, x before y
+    at each node; the first array is indexed by DOF number. An element
+    couples DOFs at most ``bw`` places apart in that order.
+    """
+    pos = (
+        np.arange(mesh.n_dofs).reshape(len(mesh.x), len(mesh.y), 2)
+        .transpose(1, 0, 2).ravel()
+    )
+    return pos, 2 * len(mesh.y) + 3
+
+
+def assemble(mesh: Mesh, layers) -> np.ndarray:
+    """Lower band of the global stiffness K, shape ``(bw + 1, n_dofs)``.
+
+    ``K[d, q]`` couples the DOFs at places ``q + d`` and ``q`` of the
+    column-major order (see the module docstring), with half-bandwidth
+    ``bw = 2 * len(mesh.y) + 3``. ``layers`` maps layer index to a
+    :class:`Layer`; every element of a layer shares one stiffness matrix,
+    computed once per layer. All element blocks are scattered in one pass
+    through ``mesh.element_dofs``, adding the contributions to each entry
+    in element order.
     """
     layers = _layer_cards(mesh, layers)
     k_layers = np.array([
@@ -201,10 +222,13 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
         for j, layer in enumerate(layers)
     ])
     n = mesh.n_dofs
-    dofs = mesh.element_dofs
-    flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
-    weights = np.repeat(k_layers, mesh.nx, axis=0).ravel()
-    return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+    pos, bw = _band_layout(mesh)
+    q = pos[mesh.element_dofs]
+    row, col = q[:, :, None], q[:, None, :]
+    lower = row >= col
+    flat = ((row - col) * n + col)[lower]
+    weights = np.repeat(k_layers, mesh.nx, axis=0)[lower]
+    return np.bincount(flat, weights=weights, minlength=(bw + 1) * n).reshape(bw + 1, n)
 
 
 def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
@@ -221,46 +245,51 @@ def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
 def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Direct symmetric solve of the reduced system; returns the full u.
 
-    Eliminates the fixed rows and columns of ``K`` and factors the reduced
-    matrix by a banded Cholesky in column-major order (node columns left
-    to right, y fastest within a column, x before y at each node), reading
-    only the band of ``K``. A singular or indefinite reduced matrix (not
-    enough constraints), or one whose smallest pivot is below 1e-10 of its
-    largest diagonal entry, raises :class:`SolveError` naming the number of
+    ``K`` is the band :func:`assemble` returns for ``mesh``; any other
+    shape raises :class:`MeshError`. The fixed rows and columns
+    are eliminated by gathering the band of the reduced matrix over the
+    free DOFs in the same column-major order, which is factored by banded
+    Cholesky. A singular or indefinite reduced matrix (not enough
+    constraints), or one whose smallest pivot is below 1e-10 of its largest
+    diagonal entry, raises :class:`SolveError` naming the number of
     near-zero or negative eigenvalues. Fixed DOFs get zero displacement.
     """
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
-    order = (
-        np.arange(mesh.n_dofs).reshape(len(mesh.y), len(mesh.x), 2)
-        .transpose(1, 0, 2).ravel()
-    )
-    keep = np.zeros(mesh.n_dofs, dtype=bool)
-    keep[free] = True
-    p = order[keep[order]]
-    # an element couples DOFs at most this many places apart in that order
-    bw = min(2 * len(mesh.y) + 3, len(p) - 1)
-    # Lower band storage, ab[d, j] = K_a[j + d, j]. The upper form factored
-    # ~5x slower on a 2-CPU host, with stalls of up to 1 s, unless OpenBLAS
-    # ran single-threaded.
-    ab = np.zeros((bw + 1, len(p)))
-    ab[0] = K[p, p]
-    for d in range(1, bw + 1):
-        ab[d, :-d] = K[p[d:], p[:-d]]
+    pos, bw_K = _band_layout(mesh)
+    if np.shape(K) != (bw_K + 1, mesh.n_dofs):
+        raise MeshError(
+            f"K must be the ({bw_K + 1}, {mesh.n_dofs}) band assemble returns "
+            f"for this mesh, got shape {np.shape(K)}"
+        )
+    free = np.asarray(free)
+    p = free[np.argsort(pos[free])]  # free DOFs in column-major order
+    fpos, m = pos[p], len(p)
+    bw = min(bw_K, m - 1)
+    # Lower band storage, ab[d, i] = K_a[i + d, i]: the entry at offset
+    # fpos[i + d] - fpos[i] of K's band, zero past K's bandwidth. The upper
+    # form factored ~5x slower on a 2-CPU host, with stalls of up to 1 s,
+    # unless OpenBLAS ran single-threaded.
+    j = np.arange(m) + np.arange(bw + 1)[:, None]
+    offset = fpos[np.minimum(j, m - 1)] - fpos
+    inside = (j < m) & (offset <= bw_K)
+    ab = np.where(inside, K[np.minimum(offset, bw_K), fpos], 0.0)
     try:
         cb = cholesky_banded(ab, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise _rigid_mode_error(K, free) from exc
+        raise _rigid_mode_error(ab) from exc
     if np.min(cb[0] ** 2) <= 1e-10 * max(ab[0].max(), 1.0):
-        raise _rigid_mode_error(K, free)
-    u = np.zeros(len(K))
+        raise _rigid_mode_error(ab)
+    u = np.zeros(mesh.n_dofs)
     u[p] = cho_solve_banded((cb, True), P[p], check_finite=False)
     return u
 
 
-def _rigid_mode_error(K: np.ndarray, free: np.ndarray) -> SolveError:
-    """SolveError counting the near-zero/negative modes of ``K[free, free]``."""
-    eigvals = np.linalg.eigvalsh(K[np.ix_(free, free)])
+def _rigid_mode_error(ab: np.ndarray) -> SolveError:
+    """SolveError counting the near-zero/negative modes of the reduced band."""
+    from scipy.linalg import eigvals_banded
+
+    eigvals = eigvals_banded(ab, lower=True, check_finite=False)
     bad = int(np.sum(eigvals <= 1e-10 * max(eigvals.max(), 1.0)))
     return SolveError(
         f"reduced stiffness not positive definite "

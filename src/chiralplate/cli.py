@@ -101,6 +101,11 @@ _SCHEMA = {
 # critical-load scaling, and a zero layer count leaves nothing to solve.
 _POSITIVE = {("load", "F_y_n"), ("solid", "layers"), ("convergence", "max_layers")}
 
+# Layer counts are capped so that a config cannot ask for more memory than
+# a small machine has: 32 solid layers is 57k DOFs and a 30 MiB band K.
+_MAX_LAYERS = 32
+_LAYER_COUNTS = {("solid", "layers"), ("convergence", "max_layers")}
+
 
 def _check_section(name: str | None, data: dict) -> None:
     schema = _SCHEMA[name]
@@ -119,6 +124,10 @@ def _check_section(name: str | None, data: dict) -> None:
             raise ConfigError(f"{where}.{key} must be finite, got {value}")
         elif (name, key) in _POSITIVE and value <= 0:
             raise ConfigError(f"{where}.{key} must be positive, got {value}")
+        elif (name, key) in _LAYER_COUNTS and value > _MAX_LAYERS:
+            raise ConfigError(
+                f"{where}.{key} must be at most {_MAX_LAYERS}, got {value}"
+            )
     for key, (_, required) in schema.items():
         if required and key not in data:
             raise ConfigError(f"missing required key {key!r} in {where}")

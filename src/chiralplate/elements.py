@@ -19,10 +19,10 @@ assembled from 2x2 blocks indexed by the corner signs:
   varying part of the shear strain, which is what softens the element in
   bending. Only the isotropic form exists.
 
-``quadrature_stiffness`` integrates ``beta^T chi beta`` with Gauss-Legendre
-rules directly from the shape functions and serves as the independent
-oracle for every closed form (the integrands are quadratic per direction,
-so order 2 is already exact; higher orders must agree identically).
+The test suite integrates ``beta^T chi beta`` by Gauss-Legendre quadrature
+from :func:`strain_displacement_full` as the independent check on every
+closed form (the integrands are quadratic per direction, so order 2 is
+already exact; higher orders must agree identically).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "incompatible_stiffness_iso_layered",
     "strain_displacement",
     "strain_displacement_full",
-    "quadrature_stiffness",
 ]
 
 XI_CORNERS = (-1.0, 1.0, 1.0, -1.0)
@@ -229,30 +228,6 @@ def strain_displacement_full(
             B[2, 2 * q] = eq * (1.0 + xq * xi) / (2.0 * b_fe)
             B[2, 2 * q + 1] = xq * (1.0 + eq * eta) / (2.0 * a_fe)
     return B
-
-
-def quadrature_stiffness(
-    kind: str,
-    g: ElementGeometry,
-    chi_full: np.ndarray,
-    order: int = 2,
-    mu: float = 0.0,
-) -> np.ndarray:
-    """Gauss-Legendre integration of ``beta^T chi beta`` over the element.
-
-    Independent oracle for the closed-form stiffness matrices; order 2 is
-    exact for the conforming element and order >= 2 for the incompatible
-    one, so results are order-independent above the exactness threshold.
-    """
-    if order < 2:
-        raise GeometryError(f"quadrature order must be >= 2, got {order}")
-    pts, wts = np.polynomial.legendre.leggauss(order)
-    k = np.zeros((8, 8))
-    for xi, wx in zip(pts, wts):
-        for eta, wy in zip(pts, wts):
-            B = strain_displacement_full(kind, g, xi, eta, mu)
-            k += wx * wy * (B.T @ chi_full @ B)
-    return k * (g.a_fe * g.b_fe * g.h / 4.0)
 
 
 def element_stiffness(

@@ -5,14 +5,12 @@ models are supported: isotropic solids and transversely isotropic media
 (used for the homogenized honeycomb core). For each, the module builds
 
 * the full 3x3 plane-strain elasticity matrix ``chi`` ordered
-  ``(eps_xx, eps_yy, eps_xy)``,
-* its split into a normal-strain part ``chi_E`` and a shear part ``chi_G``
-  (the two submatrices behind the analytic element stiffness), and
+  ``(eps_xx, eps_yy, eps_xy)``, and
 * the 2x2 stress-recovery matrix obtained by dropping the shear row and
   column, which is what the nodal stress recovery uses.
 
-Von Mises equivalent-stress helpers for the plane (two principal stresses)
-and triaxial (three principal stresses) cases round out the module.
+The von Mises equivalent stress of two principal stresses rounds out the
+module.
 """
 
 from __future__ import annotations
@@ -28,13 +26,10 @@ __all__ = [
     "IsotropicMaterial",
     "TransverselyIsotropicMaterial",
     "plane_strain_matrix",
-    "plane_strain_submatrices",
     "ti_plane_strain_matrix",
-    "ti_submatrices",
     "stress_recovery_matrix_iso",
     "stress_recovery_matrix_ti",
     "von_mises_plane",
-    "von_mises_3d",
 ]
 
 
@@ -152,21 +147,6 @@ def plane_strain_matrix(mat: IsotropicMaterial) -> np.ndarray:
     )
 
 
-def plane_strain_submatrices(mat: IsotropicMaterial) -> tuple[np.ndarray, np.ndarray]:
-    """Split the isotropic plane-strain matrix into normal and shear parts.
-
-    Returns ``(chi_E, chi_G)`` with ``chi_E + chi_G == plane_strain_matrix``:
-    ``chi_E`` carries the normal-strain block with a zero shear row/column,
-    ``chi_G`` carries the shear modulus G in the (2, 2) slot only.
-    """
-    chi = plane_strain_matrix(mat)
-    chi_E = chi.copy()
-    chi_E[2, 2] = 0.0
-    chi_G = np.zeros((3, 3))
-    chi_G[2, 2] = mat.G
-    return chi_E, chi_G
-
-
 def ti_plane_strain_matrix(mat: TransverselyIsotropicMaterial) -> np.ndarray:
     """3x3 plane-strain elasticity matrix of a transversely isotropic medium.
 
@@ -182,18 +162,6 @@ def ti_plane_strain_matrix(mat: TransverselyIsotropicMaterial) -> np.ndarray:
             [0.0, 0.0, mat.m1 * mat._denominator()],
         ]
     )
-
-
-def ti_submatrices(
-    mat: TransverselyIsotropicMaterial,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normal/shear split of the transversely isotropic matrix."""
-    chi = ti_plane_strain_matrix(mat)
-    chi_E = chi.copy()
-    chi_E[2, 2] = 0.0
-    chi_G = np.zeros((3, 3))
-    chi_G[2, 2] = mat.G2
-    return chi_E, chi_G
 
 
 def stress_recovery_matrix_iso(mat: IsotropicMaterial) -> np.ndarray:
@@ -215,14 +183,3 @@ def von_mises_plane(s1, s2):
     """
     se = np.sqrt(s1 * s1 + s2 * s2 - s1 * s2)
     return float(se) if np.ndim(se) == 0 else se
-
-
-def von_mises_3d(s1: float, s2: float, s3: float) -> float:
-    """Equivalent stress from three principal stresses [MPa].
-
-    Vanishes for hydrostatic states and is invariant under permutation of
-    the arguments.
-    """
-    return float(
-        np.sqrt(((s1 - s2) ** 2 + (s2 - s3) ** 2 + (s3 - s1) ** 2) / 2.0)
-    )

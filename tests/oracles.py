@@ -5,9 +5,18 @@ and trades speed for obviousness:
 
 * :func:`correspondence_matrix` and :func:`expanded_stiffness` place an
   element matrix at global size through the node-correspondence matrix A;
+* :func:`assemble_dense` sums every element block into a dense ``n x n``
+  stiffness in node-major DOF order, and :func:`dense_from_band` unpacks
+  the band that ``assemble`` returns into that same dense matrix;
 * :func:`solve_dense` factors the dense reduced matrix ``K[free, free]``;
 * :func:`recover_loop` recovers the corner stresses element by element and
-  corner by corner with scalar von Mises evaluations.
+  corner by corner with scalar von Mises evaluations;
+* :func:`quadrature_stiffness` integrates an element stiffness by
+  Gauss-Legendre quadrature from the shape functions, the check on every
+  closed form;
+* :func:`plane_strain_submatrices` and :func:`ti_submatrices` split the
+  elasticity matrices into normal and shear parts, and :func:`von_mises_3d`
+  is the triaxial equivalent stress.
 """
 
 from __future__ import annotations
@@ -16,17 +25,22 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from chiralplate import (
+    GeometryError,
+    IsotropicMaterial,
     Mesh,
     StressField,
     TransverselyIsotropicMaterial,
+    plane_strain_matrix,
     stress_recovery_matrix_iso,
     stress_recovery_matrix_ti,
+    ti_plane_strain_matrix,
     von_mises_plane,
 )
 from chiralplate.elements import (
     ETA_CORNERS,
     XI_CORNERS,
     ElementGeometry,
+    element_stiffness,
     full_elasticity_matrix,
     strain_displacement,
     strain_displacement_full,
@@ -62,6 +76,60 @@ def expanded_stiffness(mesh: Mesh, elem: int, k_e: np.ndarray) -> np.ndarray:
             K[2 * m : 2 * m + 2, 2 * n : 2 * n + 2] = k_e[
                 2 * (r - 1) : 2 * r, 2 * (s - 1) : 2 * s
             ]
+    return K
+
+
+def assemble_dense(mesh: Mesh, layers) -> np.ndarray:
+    """Dense global stiffness K in node-major DOF order.
+
+    Every element of a layer shares one stiffness matrix. All element
+    blocks are scattered in one pass through ``mesh.element_dofs``, adding
+    the contributions to each entry in element order.
+    """
+    layers = tuple(layers)
+    k_layers = np.array([
+        element_stiffness(
+            layer.kind, ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h),
+            layer.material,
+        )
+        for j, layer in enumerate(layers)
+    ])
+    n = mesh.n_dofs
+    dofs = mesh.element_dofs
+    flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+    weights = np.repeat(k_layers, mesh.nx, axis=0).ravel()
+    return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+
+
+def column_positions(mesh: Mesh) -> np.ndarray:
+    """Place of each DOF in column-major order, indexed by DOF number.
+
+    Node columns left to right, y fastest within a column, x before y at
+    each node: the order of the band that ``assemble`` returns.
+    """
+    pos = np.empty(mesh.n_dofs, dtype=int)
+    place = 0
+    for i in range(len(mesh.x)):
+        for j in range(len(mesh.y)):
+            m = mesh.node_id(i, j)
+            pos[2 * m], pos[2 * m + 1] = place, place + 1
+            place += 2
+    return pos
+
+
+def dense_from_band(mesh: Mesh, band: np.ndarray) -> np.ndarray:
+    """Dense symmetric K (node-major DOFs) from the lower band of ``assemble``.
+
+    ``K[r, c] = band[|q_r - q_c|, min(q_r, q_c)]`` with ``q`` the
+    column-major places of :func:`column_positions`; entries farther apart
+    than the band are zero.
+    """
+    q = column_positions(mesh)
+    offset = np.abs(q[:, None] - q[None, :])
+    first = np.minimum(q[:, None], q[None, :])
+    inside = offset < len(band)
+    K = np.zeros((mesh.n_dofs, mesh.n_dofs))
+    K[inside] = band[offset[inside], first[inside]]
     return K
 
 
@@ -112,4 +180,66 @@ def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
         mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
         layer=np.array([mesh.layer_of(e) for e in range(n_el)], dtype=int),
         tags=tuple(layer.tag for layer in layers), exy=exy, sxy=sxy,
+    )
+
+
+def quadrature_stiffness(
+    kind: str,
+    g: ElementGeometry,
+    chi_full: np.ndarray,
+    order: int = 2,
+    mu: float = 0.0,
+) -> np.ndarray:
+    """Gauss-Legendre integration of ``beta^T chi beta`` over the element.
+
+    Independent oracle for the closed-form stiffness matrices; order 2 is
+    exact for the conforming element and order >= 2 for the incompatible
+    one, so results are order-independent above the exactness threshold.
+    """
+    if order < 2:
+        raise GeometryError(f"quadrature order must be >= 2, got {order}")
+    pts, wts = np.polynomial.legendre.leggauss(order)
+    k = np.zeros((8, 8))
+    for xi, wx in zip(pts, wts):
+        for eta, wy in zip(pts, wts):
+            B = strain_displacement_full(kind, g, xi, eta, mu)
+            k += wx * wy * (B.T @ chi_full @ B)
+    return k * (g.a_fe * g.b_fe * g.h / 4.0)
+
+
+def plane_strain_submatrices(mat: IsotropicMaterial) -> tuple[np.ndarray, np.ndarray]:
+    """Split the isotropic plane-strain matrix into normal and shear parts.
+
+    Returns ``(chi_E, chi_G)`` with ``chi_E + chi_G == plane_strain_matrix``:
+    ``chi_E`` carries the normal-strain block with a zero shear row/column,
+    ``chi_G`` carries the shear modulus G in the (2, 2) slot only.
+    """
+    chi = plane_strain_matrix(mat)
+    chi_E = chi.copy()
+    chi_E[2, 2] = 0.0
+    chi_G = np.zeros((3, 3))
+    chi_G[2, 2] = mat.G
+    return chi_E, chi_G
+
+
+def ti_submatrices(
+    mat: TransverselyIsotropicMaterial,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normal/shear split of the transversely isotropic matrix."""
+    chi = ti_plane_strain_matrix(mat)
+    chi_E = chi.copy()
+    chi_E[2, 2] = 0.0
+    chi_G = np.zeros((3, 3))
+    chi_G[2, 2] = mat.G2
+    return chi_E, chi_G
+
+
+def von_mises_3d(s1: float, s2: float, s3: float) -> float:
+    """Equivalent stress from three principal stresses [MPa].
+
+    Vanishes for hydrostatic states and is invariant under permutation of
+    the arguments.
+    """
+    return float(
+        np.sqrt(((s1 - s2) ** 2 + (s2 - s3) ** 2 + (s3 - s1) ** 2) / 2.0)
     )

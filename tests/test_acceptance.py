@@ -19,6 +19,7 @@ import chiralplate as cp
 from chiralplate.elements import ElementGeometry
 from chiralplate.experiments import DA_GRID, RHO_GRID
 from conftest import random_iso, random_ti
+from oracles import dense_from_band, quadrature_stiffness
 
 CLAMPED = cp.BoundaryCondition.CLAMPED
 SUPPORTED = cp.BoundaryCondition.SUPPORTED
@@ -117,13 +118,13 @@ def test_criterion_05_analytic_vs_quadrature(rng):
         g2 = ElementGeometry(1.0, float(rng.uniform(0.2, 5.0)), g.h)
         checks = [
             (cp.conforming_stiffness_iso(g, iso),
-             cp.quadrature_stiffness("conforming", g, cp.plane_strain_matrix(iso), 2)),
+             quadrature_stiffness("conforming", g, cp.plane_strain_matrix(iso), 2)),
             (cp.incompatible_stiffness_iso(g, iso),
-             cp.quadrature_stiffness("incompatible", g, cp.plane_strain_matrix(iso), 3, mu=iso.mu)),
+             quadrature_stiffness("incompatible", g, cp.plane_strain_matrix(iso), 3, mu=iso.mu)),
             (cp.conforming_stiffness_ti(g, ti),
-             cp.quadrature_stiffness("conforming", g, cp.ti_plane_strain_matrix(ti), 2)),
+             quadrature_stiffness("conforming", g, cp.ti_plane_strain_matrix(ti), 2)),
             (cp.incompatible_stiffness_iso_layered(g2, iso2),
-             cp.quadrature_stiffness("incompatible", g2, cp.plane_strain_matrix(iso2), 3, mu=iso2.mu)),
+             quadrature_stiffness("incompatible", g2, cp.plane_strain_matrix(iso2), 3, mu=iso2.mu)),
         ]
         for analytic, quadrature in checks:
             rel = np.linalg.norm(analytic - quadrature) / np.linalg.norm(analytic)
@@ -144,7 +145,7 @@ def test_criterion_06_rigid_modes_and_patch(rng, resin):
 
     mesh = cp.Mesh(np.linspace(0, 6.0, 7), np.linspace(0, 2.0, 5), 1.0)
     layers = [cp.Layer(resin, "conforming", "plate")] * 4
-    K = cp.assemble(mesh, layers)
+    K = dense_from_band(mesh, cp.assemble(mesh, layers))
     coords = mesh.node_coords()
     exx, eyy = 1.5e-3, -0.5e-3
     u_exact = np.zeros(mesh.n_dofs)

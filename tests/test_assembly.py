@@ -3,6 +3,9 @@
 Oracles: dense brute-force summation of expanded element matrices for the
 assembly rule (``oracles.py``), numpy's generic solver for the reduced
 system, and hand-computed constant-strain patches for the recovery path.
+``assemble`` returns the lower band of K; the tests that read K as a matrix
+unpack it with ``oracles.dense_from_band``, and one test holds that view
+equal to the dense reference assembly ``oracles.assemble_dense``.
 """
 
 import numpy as np
@@ -10,14 +13,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chiralplate import (
+    FORMLABS_CLEAR,
     ConstraintError,
     IsotropicMaterial,
     Layer,
     Mesh,
     MeshError,
+    PlateSpec,
     SolveError,
+    TransverselyIsotropicMaterial,
     analyze,
     assemble,
+    build_solid_mesh,
+    composite_model,
     conforming_stiffness_iso,
     free_dofs,
     recover,
@@ -25,7 +33,12 @@ from chiralplate import (
     stress_recovery_matrix_iso,
 )
 from chiralplate.elements import ElementGeometry
-from oracles import correspondence_matrix, expanded_stiffness
+from oracles import (
+    assemble_dense,
+    correspondence_matrix,
+    dense_from_band,
+    expanded_stiffness,
+)
 
 
 def single_element_mesh(a=1.0, b=1.0, h=1.0):
@@ -78,7 +91,9 @@ class TestAssemble:
     def test_single_element_equals_element_matrix(self, steelish):
         # equal up to the local->global corner permutation of the A rule
         mesh = single_element_mesh()
-        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        K = dense_from_band(
+            mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        )
         k_e = conforming_stiffness_iso(ElementGeometry(1, 1, 1), steelish)
         assert_allclose(K, expanded_stiffness(mesh, 0, k_e), rtol=0, atol=0)
         nodes = mesh.element_nodes(0)
@@ -93,18 +108,42 @@ class TestAssemble:
 
     def test_two_elements_against_expanded_sum(self, steelish):
         mesh = grid_mesh(2, 1)
-        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        K = dense_from_band(
+            mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        )
         k_e = conforming_stiffness_iso(ElementGeometry(1, 1, 1), steelish)
         K_oracle = expanded_stiffness(mesh, 0, k_e) + expanded_stiffness(mesh, 1, k_e)
         assert_allclose(K, K_oracle, rtol=0, atol=1e-15)
 
     def test_symmetry_and_rigid_translation(self, steelish):
         mesh = grid_mesh(4, 3)
-        K = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 3)
+        K = dense_from_band(
+            mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")] * 3)
+        )
         assert_allclose(K, K.T, rtol=0, atol=0)
         v = np.zeros(mesh.n_dofs)
         v[0::2] = 1.0  # pure x translation
         assert np.abs(K @ v).max() < 1e-11 * np.abs(K).max()
+
+    @pytest.mark.parametrize("algorithm", ["conforming", "incompatible_faces"])
+    @pytest.mark.parametrize("plate", ["solid", "composite"])
+    def test_band_unpacks_to_dense_reference(self, plate, algorithm):
+        spec = PlateSpec()
+        if plate == "solid":
+            mesh, tags = build_solid_mesh(spec.solid(), 3)
+            kind = "incompatible" if algorithm == "incompatible_faces" else algorithm
+            layers = [Layer(FORMLABS_CLEAR, kind, t) for t in tags]
+        else:
+            _, _, mesh, layers = composite_model(
+                2, 1.3, 0.353, algorithm, FORMLABS_CLEAR, spec
+            )
+            # isotropic faces around a transversely isotropic core
+            assert isinstance(layers[1].material, TransverselyIsotropicMaterial)
+        band = assemble(mesh, layers)
+        assert band.shape == (2 * len(mesh.y) + 4, mesh.n_dofs)
+        assert_allclose(
+            dense_from_band(mesh, band), assemble_dense(mesh, layers), rtol=0, atol=0
+        )
 
     def test_layer_count_mismatch(self, steelish):
         mesh = grid_mesh(2, 2)
@@ -118,7 +157,9 @@ class TestAssemble:
         # connected conforming mesh: two translations + one rotation
         mesh = grid_mesh(4, 2)
         eig = np.linalg.eigvalsh(
-            assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
+            dense_from_band(
+                mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
+            )
         )
         assert np.sum(np.abs(eig) < 1e-10 * eig.max()) == 3
 
@@ -133,7 +174,9 @@ class TestConstraintsAndSolve:
 
     def test_reduced_matrix_positive_definite(self, steelish):
         mesh = single_element_mesh()
-        K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        K = dense_from_band(
+            mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")])
+        )
         free = free_dofs(mesh, [0, 1])  # bottom edge: 4 DOFs > 3 rigid modes
         eig = np.linalg.eigvalsh(K[np.ix_(free, free)])
         assert eig.min() > 0
@@ -148,6 +191,13 @@ class TestConstraintsAndSolve:
             solve(mesh, K, free, P)
         assert err.value.rigid_modes >= 1
 
+    def test_dense_K_rejected(self, steelish):
+        mesh = grid_mesh(3, 1)
+        layers = [Layer(steelish, "conforming", "plate")]
+        K = dense_from_band(mesh, assemble(mesh, layers))
+        with pytest.raises(MeshError, match="band"):
+            solve(mesh, K, free_dofs(mesh, [0, 4]), np.ones(mesh.n_dofs))
+
     def test_zero_load_zero_displacement(self, steelish):
         mesh = grid_mesh(3, 1)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
@@ -161,7 +211,8 @@ class TestConstraintsAndSolve:
         P = np.zeros(mesh.n_dofs)
         P[2 * 3 + 1] = -1.0  # unit downward load at a top node
         u = solve(mesh, K, keep, P)
-        u_oracle = np.linalg.solve(K[np.ix_(keep, keep)], P[keep])
+        K_dense = dense_from_band(mesh, K)
+        u_oracle = np.linalg.solve(K_dense[np.ix_(keep, keep)], P[keep])
         assert_allclose(u[keep], u_oracle, rtol=1e-12)
         assert_allclose(u[[0, 1, 2, 3]], 0.0, atol=0)
         assert_allclose(solve(mesh, K, keep, 2 * P), 2 * u, rtol=1e-12)
@@ -173,7 +224,7 @@ class TestConstraintsAndSolve:
         P[2 * 17 + 1] = -5.0
         result = analyze(mesh, layers, [0, 6], P)
         free = result.free_dofs
-        K_a = assemble(mesh, layers)[np.ix_(free, free)]
+        K_a = dense_from_band(mesh, assemble(mesh, layers))[np.ix_(free, free)]
         res = K_a @ result.u[free] - P[free]
         assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(P[free])
 
@@ -266,7 +317,7 @@ class TestPatchTest:
         # constant strain state at every interior recovery point
         mesh = grid_mesh(6, 4, a_fe=0.9, b_fe=0.5)
         layers = [Layer(steelish, "conforming", "plate")] * 4
-        K = assemble(mesh, layers)
+        K = dense_from_band(mesh, assemble(mesh, layers))
         coords = mesh.node_coords()
         exx, eyy = 2e-3, -1e-3
         u_exact = np.zeros(mesh.n_dofs)

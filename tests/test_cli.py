@@ -214,6 +214,30 @@ class TestConfigValidation:
         assert "must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("convergence", {"scenario": "convergence",
+                             "convergence": {"max_layers": 33}}),
+            ("solve", dict(SOLID_CONFIG, solid={"layers": 33})),
+        ],
+        ids=["convergence-layers", "solid-layers"],
+    )
+    def test_layer_count_above_32_rejected(
+        self, tmp_path, capsys, command, data, dry_run
+    ):
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", out, *dry_run]) == EXIT_CONFIG
+        assert "must be at most 32" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_layer_count_of_32_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, dict(SOLID_CONFIG, solid={"layers": 32}))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", cfg, "--out", out, "--dry-run"]) == EXIT_OK
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # support abscissa off the composite node grid -> mesh error
         data = {

@@ -20,7 +20,6 @@ from chiralplate import (
     incompatible_stiffness_iso,
     incompatible_stiffness_iso_layered,
     plane_strain_matrix,
-    quadrature_stiffness,
     strain_displacement,
     strain_displacement_full,
     ti_plane_strain_matrix,
@@ -28,6 +27,7 @@ from chiralplate import (
 )
 from chiralplate.elements import ETA_CORNERS, XI_CORNERS
 from conftest import random_iso, random_ti
+from oracles import quadrature_stiffness
 
 UNIT_SQUARE = ElementGeometry(1.0, 1.0, 1.0)
 

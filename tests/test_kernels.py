@@ -4,6 +4,9 @@ Hypothesis draws structured meshes (wide, tall and single-row), fixed node
 sets, conforming and incompatible layers, and isotropic and transversely
 isotropic cards. The oracles in ``oracles.py`` are the dense Cholesky solve
 of ``K[free, free]`` and the element-by-element, corner-by-corner recovery.
+The same draws run through ``analyze`` to check physical invariants that
+need no oracle: Maxwell-Betti reciprocity, positive work and linearity in
+the load.
 """
 
 import numpy as np
@@ -18,12 +21,13 @@ from chiralplate import (
     Mesh,
     SolveError,
     TransverselyIsotropicMaterial,
+    analyze,
     assemble,
     free_dofs,
     recover,
     solve,
 )
-from oracles import recover_loop, solve_dense
+from oracles import dense_from_band, recover_loop, solve_dense
 
 # Moduli within one decade keep cond(K[free, free]) below ~1e6 on these
 # meshes, so the rounding of either solver (~eps * cond) stays well under
@@ -87,7 +91,7 @@ class TestBandedSolve:
         K = assemble(mesh, layers)
         free = free_dofs(mesh, fixed)
         u = solve(mesh, K, free, P)
-        u_ref = solve_dense(K, free, P)
+        u_ref = solve_dense(dense_from_band(mesh, K), free, P)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
         assert_allclose(np.delete(u, free), 0.0, atol=0)
 
@@ -99,7 +103,7 @@ class TestBandedSolve:
         K = assemble(mesh, layers)
         free = free_dofs(mesh, [0, mesh.n_nodes - 1])
         P = np.linspace(-1.0, 1.0, mesh.n_dofs)
-        u_ref = solve_dense(K, free, P)
+        u_ref = solve_dense(dense_from_band(mesh, K), free, P)
         u = solve(mesh, K, free, P)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
 
@@ -141,3 +145,40 @@ class TestArrayRecovery:
         for tag, value in by_tag.items():
             sel = np.array([ref.tags[j] == tag for j in ref.layer])
             assert value == field.se[sel].max()
+
+
+class TestPhysicsInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(systems(), st.integers(0, 2**32 - 1))
+    def test_maxwell_betti_reciprocity(self, system, seed):
+        mesh, layers, fixed, P1 = system
+        P2 = np.random.default_rng(seed).normal(0.0, 10.0, mesh.n_dofs)
+        u1 = analyze(mesh, layers, fixed, P1).u
+        u2 = analyze(mesh, layers, fixed, P2).u
+        # |u1 . P2| <= sqrt((u1 . P1)(u2 . P2)) (Cauchy-Schwarz in the
+        # energy inner product), so this is the scale of either product
+        scale = np.sqrt((u1 @ P1) * (u2 @ P2))
+        assert abs(u1 @ P2 - u2 @ P1) <= 1e-10 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(systems())
+    def test_work_of_a_load_is_positive(self, system):
+        mesh, layers, fixed, P = system
+        result = analyze(mesh, layers, fixed, P)
+        assert np.any(P[result.free_dofs] != 0)
+        assert result.u @ P > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        systems(), st.integers(0, 2**32 - 1), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)
+    )
+    def test_linear_in_the_load(self, system, seed, a, b):
+        mesh, layers, fixed, P1 = system
+        P2 = np.random.default_rng(seed).normal(0.0, 10.0, mesh.n_dofs)
+        r1 = analyze(mesh, layers, fixed, P1)
+        r2 = analyze(mesh, layers, fixed, P2)
+        r12 = analyze(mesh, layers, fixed, a * P1 + b * P2)
+        outputs = [(r.u, r.field.sxx, r.field.syy) for r in (r1, r2, r12)]
+        for x1, x2, x12 in zip(*outputs):
+            scale = abs(a) * np.linalg.norm(x1) + abs(b) * np.linalg.norm(x2)
+            assert np.linalg.norm(x12 - (a * x1 + b * x2)) <= 1e-10 * scale
