@@ -157,21 +157,18 @@ class Mesh:
         """Global node ids of the element's corners in local order 1..4."""
         return tuple(int(d) // 2 for d in self.element_dofs[elem, 0::2])
 
-    def element_geometry(self, elem: int) -> ElementGeometry:
-        return ElementGeometry(self.a_fe, self.layer_height(self.layer_of(elem)), self.h)
-
-    def nodes_on_line_x(self, x0: float, tol: float = 1e-9) -> np.ndarray:
+    def nodes_on_line_x(self, x0: float) -> np.ndarray:
         """Global ids of all nodes on the vertical line x = x0."""
-        cols = np.where(np.abs(self.x - x0) <= tol)[0]
+        cols = np.where(np.abs(self.x - x0) <= 1e-9)[0]
         return np.array(
             [self.node_id(i, j) for j in range(len(self.y)) for i in cols], dtype=int
         )
 
-    def bottom_nodes_at(self, xs, tol: float = 1e-9) -> np.ndarray:
+    def bottom_nodes_at(self, xs) -> np.ndarray:
         """Global ids of the bottom-edge nodes at the given abscissas."""
         out = []
         for x0 in np.atleast_1d(xs):
-            cols = np.where(np.abs(self.x - x0) <= tol)[0]
+            cols = np.where(np.abs(self.x - x0) <= 1e-9)[0]
             if len(cols) == 0:
                 raise MeshError(f"no node line at x = {x0}")
             out.extend(self.node_id(i, 0) for i in cols)

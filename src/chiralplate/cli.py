@@ -1,35 +1,43 @@
 """Command-line front end: scenario configs in, CSV/field dumps out.
 
-Subcommands
------------
-solve        one scenario (solid plate or a single composite case)
-sweep        the 4 x 9 grid of one setup
-convergence  solid-plate refinement study
-honeycomb    cell properties + Poisson estimates along the density grid
+Subcommands, the scenarios each runs and the flags each takes besides
+``--config``, ``--out``, ``--force`` and ``--dry-run``
+-------------------------------------------------------------------------
+solve        solid | setup1 | setup2: one solid plate or one composite
+             case; ``--bc``, ``--algorithm``, ``--max-rows``
+sweep        setup1 | setup2: the 4 x 9 grid of one setup; ``--bc``,
+             ``--algorithm``
+convergence  convergence: solid-plate refinement study
+honeycomb    poisson: cell properties + Poisson estimates along the
+             density grid
 
 Every command reads one YAML scenario document (``--config``), validates it
 strictly (unknown keys are rejected), and writes deterministic CSV files
-plus a ``manifest.json`` echoing the normalized configuration. Exit codes:
-0 success, 2 configuration error, 3 numerical failure. Verbosity comes
-from the ``CHIRALPLATE_LOG`` environment variable (debug/info/warning).
+plus a ``manifest.json`` echoing the configuration. ``_KEYS`` maps each
+config key to the library's name for its value; keys left out take the
+library's defaults, ``FORMLABS_CLEAR`` for the material and ``PlateSpec()``
+for the plate. Exit codes: 0 success, 2 configuration error, 3 numerical
+failure. Verbosity comes from the ``CHIRALPLATE_LOG`` environment variable
+(debug/info/warning).
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
 from . import __version__
 from .assembly import Layer, analyze
-from .errors import ChiralplateError, ConfigError
+from .errors import ChiralplateError, ConfigError, GeometryError
 from .experiments import (
     DA_GRID,
+    FORMLABS_CLEAR,
     RHO_GRID,
     composite_model,
     honeycomb_grid,
@@ -51,90 +59,71 @@ from .reporting import (
     write_field_csv,
     write_honeycomb_csv,
     write_manifest,
+    write_summary_csv,
     write_sweep_csv,
 )
-
-log = logging.getLogger("chiralplate")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-SCENARIOS = ("solid", "setup1", "setup2", "convergence", "poisson")
-
-# Schema: section -> key -> (type, required)
-_SCHEMA = {
-    None: {
-        "scenario": (str, True),
-        "bc": (str, False),
-        "algorithm": (str, False),
-        "material": (dict, False),
-        "plate": (dict, False),
-        "load": (dict, False),
-        "solid": (dict, False),
-        "honeycomb": (dict, False),
-        "convergence": (dict, False),
-    },
-    "material": {
-        "E_mpa": ((int, float), False),
-        "mu": ((int, float), False),
-        "rho_kg_m3": ((int, float), False),
-        "sigma_el_mpa": ((int, float), False),
-    },
-    "plate": {
-        "a_mm": ((int, float), False),
-        "h_mm": ((int, float), False),
-        "t_p_mm": ((int, float), False),
-        "t_fl_mm": ((int, float), False),
-        "t_cl_mm": ((int, float), False),
-        "l1_mm": ((int, float), False),
-        "x1_mm": ((int, float), False),
-        "x2_mm": ((int, float), False),
-    },
-    "load": {"F_y_n": ((int, float), False)},
-    "solid": {"layers": (int, False)},
-    "honeycomb": {"d_a_mm": ((int, float), False), "rho_rel": ((int, float), False)},
-    "convergence": {"max_layers": (int, False)},
+# Command -> the scenarios it runs.
+SCENARIOS = {
+    "solve": ("solid", "setup1", "setup2"),
+    "sweep": ("setup1", "setup2"),
+    "convergence": ("convergence",),
+    "honeycomb": ("poisson",),
 }
+
+# Config section -> key -> the library's name for its value. Every value is
+# a number; a key missing here is rejected.
+_KEYS = {
+    "material": {"E_mpa": "E", "mu": "mu", "rho_kg_m3": "rho",
+                 "sigma_el_mpa": "sigma_el"},
+    "plate": {"a_mm": "a", "h_mm": "h", "t_p_mm": "t_p", "t_fl_mm": "t_fl",
+              "t_cl_mm": "t_cl", "l1_mm": "l_1", "x1_mm": "x1", "x2_mm": "x2"},
+    "load": {"F_y_n": "F_probe"},
+    "solid": {"layers": "layers"},
+    "honeycomb": {"d_a_mm": "d_a", "rho_rel": "rho_rel"},
+    "convergence": {"max_layers": "max_layers"},
+}
+
+# Layer counts are integers, capped so that a config cannot ask for more
+# memory than a small machine has: 32 solid layers is 57k DOFs and a 30 MiB
+# band K.
+_LAYER_COUNTS = {"layers", "max_layers"}
+_MAX_LAYERS = 32
 
 # Numbers that must be strictly positive: a zero or negative load has no
 # critical-load scaling, and a zero layer count leaves nothing to solve.
-_POSITIVE = {("load", "F_y_n"), ("solid", "layers"), ("convergence", "max_layers")}
+_POSITIVE = {"F_probe", *_LAYER_COUNTS}
 
-# Layer counts are capped so that a config cannot ask for more memory than
-# a small machine has: 32 solid layers is 57k DOFs and a 30 MiB band K.
-_MAX_LAYERS = 32
-_LAYER_COUNTS = {("solid", "layers"), ("convergence", "max_layers")}
+# The element algorithm: the user's word -> the composite model's name. The
+# user's word is also the element kind of a solid plate.
+_ALGORITHMS = {"conforming": "conforming", "incompatible": "incompatible_faces"}
 
-
-def _check_section(name: str | None, data: dict) -> None:
-    schema = _SCHEMA[name]
-    where = name or "top level"
-    for key, value in data.items():
-        if key not in schema:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-        expected, _ = schema[key]
-        if expected is dict:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}.{key} must be a mapping")
-            _check_section(key, value)
-        elif not isinstance(value, expected) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key} has wrong type {type(value).__name__}")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where}.{key} must be finite, got {value}")
-        elif (name, key) in _POSITIVE and value <= 0:
-            raise ConfigError(f"{where}.{key} must be positive, got {value}")
-        elif (name, key) in _LAYER_COUNTS and value > _MAX_LAYERS:
-            raise ConfigError(
-                f"{where}.{key} must be at most {_MAX_LAYERS}, got {value}"
-            )
-    for key, (_, required) in schema.items():
-        if required and key not in data:
-            raise ConfigError(f"missing required key {key!r} in {where}")
+# Top-level choices, also flags of solve and sweep: key -> the user's words,
+# the default first.
+_CHOICES = {
+    "bc": tuple(bc.value for bc in BoundaryCondition),
+    "algorithm": tuple(_ALGORITHMS),
+}
 
 
-def load_config(path: Path) -> dict:
-    """Parse and validate one YAML scenario document."""
+def _check_number(where: str, name: str, value) -> None:
+    kind = int if name in _LAYER_COUNTS else (int, float)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{where} has wrong type {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int no float holds
+        raise ConfigError(f"{where} must be finite, got {value}")
+    if name in _POSITIVE and value <= 0:
+        raise ConfigError(f"{where} must be positive, got {value}")
+    if name in _LAYER_COUNTS and value > _MAX_LAYERS:
+        raise ConfigError(f"{where} must be at most {_MAX_LAYERS}, got {value}")
+
+
+def load_config(path: Path, command: str) -> dict:
+    """Parse and validate one YAML scenario document for ``command``."""
     try:
         raw = yaml.safe_load(path.read_text())
     except FileNotFoundError:
@@ -143,57 +132,59 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping at the top level")
-    _check_section(None, raw)
-    if raw["scenario"] not in SCENARIOS:
+    for key, value in raw.items():
+        if key in _KEYS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"top level.{key} must be a mapping")
+            for name, number in value.items():
+                if name not in _KEYS[key]:
+                    raise ConfigError(f"unknown key {name!r} in {key}")
+                _check_number(f"{key}.{name}", _KEYS[key][name], number)
+        elif key in _CHOICES:
+            if not isinstance(value, str) or value not in _CHOICES[key]:
+                raise ConfigError(
+                    f"{key} must be one of {_CHOICES[key]}, got {value!r}"
+                )
+        elif key != "scenario":
+            raise ConfigError(f"unknown key {key!r} in top level")
+    if "scenario" not in raw:
+        raise ConfigError("missing required key 'scenario' in top level")
+    if raw["scenario"] not in SCENARIOS[command]:
         raise ConfigError(
-            f"scenario must be one of {SCENARIOS}, got {raw['scenario']!r}"
+            f"{command!r} handles {'/'.join(SCENARIOS[command])}, "
+            f"got {raw['scenario']!r}"
         )
-    for key, value in (("bc", ("clamped", "supported")),
-                       ("algorithm", ("conforming", "incompatible"))):
-        if key in raw and raw[key] not in value:
-            raise ConfigError(f"{key} must be one of {value}, got {raw[key]!r}")
     return raw
 
 
+def _given(cfg: dict, section: str) -> dict:
+    """The numbers a config gives in ``section``, under the library's names."""
+    names = _KEYS[section]
+    return {names[key]: value for key, value in cfg.get(section, {}).items()}
+
+
 def _material(cfg: dict) -> IsotropicMaterial:
-    section = cfg.get("material", {})
     try:
-        return IsotropicMaterial(
-            E=section.get("E_mpa", 2800.0),
-            mu=section.get("mu", 0.35),
-            rho=section.get("rho_kg_m3", 1200.0),
-            sigma_el=section.get("sigma_el_mpa", 35.0),
-        )
+        return replace(FORMLABS_CLEAR, **_given(cfg, "material"))
     except ChiralplateError as exc:
         raise ConfigError(f"bad material card: {exc}")
 
 
 def _plate(cfg: dict, solid: bool) -> PlateSpec:
-    p = cfg.get("plate", {})
+    given = _given(cfg, "plate")
+    base = PlateSpec()
+    if solid:  # a solid plate has no layers: t_fl_mm and t_cl_mm are ignored
+        base = base.solid()
+        given = {k: v for k, v in given.items() if k not in ("t_fl", "t_cl")}
     try:
-        spec = PlateSpec(
-            a=p.get("a_mm", 54.0),
-            h=p.get("h_mm", 13.0),
-            t_p=p.get("t_p_mm", 2.0),
-            t_fl=p.get("t_fl_mm", 0.5) if not solid else None,
-            t_cl=p.get("t_cl_mm", 1.0) if not solid else None,
-            l_1=p.get("l1_mm", 27.0),
-            x1=p.get("x1_mm", 12.0),
-            x2=p.get("x2_mm", 42.0),
-        )
+        return replace(base, **given)
     except ChiralplateError as exc:
         raise ConfigError(f"bad plate spec: {exc}")
-    return spec
 
 
-def _bc(cfg: dict, args) -> BoundaryCondition:
-    name = args.bc or cfg.get("bc", "clamped")
-    return BoundaryCondition(name)
-
-
-def _algorithm(cfg: dict, args) -> str:
-    name = args.algorithm or cfg.get("algorithm", "conforming")
-    return "incompatible_faces" if name == "incompatible" else "conforming"
+def _choice(cfg: dict, args, key: str) -> str:
+    """The user's word for a top-level choice: flag, else config, else default."""
+    return getattr(args, key) or cfg.get(key, _CHOICES[key][0])
 
 
 def _prepare_out(args, names: list[str]) -> Path:
@@ -208,32 +199,31 @@ def _prepare_out(args, names: list[str]) -> Path:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(Path(args.config))
-    scenario = cfg["scenario"]
-    if scenario not in ("solid", "setup1", "setup2"):
-        raise ConfigError(f"'solve' handles solid/setup1/setup2, got {scenario!r}")
+    cfg = load_config(Path(args.config), "solve")
     material = _material(cfg)
-    bc = _bc(cfg, args)
-    algorithm = _algorithm(cfg, args)
-    load_n = cfg.get("load", {}).get("F_y_n", 30.0)
+    bc = BoundaryCondition(_choice(cfg, args, "bc"))
+    kind = _choice(cfg, args, "algorithm")
+    load_n = _given(cfg, "load").get("F_probe", 30.0)
 
-    if scenario == "solid":
+    if cfg["scenario"] == "solid":
         spec = _plate(cfg, solid=True)
-        layers_n = cfg.get("solid", {}).get("layers", 2)
-        mesh, tags = build_solid_mesh(spec, layers_n)
-        kind = "incompatible" if algorithm == "incompatible_faces" else "conforming"
+        mesh, tags = build_solid_mesh(spec, _given(cfg, "solid").get("layers", 2))
         layer_cards = [Layer(material, kind, t) for t in tags]
     else:
         spec = _plate(cfg, solid=False)
-        hc_cfg = cfg.get("honeycomb", {})
-        if "d_a_mm" not in hc_cfg or "rho_rel" not in hc_cfg:
+        cell = _given(cfg, "honeycomb")
+        if cell.keys() != {"d_a", "rho_rel"}:
             raise ConfigError(
                 "setup1/setup2 solve needs honeycomb.d_a_mm and honeycomb.rho_rel"
             )
-        setup = 1 if scenario == "setup1" else 2
-        spec, _, mesh, layer_cards = composite_model(
-            setup, hc_cfg["d_a_mm"], hc_cfg["rho_rel"], algorithm, material, spec
-        )
+        setup = 1 if cfg["scenario"] == "setup1" else 2
+        try:
+            spec, _, mesh, layer_cards = composite_model(
+                setup, cell["d_a"], cell["rho_rel"], _ALGORITHMS[kind],
+                material, spec,
+            )
+        except GeometryError as exc:  # only a bad d_a or rho_rel raises it
+            raise ConfigError(f"bad honeycomb cell: {exc}")
 
     if args.dry_run:
         print(
@@ -248,44 +238,37 @@ def cmd_solve(args) -> int:
         apply_load(mesh, LoadCase(load_n), spec),
     )
     field = analysis.field
-    by_tag = field.max_se_by_tag()
     f_crit = load_n * material.sigma_el / field.max_se()
 
     write_field_csv(field, analysis.u, out / "field.csv", max_rows=args.max_rows)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        fh.write("quantity,value\n")
-        for tag, val in sorted(by_tag.items()):
-            fh.write(f"sigma_max_{tag}_mpa,{fmt(val)}\n")
-        fh.write(f"sigma_max_mpa,{fmt(field.max_se())}\n")
-        fh.write(f"F_crit_n,{fmt(f_crit)}\n")
+    write_summary_csv(field, f_crit, out / "summary.csv")
     write_manifest(out / "manifest.json", cfg, ["field.csv", "summary.csv"])
     print(
         "sigma_max per layer: "
-        + ", ".join(f"{t} = {fmt(v)} MPa" for t, v in sorted(by_tag.items()))
+        + ", ".join(
+            f"{t} = {fmt(v)} MPa" for t, v in sorted(field.max_se_by_tag().items())
+        )
         + f"; F_crit = {fmt(f_crit)} N"
     )
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(Path(args.config))
-    scenario = cfg["scenario"]
-    if scenario not in ("setup1", "setup2"):
-        raise ConfigError(f"'sweep' handles setup1/setup2, got {scenario!r}")
-    setup = 1 if scenario == "setup1" else 2
+    cfg = load_config(Path(args.config), "sweep")
+    setup = 1 if cfg["scenario"] == "setup1" else 2
     material = _material(cfg)
     spec = _plate(cfg, solid=False)
-    load_cfg = cfg.get("load", {}).get("F_y_n")
+    bc, algorithm = _choice(cfg, args, "bc"), _choice(cfg, args, "algorithm")
     if args.dry_run:
         print(
             f"sweep setup {setup}: {len(DA_GRID)} x {len(RHO_GRID)} grid cases, "
-            f"{_bc(cfg, args).value}, {_algorithm(cfg, args)}"
+            f"{bc}, {algorithm}"
         )
         return EXIT_OK
     out = _prepare_out(args, ["sweep.csv", "manifest.json"])
     rows = run_sweep(
-        setup, _bc(cfg, args), _algorithm(cfg, args), F_probe=load_cfg,
-        material=material, spec=spec,
+        setup, BoundaryCondition(bc), _ALGORITHMS[algorithm], material=material,
+        spec=spec, **_given(cfg, "load"),
     )
     write_sweep_csv(rows, out / "sweep.csv")
     write_manifest(out / "manifest.json", cfg, ["sweep.csv"])
@@ -294,13 +277,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = load_config(Path(args.config))
-    if cfg["scenario"] != "convergence":
-        raise ConfigError("'convergence' needs scenario: convergence")
+    cfg = load_config(Path(args.config), "convergence")
     material = _material(cfg)
     spec = _plate(cfg, solid=True)
-    max_layers = cfg.get("convergence", {}).get("max_layers", 5)
-    load_n = cfg.get("load", {}).get("F_y_n", 60.0)
+    max_layers = _given(cfg, "convergence").get("max_layers", 5)
+    load_n = _given(cfg, "load").get("F_probe", 60.0)
     if args.dry_run:
         print(
             f"convergence study: 1..{max_layers} layers, both element kinds, "
@@ -316,9 +297,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_honeycomb(args) -> int:
-    cfg = load_config(Path(args.config))
-    if cfg["scenario"] != "poisson":
-        raise ConfigError("'honeycomb' needs scenario: poisson")
+    cfg = load_config(Path(args.config), "honeycomb")
     material = _material(cfg)
     if args.dry_run:
         print(
@@ -356,14 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML scenario file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--algorithm", choices=("conforming", "incompatible"))
-        p.add_argument("--bc", choices=("clamped", "supported"))
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print derived mesh dimensions only")
-        p.add_argument("--max-rows", type=_positive_int, default=None,
-                       help="cap field-dump rows")
+        if name in ("solve", "sweep"):
+            for key, words in _CHOICES.items():
+                p.add_argument(f"--{key}", choices=words,
+                               help=f"override the config's {key}")
+        if name == "solve":
+            p.add_argument("--max-rows", type=_positive_int, default=None,
+                           help="cap field-dump rows")
         p.set_defaults(func=func)
     return parser
 
@@ -375,11 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        log.error("configuration error: %s", exc)
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ChiralplateError as exc:
-        log.error("numerical failure: %s", exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -106,6 +106,9 @@ def composite_model(
     from ``rho_rel`` and the cell homogenized into the core card. Returns
     the case's plate spec, the wall thickness, the mesh and its layer cards.
     """
+    # The cell first: it rejects a rho_rel outside (0, 1) before setup 2
+    # divides by it.
+    t_sw = hc.wall_thickness_for_density(d_a, rho_rel)
     if setup == 1:
         t_cl = spec.t_cl
     elif setup == 2:
@@ -116,7 +119,6 @@ def composite_model(
         a=spec.a, h=spec.h, t_p=2 * spec.t_fl + t_cl, t_fl=spec.t_fl, t_cl=t_cl,
         l_1=spec.l_1, x1=spec.x1, x2=spec.x2,
     )
-    t_sw = hc.wall_thickness_for_density(d_a, rho_rel)
     core = hc.effective_material(hc.geometry_from_cell(d_a, t_sw), material)
     mesh, layers = build_composite_mesh(
         case_spec, core, material, core_layers=core_layers, algorithm=algorithm

@@ -16,6 +16,7 @@ __all__ = [
     "write_convergence_csv",
     "write_honeycomb_csv",
     "write_field_csv",
+    "write_summary_csv",
     "write_manifest",
 ]
 
@@ -112,6 +113,17 @@ def write_field_csv(
                 ])
                 written += 1
     return written
+
+
+def write_summary_csv(field: StressField, f_crit: float, path: Path) -> None:
+    """Peak equivalent stress per layer tag and overall, and the critical load."""
+    handle, writer = _open_writer(path)
+    with handle:
+        writer.writerow(["quantity", "value"])
+        for tag, val in sorted(field.max_se_by_tag().items()):
+            writer.writerow([f"sigma_max_{tag}_mpa", fmt(val)])
+        writer.writerow(["sigma_max_mpa", fmt(field.max_se())])
+        writer.writerow(["F_crit_n", fmt(f_crit)])
 
 
 def write_manifest(path: Path, config: dict, outputs: list[str]) -> None:

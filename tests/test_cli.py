@@ -3,11 +3,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import pytest
 import yaml
 
+import chiralplate.cli as cli
 from chiralplate.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from chiralplate.experiments import FORMLABS_CLEAR
+from chiralplate.materials import IsotropicMaterial
+from chiralplate.plates import PlateSpec
 
 SOLID_CONFIG = {
     "scenario": "solid",
@@ -88,7 +93,6 @@ class TestSolve:
         assert outs["conforming"] != outs["incompatible"]
 
     def test_setup2_solves_once(self, tmp_path, monkeypatch):
-        import chiralplate.cli as cli
         from chiralplate.experiments import run_case
         from chiralplate.plates import BoundaryCondition
         from chiralplate.reporting import fmt
@@ -137,6 +141,48 @@ class TestSolve:
         assert f_crit == pytest.approx(60.1, rel=0.03)
 
 
+class TestLibraryDefaults:
+    """Config keys left out take the library's FORMLABS_CLEAR and PlateSpec()."""
+
+    @staticmethod
+    def spelled_out(material, spec):
+        return {
+            "material": {"E_mpa": material.E, "mu": material.mu,
+                         "rho_kg_m3": material.rho,
+                         "sigma_el_mpa": material.sigma_el},
+            "plate": {"a_mm": spec.a, "h_mm": spec.h, "t_p_mm": spec.t_p,
+                      "t_fl_mm": spec.t_fl, "t_cl_mm": spec.t_cl,
+                      "l1_mm": spec.l_1, "x1_mm": spec.x1, "x2_mm": spec.x2},
+        }
+
+    # "patched" swaps other defaults into the names the CLI reads them from,
+    # so a default restated in the CLI shows up as a difference.
+    @pytest.mark.parametrize("patched", [False, True], ids=["shipped", "patched"])
+    @pytest.mark.parametrize("scenario", ["solid", "setup1"])
+    def test_omitted_equals_spelled_out(self, tmp_path, monkeypatch, scenario,
+                                        patched):
+        material, spec = FORMLABS_CLEAR, PlateSpec()
+        if patched:
+            material = replace(material, E=3100.0, mu=0.3, sigma_el=41.0)
+            spec = PlateSpec(h=11.0, t_p=2.4, t_fl=0.6, t_cl=1.2)
+            monkeypatch.setattr(cli, "FORMLABS_CLEAR", material)
+            monkeypatch.setattr(cli, "PlateSpec", lambda: spec)
+        base = {"scenario": scenario, "solid": {"layers": 3},
+                "honeycomb": {"d_a_mm": 1.0, "rho_rel": 0.353}}
+        files = []
+        for name, data in (("omitted", base),
+                           ("spelled", dict(base, **self.spelled_out(material, spec)))):
+            cfg = write_config(tmp_path, data, name=f"{name}.yaml")
+            out = tmp_path / name
+            assert run(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+            files.append([(out / f).read_bytes() for f in ("field.csv", "summary.csv")])
+        assert files[0] == files[1]
+
+    def test_key_table_names_are_library_fields(self):
+        for section, cls in (("material", IsotropicMaterial), ("plate", PlateSpec)):
+            assert set(cli._KEYS[section].values()) == {f.name for f in fields(cls)}
+
+
 class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert run(["solve", "--config", tmp_path / "nope.yaml"]) == EXIT_CONFIG
@@ -174,7 +220,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, key", [("plate", "h_mm"), ("material", "E_mpa")]
     )
-    @pytest.mark.parametrize("text", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize(
+        "text",
+        [".nan", ".inf", "-.inf", pytest.param("1" + "0" * 400, id="int-past-float")],
+    )
     def test_non_finite_number_rejected(self, tmp_path, section, key, text):
         path = tmp_path / "scenario.yaml"
         path.write_text(f"scenario: solid\n{section}: {{{key}: {text}}}\n")
@@ -238,6 +287,51 @@ class TestConfigValidation:
         out = tmp_path / "o"
         assert run(["solve", "--config", cfg, "--out", out, "--dry-run"]) == EXIT_OK
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("scenario", ["setup1", "setup2"])
+    @pytest.mark.parametrize(
+        "cell",
+        [{"rho_rel": 0}, {"rho_rel": -0.1}, {"rho_rel": 1.2},
+         {"rho_rel": 0.99}, {"d_a_mm": -1}],
+        ids=["rho-0", "rho-negative", "rho-above-1", "rho-unreachable",
+             "d_a-negative"],
+    )
+    def test_bad_honeycomb_cell_rejected(
+        self, tmp_path, capsys, cell, scenario, dry_run
+    ):
+        honeycomb = dict({"d_a_mm": 1.0, "rho_rel": 0.353}, **cell)
+        cfg = write_config(tmp_path, {"scenario": scenario, "honeycomb": honeycomb})
+        out = tmp_path / "o"
+        assert run(["solve", "--config", cfg, "--out", out, *dry_run]) == EXIT_CONFIG
+        assert "bad honeycomb cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("convergence", ["--bc", "supported"]),
+         ("honeycomb", ["--algorithm", "incompatible"]),
+         ("sweep", ["--max-rows", "3"])],
+    )
+    def test_flag_of_another_command_rejected(self, tmp_path, command, flag):
+        cfg = write_config(tmp_path, {"scenario": "poisson"})
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", cfg, "--out", tmp_path / "o", *flag])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [({"scenario": "warp-drive"}, "configuration error"),
+         ({"scenario": "setup1", "honeycomb": {"d_a_mm": 1.0, "rho_rel": 0.353},
+           "plate": {"x1_mm": 12.1}}, "numerical failure")],
+        ids=["config", "numerical"],
+    )
+    def test_error_printed_once(self, tmp_path, capsys, data, message):
+        cfg = write_config(tmp_path, data)
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) != EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.count(message) == 1
+        assert captured.out == ""
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # support abscissa off the composite node grid -> mesh error
         data = {
@@ -264,6 +358,14 @@ class TestDryRunEverywhere:
             assert run([command, "--config", cfg, "--out", out, "--dry-run"]) == EXIT_OK
             assert not out.exists()
             assert capsys.readouterr().out.strip()
+
+    def test_sweep_dry_run_prints_the_users_words(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": "setup2"})
+        assert run(["sweep", "--config", cfg, "--dry-run", "--bc", "supported",
+                    "--algorithm", "incompatible"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "sweep setup 2: 4 x 9 grid cases, supported, incompatible\n"
+        )
 
     def test_log_env_var(self, tmp_path, monkeypatch):
         import logging
