@@ -7,26 +7,26 @@ the corner stresses. Each step is a pure function of its inputs.
 
 The mesh is a structured grid of axis-aligned rectangles grouped into
 horizontal layers; every element of a layer shares the same height and
-material. Degrees of freedom are node-major (x then y per node), matching
-the element block layout.
+material. Nodes are numbered column by column, y fastest within a node
+column, and degrees of freedom are node-major (x then y per node), matching
+the element block layout. Numbering across the short side of the plate
+keeps the DOFs an element couples at most ``bw = 2 * len(mesh.y) + 3``
+apart.
 
 Assembly places element ``i``'s 2x2 block ``(q, s)`` at global block
 ``(m, n)`` when its local nodes ``q`` and ``s`` sit at global nodes ``m``
 and ``n``. The ``(n_elements, 8)`` table ``Mesh.element_dofs`` spells out
 that placement, so every element block lands in ``K`` in a single scatter.
 
-``K`` is stored as its lower band in column-major DOF order: node columns
-left to right, y fastest within a column, x before y at each node. With
-``q`` a DOF's place in that order, ``K[d, q_c]`` holds the global entry
-coupling DOFs ``q_c + d`` and ``q_c`` (LAPACK's lower band storage). An
-element couples DOFs at most ``bw = 2 * len(mesh.y) + 3`` places apart, so
-the array is ``(bw + 1, n_dofs)``.
+``K`` is stored as its lower band, ``(bw + 1, n_dofs)``: ``K[d, c]`` holds
+the global entry coupling DOFs ``c + d`` and ``c`` (LAPACK's lower band
+storage).
 
 Constraints are handled by physical row/column elimination over the free
 DOFs, so the reduced matrix stays symmetric positive definite once enough
 DOFs are fixed; the full displacement vector is reconstructed with zeros at
-the fixed slots. :func:`solve` gathers the reduced band from ``K`` in the
-same order and factors it by banded Cholesky.
+the fixed slots. :func:`solve` gathers the reduced band from ``K`` over the
+free DOFs in ascending order and factors it by banded Cholesky.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ class Mesh:
     h : float
         Out-of-plane depth [mm].
 
-    Nodes are numbered row-major (x fastest); element corner order is
-    (-1,-1), (1,-1), (1,1), (-1,1). Elements are numbered row-major as
-    well, so the layer of element ``i`` is ``i // nx``. ``element_dofs``
+    Node ``(i, j)`` at ``(x[i], y[j])`` is number ``i * len(y) + j``:
+    column by column, y fastest. Element corner order is (-1,-1), (1,-1),
+    (1,1), (-1,1). Elements are numbered row-major (x fastest within a
+    layer), so the layer of element ``i`` is ``i // nx``. ``element_dofs``
     is the read-only ``(n_elements, 8)`` table of each element's global
     DOFs in local block order (x, y of corner 1, then corner 2, ...).
     """
@@ -120,9 +121,9 @@ class Mesh:
         self.a_fe = float(widths[0])
         self.nx = len(self.x) - 1
         self.n_layers = len(self.y) - 1
-        row = len(self.x)
-        corner1 = np.add.outer(np.arange(self.n_layers) * row, np.arange(self.nx))
-        nodes = corner1.reshape(-1, 1) + np.array([0, 1, row + 1, row])
+        col = len(self.y)
+        corner1 = np.add.outer(np.arange(self.n_layers), np.arange(self.nx) * col)
+        nodes = corner1.reshape(-1, 1) + np.array([0, col, col + 1, 1])
         dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=2).reshape(-1, 8)
         dofs.flags.writeable = False
         self.element_dofs = dofs
@@ -140,11 +141,11 @@ class Mesh:
         return 2 * self.n_nodes
 
     def node_id(self, i: int, j: int) -> int:
-        return j * len(self.x) + i
+        return i * len(self.y) + j
 
     def node_coords(self) -> np.ndarray:
         """(n_nodes, 2) array of node positions."""
-        xx, yy = np.meshgrid(self.x, self.y)
+        xx, yy = np.meshgrid(self.x, self.y, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def layer_height(self, j: int) -> float:
@@ -160,9 +161,7 @@ class Mesh:
     def nodes_on_line_x(self, x0: float) -> np.ndarray:
         """Global ids of all nodes on the vertical line x = x0."""
         cols = np.where(np.abs(self.x - x0) <= 1e-9)[0]
-        return np.array(
-            [self.node_id(i, j) for j in range(len(self.y)) for i in cols], dtype=int
-        )
+        return (cols[:, None] * len(self.y) + np.arange(len(self.y))).ravel()
 
     def bottom_nodes_at(self, xs) -> np.ndarray:
         """Global ids of the bottom-edge nodes at the given abscissas."""
@@ -171,7 +170,7 @@ class Mesh:
             cols = np.where(np.abs(self.x - x0) <= 1e-9)[0]
             if len(cols) == 0:
                 raise MeshError(f"no node line at x = {x0}")
-            out.extend(self.node_id(i, 0) for i in cols)
+            out.extend(cols * len(self.y))
         return np.array(out, dtype=int)
 
 
@@ -185,30 +184,15 @@ def _layer_cards(mesh: Mesh, layers) -> tuple[Layer, ...]:
     return layers
 
 
-def _band_layout(mesh: Mesh) -> tuple[np.ndarray, int]:
-    """Band layout of ``K``: each DOF's place in column-major order, and ``bw``.
-
-    Node columns run left to right, y fastest within a column, x before y
-    at each node; the first array is indexed by DOF number. An element
-    couples DOFs at most ``bw`` places apart in that order.
-    """
-    pos = (
-        np.arange(mesh.n_dofs).reshape(len(mesh.x), len(mesh.y), 2)
-        .transpose(1, 0, 2).ravel()
-    )
-    return pos, 2 * len(mesh.y) + 3
-
-
 def assemble(mesh: Mesh, layers) -> np.ndarray:
     """Lower band of the global stiffness K, shape ``(bw + 1, n_dofs)``.
 
-    ``K[d, q]`` couples the DOFs at places ``q + d`` and ``q`` of the
-    column-major order (see the module docstring), with half-bandwidth
-    ``bw = 2 * len(mesh.y) + 3``. ``layers`` maps layer index to a
-    :class:`Layer`; every element of a layer shares one stiffness matrix,
-    computed once per layer. All element blocks are scattered in one pass
-    through ``mesh.element_dofs``, adding the contributions to each entry
-    in element order.
+    ``K[d, c]`` couples DOFs ``c + d`` and ``c``, with half-bandwidth
+    ``bw = 2 * len(mesh.y) + 3`` (see the module docstring). ``layers``
+    maps layer index to a :class:`Layer`; every element of a layer shares
+    one stiffness matrix, computed once per layer. All element blocks are
+    scattered in one pass through ``mesh.element_dofs``, adding the
+    contributions to each entry in element order.
     """
     layers = _layer_cards(mesh, layers)
     k_layers = np.array([
@@ -218,10 +202,8 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
         )
         for j, layer in enumerate(layers)
     ])
-    n = mesh.n_dofs
-    pos, bw = _band_layout(mesh)
-    q = pos[mesh.element_dofs]
-    row, col = q[:, :, None], q[:, None, :]
+    n, bw = mesh.n_dofs, 2 * len(mesh.y) + 3
+    row, col = mesh.element_dofs[:, :, None], mesh.element_dofs[:, None, :]
     lower = row >= col
     flat = ((row - col) * n + col)[lower]
     weights = np.repeat(k_layers, mesh.nx, axis=0)[lower]
@@ -243,34 +225,33 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
     """Direct symmetric solve of the reduced system; returns the full u.
 
     ``K`` is the band :func:`assemble` returns for ``mesh``; any other
-    shape raises :class:`MeshError`. The fixed rows and columns
-    are eliminated by gathering the band of the reduced matrix over the
-    free DOFs in the same column-major order, which is factored by banded
-    Cholesky. A singular or indefinite reduced matrix (not enough
-    constraints), or one whose smallest pivot is below 1e-10 of its largest
-    diagonal entry, raises :class:`SolveError` naming the number of
-    near-zero or negative eigenvalues. Fixed DOFs get zero displacement.
+    shape raises :class:`MeshError`. The fixed rows and columns are
+    eliminated by gathering the band of the reduced matrix over the free
+    DOFs in ascending order, which is factored by banded Cholesky. A
+    singular or indefinite reduced matrix (not enough constraints), or one
+    whose smallest pivot is below 1e-10 of its largest diagonal entry,
+    raises :class:`SolveError` naming the number of near-zero or negative
+    eigenvalues. Fixed DOFs get zero displacement.
     """
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
-    pos, bw_K = _band_layout(mesh)
+    bw_K = 2 * len(mesh.y) + 3
     if np.shape(K) != (bw_K + 1, mesh.n_dofs):
         raise MeshError(
             f"K must be the ({bw_K + 1}, {mesh.n_dofs}) band assemble returns "
             f"for this mesh, got shape {np.shape(K)}"
         )
-    free = np.asarray(free)
-    p = free[np.argsort(pos[free])]  # free DOFs in column-major order
-    fpos, m = pos[p], len(p)
+    p = np.sort(free)
+    m = len(p)
     bw = min(bw_K, m - 1)
     # Lower band storage, ab[d, i] = K_a[i + d, i]: the entry at offset
-    # fpos[i + d] - fpos[i] of K's band, zero past K's bandwidth. The upper
+    # p[i + d] - p[i] of K's band, zero past K's bandwidth. The upper
     # form factored ~5x slower on a 2-CPU host, with stalls of up to 1 s,
     # unless OpenBLAS ran single-threaded.
     j = np.arange(m) + np.arange(bw + 1)[:, None]
-    offset = fpos[np.minimum(j, m - 1)] - fpos
+    offset = p[np.minimum(j, m - 1)] - p
     inside = (j < m) & (offset <= bw_K)
-    ab = np.where(inside, K[np.minimum(offset, bw_K), fpos], 0.0)
+    ab = np.where(inside, K[np.minimum(offset, bw_K), p], 0.0)
     try:
         cb = cholesky_banded(ab, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -317,10 +298,10 @@ class StressField:
 
     def max_se_by_tag(self) -> dict[str, float]:
         """Maximum von Mises value over all recovery points, per layer tag."""
+        layer_peaks = self.se.reshape(len(self.tags), -1).max(axis=1)
         out: dict[str, float] = {}
-        for tag in dict.fromkeys(self.tags):
-            sel = np.isin(self.layer, [j for j, t in enumerate(self.tags) if t == tag])
-            out[tag] = float(self.se[sel].max()) if sel.any() else 0.0
+        for tag, peak in zip(self.tags, layer_peaks):
+            out[tag] = float(np.maximum(out.get(tag, peak), peak))
         return out
 
     def max_se(self) -> float:

@@ -12,12 +12,13 @@ honeycomb    poisson: cell properties + Poisson estimates along the
              density grid
 
 Every command reads one YAML scenario document (``--config``), validates it
-strictly (unknown keys are rejected), and writes deterministic CSV files
-plus a ``manifest.json`` echoing the configuration. ``_KEYS`` maps each
-config key to the library's name for its value; keys left out take the
-library's defaults, ``FORMLABS_CLEAR`` for the material and ``PlateSpec()``
-for the plate. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure. Verbosity comes from the ``CHIRALPLATE_LOG`` environment variable
+strictly (unknown keys, and sections the scenario never reads, are
+rejected), and writes deterministic CSV files plus a ``manifest.json``
+echoing the configuration. ``_KEYS`` maps each config key to the library's
+name for its value; keys left out take the library's defaults,
+``FORMLABS_CLEAR`` for the material and ``PlateSpec()`` for the plate.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Verbosity comes from the ``CHIRALPLATE_LOG`` environment variable
 (debug/info/warning).
 """
 
@@ -67,12 +68,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# Command -> the scenarios it runs.
+# Command -> the scenarios it runs -> the top-level keys besides "scenario"
+# that each reads; a config giving any other key is rejected.
+_PLATE_CASE = ("bc", "algorithm", "material", "plate", "load")
 SCENARIOS = {
-    "solve": ("solid", "setup1", "setup2"),
-    "sweep": ("setup1", "setup2"),
-    "convergence": ("convergence",),
-    "honeycomb": ("poisson",),
+    "solve": {
+        "solid": (*_PLATE_CASE, "solid"),
+        "setup1": (*_PLATE_CASE, "honeycomb"),
+        "setup2": (*_PLATE_CASE, "honeycomb"),
+    },
+    "sweep": {"setup1": _PLATE_CASE, "setup2": _PLATE_CASE},
+    "convergence": {"convergence": ("material", "plate", "load", "convergence")},
+    "honeycomb": {"poisson": ("material",)},
 }
 
 # Config section -> key -> the library's name for its value. Every value is
@@ -153,6 +160,12 @@ def load_config(path: Path, command: str) -> dict:
         raise ConfigError(
             f"{command!r} handles {'/'.join(SCENARIOS[command])}, "
             f"got {raw['scenario']!r}"
+        )
+    unread = set(raw) - {"scenario", *SCENARIOS[command][raw["scenario"]]}
+    if unread:
+        raise ConfigError(
+            f"{command!r} on {raw['scenario']!r} never reads "
+            f"{', '.join(sorted(unread))}"
         )
     return raw
 

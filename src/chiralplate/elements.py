@@ -54,6 +54,12 @@ __all__ = [
 XI_CORNERS = (-1.0, 1.0, 1.0, -1.0)
 ETA_CORNERS = (-1.0, -1.0, 1.0, 1.0)
 
+# Corner signs as arrays: _XR, _ER (shape (4, 1)) run down the block rows r
+# of an 8x8 matrix, _XS, _ES (shape (4,)) across its block columns s, so one
+# formula in them gives all 16 2x2 blocks at once.
+_XS, _ES = np.array(XI_CORNERS), np.array(ETA_CORNERS)
+_XR, _ER = _XS[:, None], _ES[:, None]
+
 
 @dataclass(frozen=True)
 class ElementGeometry:
@@ -76,12 +82,9 @@ class ElementGeometry:
         return self.b_fe / self.a_fe
 
 
-def _blocks_to_matrix(block) -> np.ndarray:
-    k = np.empty((8, 8))
-    for r in range(4):
-        for s in range(4):
-            k[2 * r : 2 * r + 2, 2 * s : 2 * s + 2] = block(r, s)
-    return k
+def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
+    """8x8 matrix from ``blocks[a, b, r, s]``, entry (a, b) of 2x2 block (r, s)."""
+    return blocks.transpose(2, 0, 3, 1).reshape(8, 8)
 
 
 def conforming_stiffness_iso(
@@ -115,25 +118,20 @@ def conforming_stiffness_ti(
     a11 = n1 - n1**2 * mu2**2
     a12 = n1 * mu2 * (1.0 + mu1)
     a22 = 1.0 - mu1**2
-
-    def block(r, s):
-        xr, xs = XI_CORNERS[r], XI_CORNERS[s]
-        er, es = ETA_CORNERS[r], ETA_CORNERS[s]
-        kE = cE * np.array(
-            [
-                [a11 * gam * xr * xs * (1.0 + er * es / 3.0), a12 * xr * es],
-                [a12 * er * xs, a22 * (er * es / gam) * (1.0 + xr * xs / 3.0)],
-            ]
-        )
-        kG = cG * np.array(
-            [
-                [(er * es / gam) * (1.0 + xr * xs / 3.0), er * xs],
-                [xr * es, gam * xr * xs * (1.0 + er * es / 3.0)],
-            ]
-        )
-        return kE + kG
-
-    return _blocks_to_matrix(block)
+    xr, xs, er, es = _XR, _XS, _ER, _ES
+    kE = cE * np.array(
+        [
+            [a11 * gam * xr * xs * (1.0 + er * es / 3.0), a12 * xr * es],
+            [a12 * er * xs, a22 * (er * es / gam) * (1.0 + xr * xs / 3.0)],
+        ]
+    )
+    kG = cG * np.array(
+        [
+            [(er * es / gam) * (1.0 + xr * xs / 3.0), er * xs],
+            [xr * es, gam * xr * xs * (1.0 + er * es / 3.0)],
+        ]
+    )
+    return _blocks_to_matrix(kE + kG)
 
 
 def incompatible_stiffness_iso(
@@ -151,25 +149,20 @@ def incompatible_stiffness_iso(
     cE = E * h / (4.0 * (1.0 + mu) * (1.0 - 2.0 * mu))
     cG = G * h / 4.0
     br = (1.0 - mu - mu**2 - mu**3) / 3.0
-
-    def block(r, s):
-        xr, xs = XI_CORNERS[r], XI_CORNERS[s]
-        er, es = ETA_CORNERS[r], ETA_CORNERS[s]
-        kE = cE * np.array(
-            [
-                [gam * xr * xs * (1.0 - mu + br * er * es), mu * xr * es],
-                [mu * er * xs, (er * es / gam) * (1.0 - mu + br * xr * xs)],
-            ]
-        )
-        kG = cG * np.array(
-            [
-                [er * es / gam, er * xs],
-                [xr * es, gam * xr * xs],
-            ]
-        )
-        return kE + kG
-
-    return _blocks_to_matrix(block)
+    xr, xs, er, es = _XR, _XS, _ER, _ES
+    kE = cE * np.array(
+        [
+            [gam * xr * xs * (1.0 - mu + br * er * es), mu * xr * es],
+            [mu * er * xs, (er * es / gam) * (1.0 - mu + br * xr * xs)],
+        ]
+    )
+    kG = cG * np.array(
+        [
+            [er * es / gam, er * xs],
+            [xr * es, gam * xr * xs],
+        ]
+    )
+    return _blocks_to_matrix(kE + kG)
 
 
 # The layered formulas parameterize gamma, E and mu by the layer index but
@@ -189,21 +182,20 @@ def strain_displacement(
     """
     if not (-1.0 <= xi <= 1.0 and -1.0 <= eta <= 1.0):
         raise GeometryError(f"local point ({xi}, {eta}) outside [-1, 1]^2")
+    if kind not in ("conforming", "incompatible"):
+        raise MaterialError(f"unknown element kind {kind!r}")
     B = np.zeros((2, 8))
     a_fe, b_fe = g.a_fe, g.b_fe
-    for q in range(4):
-        xq, eq = XI_CORNERS[q], ETA_CORNERS[q]
-        b_a = xq * (1.0 + eq * eta) / a_fe
-        a_a = eq * (1.0 + xq * xi) / b_fe
-        B[0, 2 * q] = b_a / 2.0
-        B[1, 2 * q + 1] = a_a / 2.0
-        if kind == "incompatible":
-            c_a = -mu * xq * eq * xi / b_fe
-            e_a = -mu * xq * eq * eta / a_fe
-            B[0, 2 * q + 1] = c_a / 2.0
-            B[1, 2 * q] = e_a / 2.0
-        elif kind != "conforming":
-            raise MaterialError(f"unknown element kind {kind!r}")
+    xq, eq = _XS, _ES  # one entry per corner q
+    b_a = xq * (1.0 + eq * eta) / a_fe
+    a_a = eq * (1.0 + xq * xi) / b_fe
+    B[0, 0::2] = b_a / 2.0
+    B[1, 1::2] = a_a / 2.0
+    if kind == "incompatible":
+        c_a = -mu * xq * eq * xi / b_fe
+        e_a = -mu * xq * eq * eta / a_fe
+        B[0, 1::2] = c_a / 2.0
+        B[1, 0::2] = e_a / 2.0
     return B
 
 
@@ -219,14 +211,13 @@ def strain_displacement_full(
     B = np.zeros((3, 8))
     B[:2] = strain_displacement(kind, g, xi, eta, mu)
     a_fe, b_fe = g.a_fe, g.b_fe
-    for q in range(4):
-        xq, eq = XI_CORNERS[q], ETA_CORNERS[q]
-        if kind == "incompatible":
-            B[2, 2 * q] = eq / (2.0 * b_fe)
-            B[2, 2 * q + 1] = xq / (2.0 * a_fe)
-        else:
-            B[2, 2 * q] = eq * (1.0 + xq * xi) / (2.0 * b_fe)
-            B[2, 2 * q + 1] = xq * (1.0 + eq * eta) / (2.0 * a_fe)
+    xq, eq = _XS, _ES  # one entry per corner q
+    if kind == "incompatible":
+        B[2, 0::2] = eq / (2.0 * b_fe)
+        B[2, 1::2] = xq / (2.0 * a_fe)
+    else:
+        B[2, 0::2] = eq * (1.0 + xq * xi) / (2.0 * b_fe)
+        B[2, 1::2] = xq * (1.0 + eq * eta) / (2.0 * a_fe)
     return B
 
 

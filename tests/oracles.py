@@ -101,32 +101,15 @@ def assemble_dense(mesh: Mesh, layers) -> np.ndarray:
     return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
 
 
-def column_positions(mesh: Mesh) -> np.ndarray:
-    """Place of each DOF in column-major order, indexed by DOF number.
-
-    Node columns left to right, y fastest within a column, x before y at
-    each node: the order of the band that ``assemble`` returns.
-    """
-    pos = np.empty(mesh.n_dofs, dtype=int)
-    place = 0
-    for i in range(len(mesh.x)):
-        for j in range(len(mesh.y)):
-            m = mesh.node_id(i, j)
-            pos[2 * m], pos[2 * m + 1] = place, place + 1
-            place += 2
-    return pos
-
-
 def dense_from_band(mesh: Mesh, band: np.ndarray) -> np.ndarray:
     """Dense symmetric K (node-major DOFs) from the lower band of ``assemble``.
 
-    ``K[r, c] = band[|q_r - q_c|, min(q_r, q_c)]`` with ``q`` the
-    column-major places of :func:`column_positions`; entries farther apart
-    than the band are zero.
+    ``K[r, c] = band[|r - c|, min(r, c)]``; entries farther apart than the
+    band are zero.
     """
-    q = column_positions(mesh)
-    offset = np.abs(q[:, None] - q[None, :])
-    first = np.minimum(q[:, None], q[None, :])
+    dofs = np.arange(mesh.n_dofs)
+    offset = np.abs(dofs[:, None] - dofs[None, :])
+    first = np.minimum(dofs[:, None], dofs[None, :])
     inside = offset < len(band)
     K = np.zeros((mesh.n_dofs, mesh.n_dofs))
     K[inside] = band[offset[inside], first[inside]]

@@ -32,7 +32,7 @@ from chiralplate import (
     solve,
     stress_recovery_matrix_iso,
 )
-from chiralplate.elements import ElementGeometry
+from chiralplate.elements import ETA_CORNERS, XI_CORNERS, ElementGeometry
 from oracles import (
     assemble_dense,
     correspondence_matrix,
@@ -66,8 +66,30 @@ class TestMesh:
 
     def test_corner_order(self):
         mesh = grid_mesh(2, 1)
-        # element 1 spans x in [1, 2]: corners (-1,-1),(1,-1),(1,1),(-1,1)
-        assert mesh.element_nodes(1) == (1, 2, 5, 4)
+        # element 1 spans x in [1, 2]: corners (-1,-1),(1,-1),(1,1),(-1,1);
+        # nodes are numbered column by column, y fastest
+        assert mesh.element_nodes(1) == (2, 4, 5, 3)
+
+    def test_node_ids_match_coordinates(self):
+        mesh = Mesh([0.0, 1.5, 3.0, 4.5], [0.0, 0.5, 2.0], 1.0)
+        coords = mesh.node_coords()
+        for i, x in enumerate(mesh.x):
+            for j, y in enumerate(mesh.y):
+                assert tuple(coords[mesh.node_id(i, j)]) == (x, y)
+
+    def test_element_dofs_sit_at_corner_signs(self):
+        mesh = Mesh([0.0, 1.5, 3.0, 4.5], [0.0, 0.5, 2.0], 1.0)
+        coords = mesh.node_coords()
+        for e in range(mesh.n_elements):
+            i, j = e % mesh.nx, mesh.layer_of(e)
+            dofs = mesh.element_dofs[e]
+            assert list(dofs[1::2]) == list(dofs[0::2] + 1)
+            for q, m in enumerate(dofs[0::2] // 2):
+                # the corner at signs (xi, eta) is the grid node on the
+                # element's left/right (xi = -1/1) and bottom/top (eta) line
+                i_q = i + int(1 + XI_CORNERS[q]) // 2
+                j_q = j + int(1 + ETA_CORNERS[q]) // 2
+                assert tuple(coords[m]) == (mesh.x[i_q], mesh.y[j_q])
 
     def test_rejects_uneven_widths(self):
         with pytest.raises(MeshError):
@@ -177,7 +199,8 @@ class TestConstraintsAndSolve:
         K = dense_from_band(
             mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")])
         )
-        free = free_dofs(mesh, [0, 1])  # bottom edge: 4 DOFs > 3 rigid modes
+        # bottom edge: 4 DOFs > 3 rigid modes
+        free = free_dofs(mesh, [mesh.node_id(0, 0), mesh.node_id(1, 0)])
         eig = np.linalg.eigvalsh(K[np.ix_(free, free)])
         assert eig.min() > 0
 
@@ -186,7 +209,7 @@ class TestConstraintsAndSolve:
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
         free = free_dofs(mesh, [0])  # rotation about node 0 remains
         P = np.zeros(mesh.n_dofs)
-        P[2 * 2 + 1] = 1.0
+        P[2 * mesh.node_id(0, 1) + 1] = 1.0
         with pytest.raises(SolveError) as err:
             solve(mesh, K, free, P)
         assert err.value.rigid_modes >= 1
@@ -195,34 +218,37 @@ class TestConstraintsAndSolve:
         mesh = grid_mesh(3, 1)
         layers = [Layer(steelish, "conforming", "plate")]
         K = dense_from_band(mesh, assemble(mesh, layers))
+        left_edge = [mesh.node_id(0, 0), mesh.node_id(0, 1)]
         with pytest.raises(MeshError, match="band"):
-            solve(mesh, K, free_dofs(mesh, [0, 4]), np.ones(mesh.n_dofs))
+            solve(mesh, K, free_dofs(mesh, left_edge), np.ones(mesh.n_dofs))
 
     def test_zero_load_zero_displacement(self, steelish):
         mesh = grid_mesh(3, 1)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        u = solve(mesh, K, free_dofs(mesh, [0, 4]), np.zeros(mesh.n_dofs))
+        left_edge = [mesh.node_id(0, 0), mesh.node_id(0, 1)]
+        u = solve(mesh, K, free_dofs(mesh, left_edge), np.zeros(mesh.n_dofs))
         assert_allclose(u, 0.0, atol=0)
 
     def test_against_dense_oracle_and_linearity(self, steelish):
         mesh = single_element_mesh()
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        keep = free_dofs(mesh, [0, 1])
+        bottom = [mesh.node_id(0, 0), mesh.node_id(1, 0)]
+        keep = free_dofs(mesh, bottom)
         P = np.zeros(mesh.n_dofs)
-        P[2 * 3 + 1] = -1.0  # unit downward load at a top node
+        P[2 * mesh.node_id(1, 1) + 1] = -1.0  # unit downward load at a top node
         u = solve(mesh, K, keep, P)
         K_dense = dense_from_band(mesh, K)
         u_oracle = np.linalg.solve(K_dense[np.ix_(keep, keep)], P[keep])
         assert_allclose(u[keep], u_oracle, rtol=1e-12)
-        assert_allclose(u[[0, 1, 2, 3]], 0.0, atol=0)
+        assert_allclose(u[[2 * m + c for m in bottom for c in (0, 1)]], 0.0, atol=0)
         assert_allclose(solve(mesh, K, keep, 2 * P), 2 * u, rtol=1e-12)
 
     def test_residual_small(self, steelish):
         mesh = grid_mesh(6, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
         P = np.zeros(mesh.n_dofs)
-        P[2 * 17 + 1] = -5.0
-        result = analyze(mesh, layers, [0, 6], P)
+        P[2 * mesh.node_id(3, 2) + 1] = -5.0
+        result = analyze(mesh, layers, [mesh.node_id(0, 0), mesh.node_id(6, 0)], P)
         free = result.free_dofs
         K_a = dense_from_band(mesh, assemble(mesh, layers))[np.ix_(free, free)]
         res = K_a @ result.u[free] - P[free]
@@ -233,7 +259,8 @@ class TestRecovery:
     def test_zero_displacement_zero_stress(self, steelish):
         mesh = grid_mesh(2, 1)
         layers = [Layer(steelish, "conforming", "plate")]
-        field = analyze(mesh, layers, [0, 2], np.zeros(mesh.n_dofs)).field
+        bottom_corners = [mesh.node_id(0, 0), mesh.node_id(2, 0)]
+        field = analyze(mesh, layers, bottom_corners, np.zeros(mesh.n_dofs)).field
         assert_allclose(field.se, 0.0, atol=0)
 
     def test_uniform_stretch_patch(self, steelish):
@@ -261,14 +288,18 @@ class TestRecovery:
     def test_se_nonnegative_random_solve(self, steelish, rng):
         mesh = grid_mesh(5, 2)
         P = np.zeros(mesh.n_dofs)
-        P[rng.integers(12, mesh.n_dofs, 5)] = rng.normal(0, 3, 5)
+        above_bottom = [
+            2 * mesh.node_id(i, j) + c for i in range(6) for j in (1, 2) for c in (0, 1)
+        ]
+        P[rng.choice(above_bottom, 5)] = rng.normal(0, 3, 5)
         layers = [Layer(steelish, "conforming", "plate")] * 2
-        assert analyze(mesh, layers, [0, 5], P).field.se.min() >= 0.0
+        bottom_corners = [mesh.node_id(0, 0), mesh.node_id(5, 0)]
+        assert analyze(mesh, layers, bottom_corners, P).field.se.min() >= 0.0
 
     def test_superposition_componentwise(self, steelish):
         mesh = grid_mesh(4, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
-        fixed = [0, 4]
+        fixed = [mesh.node_id(0, 0), mesh.node_id(4, 0)]
 
         def run(*loads):
             P = np.zeros(mesh.n_dofs)
@@ -276,9 +307,10 @@ class TestRecovery:
                 P[load_dof] = value
             return analyze(mesh, layers, fixed, P).field
 
-        f1 = run((2 * 14 + 1, -2.0))
-        f2 = run((2 * 12 + 1, 1.5))
-        f12 = run((2 * 14 + 1, -2.0), (2 * 12 + 1, 1.5))
+        right, middle = 2 * mesh.node_id(4, 2) + 1, 2 * mesh.node_id(2, 2) + 1
+        f1 = run((right, -2.0))
+        f2 = run((middle, 1.5))
+        f12 = run((right, -2.0), (middle, 1.5))
         for name in ("exx", "eyy", "sxx", "syy"):
             a = getattr(f1, name) + getattr(f2, name)
             b = getattr(f12, name)
@@ -288,8 +320,8 @@ class TestRecovery:
         mesh = grid_mesh(3, 1)
         layers = [Layer(steelish, "conforming", "plate")]
         P = np.zeros(mesh.n_dofs)
-        P[2 * 6 + 1] = -1.0
-        result = analyze(mesh, layers, [0, 3], P)
+        P[2 * mesh.node_id(2, 1) + 1] = -1.0
+        result = analyze(mesh, layers, [mesh.node_id(0, 0), mesh.node_id(3, 0)], P)
         standard = result.field
         diag = recover(mesh, layers, result.u, mode="diagnostic")
         assert standard.sxy is None and standard.exy is None
@@ -305,8 +337,9 @@ class TestRecovery:
             Layer(soft, "conforming", "top"),
         ]
         P = np.zeros(mesh.n_dofs)
-        P[2 * 7 + 1] = -1.0
-        by_tag = analyze(mesh, layers, [0, 2], P).field.max_se_by_tag()
+        P[2 * mesh.node_id(1, 2) + 1] = -1.0
+        bottom_corners = [mesh.node_id(0, 0), mesh.node_id(2, 0)]
+        by_tag = analyze(mesh, layers, bottom_corners, P).field.max_se_by_tag()
         assert set(by_tag) == {"bottom", "top"}
         assert by_tag["bottom"] > 0 and by_tag["top"] > 0
 

@@ -167,8 +167,9 @@ class TestLibraryDefaults:
             spec = PlateSpec(h=11.0, t_p=2.4, t_fl=0.6, t_cl=1.2)
             monkeypatch.setattr(cli, "FORMLABS_CLEAR", material)
             monkeypatch.setattr(cli, "PlateSpec", lambda: spec)
-        base = {"scenario": scenario, "solid": {"layers": 3},
-                "honeycomb": {"d_a_mm": 1.0, "rho_rel": 0.353}}
+        section = {"solid": {"solid": {"layers": 3}},
+                   "setup1": {"honeycomb": {"d_a_mm": 1.0, "rho_rel": 0.353}}}
+        base = {"scenario": scenario, **section[scenario]}
         files = []
         for name, data in (("omitted", base),
                            ("spelled", dict(base, **self.spelled_out(material, spec)))):
@@ -343,6 +344,33 @@ class TestConfigValidation:
         assert run(
             ["solve", "--config", cfg, "--out", tmp_path / "o"]
         ) == EXIT_NUMERICAL
+
+    CELL = {"d_a_mm": 1.0, "rho_rel": 0.353}
+    NEVER_READ = [
+        ("honeycomb", {"scenario": "poisson"}, {"bc": "supported"}),
+        ("honeycomb", {"scenario": "poisson"}, {"algorithm": "incompatible"}),
+        ("honeycomb", {"scenario": "poisson"}, {"load": {"F_y_n": 10}}),
+        ("honeycomb", {"scenario": "poisson"}, {"solid": {"layers": 4}}),
+        ("honeycomb", {"scenario": "poisson"}, {"plate": {"h_mm": 9}}),
+        ("convergence", {"scenario": "convergence"}, {"bc": "supported"}),
+        ("convergence", {"scenario": "convergence"}, {"algorithm": "incompatible"}),
+        ("solve", {"scenario": "setup1", "honeycomb": CELL}, {"solid": {"layers": 4}}),
+        ("solve", {"scenario": "setup2", "honeycomb": CELL}, {"solid": {"layers": 4}}),
+        ("solve", {"scenario": "solid"}, {"honeycomb": CELL}),
+        ("sweep", {"scenario": "setup1"}, {"honeycomb": CELL}),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, base, unread", NEVER_READ,
+        ids=[f"{c}-{b['scenario']}-{next(iter(u))}" for c, b, u in NEVER_READ],
+    )
+    def test_section_never_read_rejected(self, tmp_path, capsys, command, base,
+                                         unread):
+        for data, code in ((base, EXIT_OK), (dict(base, **unread), EXIT_CONFIG)):
+            cfg = write_config(tmp_path, data)
+            assert run([command, "--config", cfg, "--dry-run"]) == code
+        (key,) = unread
+        assert f"never reads {key}" in capsys.readouterr().err
 
 
 class TestDryRunEverywhere:
