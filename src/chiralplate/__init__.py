@@ -44,7 +44,6 @@ from .elements import (
     conforming_stiffness_ti,
     incompatible_stiffness_iso,
     incompatible_stiffness_iso_layered,
-    strain_displacement,
     strain_displacement_full,
 )
 from .assembly import (

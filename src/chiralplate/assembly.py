@@ -47,8 +47,6 @@ from .elements import (
 from .materials import (
     IsotropicMaterial,
     TransverselyIsotropicMaterial,
-    stress_recovery_matrix_iso,
-    stress_recovery_matrix_ti,
     von_mises_plane,
 )
 
@@ -151,13 +149,6 @@ class Mesh:
     def layer_height(self, j: int) -> float:
         return float(self.y[j + 1] - self.y[j])
 
-    def layer_of(self, elem: int) -> int:
-        return elem // self.nx
-
-    def element_nodes(self, elem: int) -> tuple[int, int, int, int]:
-        """Global node ids of the element's corners in local order 1..4."""
-        return tuple(int(d) // 2 for d in self.element_dofs[elem, 0::2])
-
     def nodes_on_line_x(self, x0: float) -> np.ndarray:
         """Global ids of all nodes on the vertical line x = x0."""
         cols = np.where(np.abs(self.x - x0) <= 1e-9)[0]
@@ -211,14 +202,23 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
 
 
 def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
-    """Sorted DOFs left free once both DOFs of ``fixed_nodes`` are fixed."""
-    fixed_nodes = np.unique(np.asarray(fixed_nodes, dtype=int))
-    if len(fixed_nodes) == 0:
+    """Sorted DOFs left free once both DOFs of ``fixed_nodes`` are fixed.
+
+    A node id outside ``[0, n_nodes)`` raises :class:`ConstraintError`.
+    """
+    fixed_nodes = np.asarray(fixed_nodes, dtype=int)
+    if fixed_nodes.size == 0:
         raise ConstraintError("no nodes to fix; the system would be singular")
-    if len(fixed_nodes) >= mesh.n_nodes:
+    if fixed_nodes.min() < 0 or fixed_nodes.max() >= mesh.n_nodes:
+        raise ConstraintError(
+            f"fixed node ids must lie in [0, {mesh.n_nodes}), got "
+            f"{fixed_nodes.min()}..{fixed_nodes.max()}"
+        )
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    free[fixed_nodes] = False
+    if not free.any():
         raise ConstraintError("every node fixed; nothing left to solve")
-    fixed = np.concatenate([2 * fixed_nodes, 2 * fixed_nodes + 1])
-    return np.setdiff1d(np.arange(mesh.n_dofs), fixed)
+    return np.flatnonzero(np.repeat(free, 2))
 
 
 def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -276,13 +276,13 @@ def _rigid_mode_error(ab: np.ndarray) -> SolveError:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StressField:
     """Per-element, per-corner strains and stresses.
 
-    Arrays are shaped ``(n_elements, 4)`` in local corner order. ``layer``
-    holds the layer index of each element and ``tags`` the layer tag
-    strings. ``sxy``/``exy`` are populated in diagnostic mode only.
+    Arrays are shaped ``(n_elements, 4)`` in local corner order. ``tags``
+    holds the tag of each element layer; element ``e`` lies in layer
+    ``e // mesh.nx``. ``sxy``/``exy`` are populated in diagnostic mode only.
     """
 
     mesh: Mesh
@@ -291,7 +291,6 @@ class StressField:
     sxx: np.ndarray
     syy: np.ndarray
     se: np.ndarray
-    layer: np.ndarray
     tags: tuple[str, ...]
     exy: np.ndarray | None = None
     sxy: np.ndarray | None = None
@@ -312,14 +311,15 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
     """Recover nodal strains and stresses at the four element corners.
 
     ``u`` is the full displacement vector of the mesh under the layer cards
-    ``layers``. ``mode="standard"`` applies the 2-row strain matrix and the
-    2x2 recovery matrix (shear eliminated) and treats the recovered normal
+    ``layers``. ``mode="standard"`` applies rows 0-1 of the strain matrix and
+    the 2x2 recovery matrix (shear eliminated) and treats the recovered normal
     stresses as the principal pair for the equivalent stress.
     ``mode="diagnostic"`` additionally evaluates the shear strain/stress
     from the full 3-row matrix and rotates to principal stresses before the
     equivalent stress; it sits outside the normative pipeline and exists
     for inspection. The elements of a layer share their strain matrices, so
-    each layer is one gather of element DOFs and one ``einsum``.
+    each layer is one :func:`strain_displacement_full` call over the four
+    corners, one gather of element DOFs and one ``einsum``.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_dofs,):
@@ -335,28 +335,20 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
 
     for j, layer in enumerate(layers):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
-        mat = layer.material
-        if isinstance(mat, TransverselyIsotropicMaterial):
-            chi2 = stress_recovery_matrix_ti(mat)
-            mu = mat.mu1
-        else:
-            chi2 = stress_recovery_matrix_iso(mat)
-            mu = mat.mu
-        # rows 0-1 of the 3-row matrix are the 2-row normal-strain matrix
-        B3 = np.array([
-            strain_displacement_full(layer.kind, g, XI_CORNERS[q], ETA_CORNERS[q], mu)
-            for q in range(4)
-        ])
+        chi = full_elasticity_matrix(layer.material)
+        # Layer admits incompatible elements on isotropic cards only
+        mu = layer.material.mu if layer.kind == "incompatible" else 0.0
+        B3 = strain_displacement_full(layer.kind, g, XI_CORNERS, ETA_CORNERS, mu)
         rows = slice(j * mesh.nx, (j + 1) * mesh.nx)
         eps3 = np.einsum("qkd,ed->eqk", B3, U[rows])  # (nx, 4 corners, 3)
-        sig = eps3[..., :2] @ chi2.T
+        sig = eps3[..., :2] @ chi[:2, :2].T
         exx[rows], eyy[rows] = eps3[..., 0], eps3[..., 1]
         sxx[rows], syy[rows] = sig[..., 0], sig[..., 1]
         if mode == "standard":
             se[rows] = von_mises_plane(sig[..., 0], sig[..., 1])
         else:
             exy[rows] = eps3[..., 2]
-            sxy[rows] = eps3 @ full_elasticity_matrix(mat)[2]
+            sxy[rows] = eps3 @ chi[2]
             mid = 0.5 * (sig[..., 0] + sig[..., 1])
             rad = np.hypot(0.5 * (sig[..., 0] - sig[..., 1]), sxy[rows])
             se[rows] = von_mises_plane(mid + rad, mid - rad)
@@ -368,7 +360,6 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
         sxx=sxx,
         syy=syy,
         se=se,
-        layer=np.repeat(np.arange(mesh.n_layers), mesh.nx),
         tags=tuple(layer.tag for layer in layers),
         exy=exy,
         sxy=sxy,

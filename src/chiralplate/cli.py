@@ -35,7 +35,7 @@ import yaml
 
 from . import __version__
 from .assembly import Layer, analyze
-from .errors import ChiralplateError, ConfigError, GeometryError
+from .errors import ChiralplateError, ConfigError, GeometryError, MeshError
 from .experiments import (
     DA_GRID,
     FORMLABS_CLEAR,
@@ -220,7 +220,10 @@ def cmd_solve(args) -> int:
 
     if cfg["scenario"] == "solid":
         spec = _plate(cfg, solid=True)
-        mesh, tags = build_solid_mesh(spec, _given(cfg, "solid").get("layers", 2))
+        try:
+            mesh, tags = build_solid_mesh(spec, _given(cfg, "solid").get("layers", 2))
+        except MeshError as exc:
+            raise ConfigError(f"bad plate spec: {exc}")
         layer_cards = [Layer(material, kind, t) for t in tags]
     else:
         spec = _plate(cfg, solid=False)
@@ -237,6 +240,8 @@ def cmd_solve(args) -> int:
             )
         except GeometryError as exc:  # only a bad d_a or rho_rel raises it
             raise ConfigError(f"bad honeycomb cell: {exc}")
+        except MeshError as exc:
+            raise ConfigError(f"bad plate spec: {exc}")
 
     if args.dry_run:
         print(
@@ -279,10 +284,13 @@ def cmd_sweep(args) -> int:
         )
         return EXIT_OK
     out = _prepare_out(args, ["sweep.csv", "manifest.json"])
-    rows = run_sweep(
-        setup, BoundaryCondition(bc), _ALGORITHMS[algorithm], material=material,
-        spec=spec, **_given(cfg, "load"),
-    )
+    try:
+        rows = run_sweep(
+            setup, BoundaryCondition(bc), _ALGORITHMS[algorithm], material=material,
+            spec=spec, **_given(cfg, "load"),
+        )
+    except MeshError as exc:
+        raise ConfigError(f"bad plate spec: {exc}")
     write_sweep_csv(rows, out / "sweep.csv")
     write_manifest(out / "manifest.json", cfg, ["sweep.csv"])
     print(f"wrote {len(rows)} cases to {out / 'sweep.csv'}")
@@ -302,7 +310,10 @@ def cmd_convergence(args) -> int:
         )
         return EXIT_OK
     out = _prepare_out(args, ["convergence.csv", "manifest.json"])
-    rows = mesh_convergence_study(max_layers, load_n, material, spec)
+    try:
+        rows = mesh_convergence_study(max_layers, load_n, material, spec)
+    except MeshError as exc:
+        raise ConfigError(f"bad plate spec: {exc}")
     write_convergence_csv(rows, out / "convergence.csv")
     write_manifest(out / "manifest.json", cfg, ["convergence.csv"])
     print(f"wrote {len(rows)} rows to {out / 'convergence.csv'}")

@@ -19,8 +19,10 @@ assembled from 2x2 blocks indexed by the corner signs:
   varying part of the shear strain, which is what softens the element in
   bending. Only the isotropic form exists.
 
-The test suite integrates ``beta^T chi beta`` by Gauss-Legendre quadrature
-from :func:`strain_displacement_full` as the independent check on every
+:func:`strain_displacement_full` is the one strain/displacement matrix of
+both families. The corner stress recovery evaluates it at the four corners
+in one call per layer, and the test suite integrates ``beta^T chi beta``
+from it by Gauss-Legendre quadrature as the independent check on every
 closed form (the integrands are quadratic per direction, so order 2 is
 already exact; higher orders must agree identically).
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import GeometryError, MaterialError
 from .materials import (
@@ -47,7 +50,6 @@ __all__ = [
     "conforming_stiffness_ti",
     "incompatible_stiffness_iso",
     "incompatible_stiffness_iso_layered",
-    "strain_displacement",
     "strain_displacement_full",
 ]
 
@@ -170,54 +172,40 @@ def incompatible_stiffness_iso(
 incompatible_stiffness_iso_layered = incompatible_stiffness_iso
 
 
-def strain_displacement(
-    kind: str, g: ElementGeometry, xi: float, eta: float, mu: float = 0.0
+def strain_displacement_full(
+    kind: str, g: ElementGeometry, xi: ArrayLike, eta: ArrayLike, mu: float = 0.0
 ) -> np.ndarray:
-    """2x8 normal-strain/displacement matrix at a local point.
+    """Strain/displacement matrix at local points, shape ``(..., 3, 8)``.
 
-    Rows give ``(eps_xx, eps_yy)``; this is the matrix the nodal stress
-    recovery applies together with the 2x2 recovery matrix. ``kind`` is
-    ``"conforming"`` or ``"incompatible"``; the incompatible rows add the
-    coupling terms, which carry a factor ``mu`` and vanish for ``mu = 0``.
+    Rows give ``(eps_xx, eps_yy, eps_xy)``. ``xi`` and ``eta`` broadcast
+    against each other: scalars give one ``(3, 8)`` matrix, the four corner
+    coordinates a ``(4, 3, 8)`` stack. The corner stress recovery applies
+    rows 0-1 with the 2x2 recovery matrix and the shear row in its
+    diagnostic mode; the quadrature oracle integrates all three rows.
+    ``kind`` is ``"conforming"`` or ``"incompatible"``. The incompatible
+    normal rows add coupling terms, which carry a factor ``mu`` and vanish
+    for ``mu = 0``, and its added modes cancel the bilinear variation of the
+    shear strain, leaving a constant shear row.
     """
-    if not (-1.0 <= xi <= 1.0 and -1.0 <= eta <= 1.0):
+    xi, eta = np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
+    if not np.all((-1.0 <= xi) & (xi <= 1.0) & (-1.0 <= eta) & (eta <= 1.0)):
         raise GeometryError(f"local point ({xi}, {eta}) outside [-1, 1]^2")
     if kind not in ("conforming", "incompatible"):
         raise MaterialError(f"unknown element kind {kind!r}")
-    B = np.zeros((2, 8))
+    B = np.zeros(np.broadcast_shapes(xi.shape, eta.shape) + (3, 8))
     a_fe, b_fe = g.a_fe, g.b_fe
-    xq, eq = _XS, _ES  # one entry per corner q
-    b_a = xq * (1.0 + eq * eta) / a_fe
-    a_a = eq * (1.0 + xq * xi) / b_fe
-    B[0, 0::2] = b_a / 2.0
-    B[1, 1::2] = a_a / 2.0
+    xq, eq = _XS, _ES  # one entry per corner q, along the last axis
+    xi, eta = xi[..., None], eta[..., None]
+    B[..., 0, 0::2] = xq * (1.0 + eq * eta) / a_fe / 2.0
+    B[..., 1, 1::2] = eq * (1.0 + xq * xi) / b_fe / 2.0
     if kind == "incompatible":
-        c_a = -mu * xq * eq * xi / b_fe
-        e_a = -mu * xq * eq * eta / a_fe
-        B[0, 1::2] = c_a / 2.0
-        B[1, 0::2] = e_a / 2.0
-    return B
-
-
-def strain_displacement_full(
-    kind: str, g: ElementGeometry, xi: float, eta: float, mu: float = 0.0
-) -> np.ndarray:
-    """3x8 strain/displacement matrix including the shear row.
-
-    Used by the quadrature oracle and the diagnostic recovery. For the
-    incompatible element the added modes cancel the bilinear variation of
-    the shear strain, leaving a constant shear row.
-    """
-    B = np.zeros((3, 8))
-    B[:2] = strain_displacement(kind, g, xi, eta, mu)
-    a_fe, b_fe = g.a_fe, g.b_fe
-    xq, eq = _XS, _ES  # one entry per corner q
-    if kind == "incompatible":
-        B[2, 0::2] = eq / (2.0 * b_fe)
-        B[2, 1::2] = xq / (2.0 * a_fe)
+        B[..., 0, 1::2] = -mu * xq * eq * xi / b_fe / 2.0
+        B[..., 1, 0::2] = -mu * xq * eq * eta / a_fe / 2.0
+        B[..., 2, 0::2] = eq / (2.0 * b_fe)
+        B[..., 2, 1::2] = xq / (2.0 * a_fe)
     else:
-        B[2, 0::2] = eq * (1.0 + xq * xi) / (2.0 * b_fe)
-        B[2, 1::2] = xq * (1.0 + eq * eta) / (2.0 * a_fe)
+        B[..., 2, 0::2] = eq * (1.0 + xq * xi) / (2.0 * b_fe)
+        B[..., 2, 1::2] = xq * (1.0 + eq * eta) / (2.0 * a_fe)
     return B
 
 

@@ -94,13 +94,13 @@ def write_field_csv(
     """Per-corner field dump; returns the number of rows written."""
     mesh = field.mesh
     coords = mesh.node_coords()
+    corners = mesh.element_dofs[:, 0::2] // 2  # node ids in local corner order
     handle, writer = _open_writer(path)
     written = 0
     with handle:
         writer.writerow(FIELD_HEADER)
-        for e in range(mesh.n_elements):
-            nodes = mesh.element_nodes(e)
-            tag = field.tags[field.layer[e]]
+        for e, nodes in enumerate(corners):
+            tag = field.tags[e // mesh.nx]
             for q in range(4):
                 if max_rows is not None and written >= max_rows:
                     return written

@@ -3,6 +3,8 @@
 Each oracle follows the textbook rule one element, node or corner at a time
 and trades speed for obviousness:
 
+* :func:`element_nodes` reads an element's corner nodes off the grid
+  indices and the corner signs, independently of ``Mesh.element_dofs``;
 * :func:`correspondence_matrix` and :func:`expanded_stiffness` place an
   element matrix at global size through the node-correspondence matrix A;
 * :func:`assemble_dense` sums every element block into a dense ``n x n``
@@ -42,9 +44,22 @@ from chiralplate.elements import (
     ElementGeometry,
     element_stiffness,
     full_elasticity_matrix,
-    strain_displacement,
     strain_displacement_full,
 )
+
+
+def element_nodes(mesh: Mesh, elem: int) -> tuple[int, ...]:
+    """Global node ids of the element's corners in local order 1..4.
+
+    Elements are numbered row-major, x fastest within a layer; the corner at
+    signs ``(xi, eta)`` sits on the element's right (xi = 1) or left grid
+    line and on its top (eta = 1) or bottom grid line.
+    """
+    i, j = elem % mesh.nx, elem // mesh.nx
+    return tuple(
+        mesh.node_id(i + (xi > 0), j + (eta > 0))
+        for xi, eta in zip(XI_CORNERS, ETA_CORNERS)
+    )
 
 
 def correspondence_matrix(mesh: Mesh) -> np.ndarray:
@@ -56,7 +71,7 @@ def correspondence_matrix(mesh: Mesh) -> np.ndarray:
     """
     A = np.zeros((mesh.n_nodes, mesh.n_elements), dtype=int)
     for e in range(mesh.n_elements):
-        for q, m in enumerate(mesh.element_nodes(e), start=1):
+        for q, m in enumerate(element_nodes(mesh, e), start=1):
             A[m, e] = q
     return A
 
@@ -140,20 +155,21 @@ def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
         chi3 = full_elasticity_matrix(mat)
         for i in range(mesh.nx):
             e = j * mesh.nx + i
-            nodes = mesh.element_nodes(e)
+            nodes = element_nodes(mesh, e)
             v = np.empty(8)
             v[0::2] = u[[2 * m for m in nodes]]
             v[1::2] = u[[2 * m + 1 for m in nodes]]
             for q in range(4):
                 xi, eta = XI_CORNERS[q], ETA_CORNERS[q]
-                eps = strain_displacement(layer.kind, g, xi, eta, mu) @ v
+                B = strain_displacement_full(layer.kind, g, xi, eta, mu)
+                eps = B[:2] @ v
                 sig = chi2 @ eps
                 exx[e, q], eyy[e, q] = eps
                 sxx[e, q], syy[e, q] = sig
                 if mode == "standard":
                     se[e, q] = von_mises_plane(sig[0], sig[1])
                 else:
-                    eps3 = strain_displacement_full(layer.kind, g, xi, eta, mu) @ v
+                    eps3 = B @ v
                     sig3 = chi3 @ eps3
                     exy[e, q], sxy[e, q] = eps3[2], sig3[2]
                     mid = 0.5 * (sig[0] + sig[1])
@@ -161,7 +177,6 @@ def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
                     se[e, q] = von_mises_plane(mid + rad, mid - rad)
     return StressField(
         mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
-        layer=np.array([mesh.layer_of(e) for e in range(n_el)], dtype=int),
         tags=tuple(layer.tag for layer in layers), exy=exy, sxy=sxy,
     )
 

@@ -37,6 +37,7 @@ from oracles import (
     assemble_dense,
     correspondence_matrix,
     dense_from_band,
+    element_nodes,
     expanded_stiffness,
 )
 
@@ -62,13 +63,13 @@ class TestMesh:
         assert mesh.n_nodes == 12
         assert mesh.n_elements == 6
         assert mesh.n_dofs == 24
-        assert mesh.layer_of(0) == 0 and mesh.layer_of(5) == 1
+        assert mesh.element_dofs.shape == (6, 8)
 
     def test_corner_order(self):
         mesh = grid_mesh(2, 1)
         # element 1 spans x in [1, 2]: corners (-1,-1),(1,-1),(1,1),(-1,1);
         # nodes are numbered column by column, y fastest
-        assert mesh.element_nodes(1) == (2, 4, 5, 3)
+        assert tuple(mesh.element_dofs[1, 0::2] // 2) == (2, 4, 5, 3)
 
     def test_node_ids_match_coordinates(self):
         mesh = Mesh([0.0, 1.5, 3.0, 4.5], [0.0, 0.5, 2.0], 1.0)
@@ -81,7 +82,7 @@ class TestMesh:
         mesh = Mesh([0.0, 1.5, 3.0, 4.5], [0.0, 0.5, 2.0], 1.0)
         coords = mesh.node_coords()
         for e in range(mesh.n_elements):
-            i, j = e % mesh.nx, mesh.layer_of(e)
+            i, j = e % mesh.nx, e // mesh.nx
             dofs = mesh.element_dofs[e]
             assert list(dofs[1::2]) == list(dofs[0::2] + 1)
             for q, m in enumerate(dofs[0::2] // 2):
@@ -118,7 +119,7 @@ class TestAssemble:
         )
         k_e = conforming_stiffness_iso(ElementGeometry(1, 1, 1), steelish)
         assert_allclose(K, expanded_stiffness(mesh, 0, k_e), rtol=0, atol=0)
-        nodes = mesh.element_nodes(0)
+        nodes = element_nodes(mesh, 0)
         for q_r, m in enumerate(nodes):
             for q_s, n in enumerate(nodes):
                 assert_allclose(
@@ -193,6 +194,12 @@ class TestConstraintsAndSolve:
             free_dofs(mesh, [0, 1, 2, 3])
         with pytest.raises(ConstraintError):
             free_dofs(mesh, [])
+
+    @pytest.mark.parametrize("fixed", [[0, 999], [-1]], ids=["past-end", "negative"])
+    def test_node_outside_mesh_rejected(self, fixed):
+        # neither may be dropped or wrapped round to a real node
+        with pytest.raises(ConstraintError, match="must lie in"):
+            free_dofs(single_element_mesh(), fixed)
 
     def test_reduced_matrix_positive_definite(self, steelish):
         mesh = single_element_mesh()

@@ -1,15 +1,18 @@
 """Command-line interface: config validation, outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 import yaml
 
 import chiralplate.cli as cli
 from chiralplate.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from chiralplate.errors import SolveError
 from chiralplate.experiments import FORMLABS_CLEAR
 from chiralplate.materials import IsotropicMaterial
 from chiralplate.plates import PlateSpec
@@ -32,6 +35,10 @@ def write_config(tmp_path, data, name="scenario.yaml"):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _singular_solve(*args, **kwargs):
+    raise SolveError("reduced stiffness not positive definite", rigid_modes=1)
 
 
 class TestSolve:
@@ -319,33 +326,51 @@ class TestConfigValidation:
             run([command, "--config", cfg, "--out", tmp_path / "o", *flag])
         assert exc.value.code == EXIT_CONFIG
 
+    CELL = {"d_a_mm": 1.0, "rho_rel": 0.353}
+
     @pytest.mark.parametrize(
         "data, message",
         [({"scenario": "warp-drive"}, "configuration error"),
-         ({"scenario": "setup1", "honeycomb": {"d_a_mm": 1.0, "rho_rel": 0.353},
-           "plate": {"x1_mm": 12.1}}, "numerical failure")],
+         ({"scenario": "setup1", "honeycomb": CELL}, "numerical failure")],
         ids=["config", "numerical"],
     )
-    def test_error_printed_once(self, tmp_path, capsys, data, message):
+    def test_error_printed_once(self, tmp_path, capsys, monkeypatch, data, message):
+        monkeypatch.setattr(cli, "analyze", _singular_solve)
         cfg = write_config(tmp_path, data)
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) != EXIT_OK
         captured = capsys.readouterr()
         assert captured.err.count(message) == 1
         assert captured.out == ""
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # support abscissa off the composite node grid -> mesh error
-        data = {
-            "scenario": "setup1",
-            "honeycomb": {"d_a_mm": 1.0, "rho_rel": 0.353},
-            "plate": {"x1_mm": 12.1},
-        }
-        cfg = write_config(tmp_path, data)
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "analyze", _singular_solve)
+        cfg = write_config(tmp_path, {"scenario": "setup1", "honeycomb": self.CELL})
         assert run(
             ["solve", "--config", cfg, "--out", tmp_path / "o"]
         ) == EXIT_NUMERICAL
 
-    CELL = {"d_a_mm": 1.0, "rho_rel": 0.353}
+    # x1 = 12.1 mm falls on no node line of the composite or the
+    # equal-aspect solid mesh; no element count up to 1e5 puts a node of
+    # the snapped solid mesh at x1 = 12.3456789 mm
+    @pytest.mark.parametrize(
+        "command, scenario, x1, dry_run",
+        [("solve", "setup1", 12.1, []), ("solve", "setup1", 12.1, ["--dry-run"]),
+         ("solve", "setup2", 12.1, []), ("solve", "solid", 12.3456789, []),
+         ("sweep", "setup1", 12.1, []), ("convergence", "convergence", 12.1, [])],
+        ids=["solve-setup1", "solve-setup1-dry-run", "solve-setup2", "solve-solid",
+             "sweep", "convergence"],
+    )
+    def test_off_grid_support_is_a_config_error(
+        self, tmp_path, capsys, command, scenario, x1, dry_run
+    ):
+        data = {"scenario": scenario, "plate": {"x1_mm": x1}}
+        if scenario in ("setup1", "setup2") and command == "solve":
+            data["honeycomb"] = self.CELL
+        cfg = write_config(tmp_path, data)
+        args = [command, "--config", cfg, "--out", tmp_path / "o", *dry_run]
+        assert run(args) == EXIT_CONFIG
+        assert "bad plate spec: " in capsys.readouterr().err
+
     NEVER_READ = [
         ("honeycomb", {"scenario": "poisson"}, {"bc": "supported"}),
         ("honeycomb", {"scenario": "poisson"}, {"algorithm": "incompatible"}),
@@ -413,8 +438,14 @@ class TestImport:
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         # only the solver needs scipy.linalg; honeycomb and --dry-run never solve
         code = "import sys, chiralplate.cli; print('scipy.linalg' in sys.modules)"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
         )
         assert proc.stdout.strip() == "False"
 

@@ -20,7 +20,6 @@ from chiralplate import (
     incompatible_stiffness_iso,
     incompatible_stiffness_iso_layered,
     plane_strain_matrix,
-    strain_displacement,
     strain_displacement_full,
     ti_plane_strain_matrix,
     TransverselyIsotropicMaterial,
@@ -211,7 +210,7 @@ class TestStrainDisplacement:
             v[2 * q] = 0.01 * (XI_CORNERS[q] * g.a_fe / 2)
         for _ in range(10):
             xi, eta = rng.uniform(-1, 1, 2)
-            eps = strain_displacement("conforming", g, xi, eta) @ v
+            eps = strain_displacement_full("conforming", g, xi, eta)[:2] @ v
             assert eps[0] == pytest.approx(0.01, rel=1e-12)
             assert eps[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -231,7 +230,7 @@ class TestStrainDisplacement:
         v = rng.uniform(-1, 1, 8)
         for q in range(4):
             xi, eta = XI_CORNERS[q] * (1 - step), ETA_CORNERS[q] * (1 - step)
-            eps = strain_displacement("conforming", g, xi, eta) @ v
+            eps = strain_displacement_full("conforming", g, xi, eta)[:2] @ v
             dx = step * g.a_fe / 2
             dy = step * g.b_fe / 2
             ux_p, _ = disp(xi + step, eta, v)
@@ -243,8 +242,8 @@ class TestStrainDisplacement:
 
     def test_incompatible_coupling_vanishes_at_mu_zero(self):
         g = ElementGeometry(1.0, 2.0, 1.0)
-        B = strain_displacement("incompatible", g, 0.3, -0.4, mu=0.0)
-        B_conf = strain_displacement("conforming", g, 0.3, -0.4)
+        B = strain_displacement_full("incompatible", g, 0.3, -0.4, mu=0.0)[:2]
+        B_conf = strain_displacement_full("conforming", g, 0.3, -0.4)[:2]
         assert_allclose(B, B_conf, rtol=0, atol=0)
 
     def test_incompatible_shear_row_constant(self, rng):
@@ -258,7 +257,31 @@ class TestStrainDisplacement:
 
     def test_rejects_points_outside(self):
         with pytest.raises(GeometryError):
-            strain_displacement("conforming", UNIT_SQUARE, 1.2, 0.0)
+            strain_displacement_full("conforming", UNIT_SQUARE, 1.2, 0.0)
+
+    def test_rejects_array_with_a_point_outside(self):
+        # one bad entry among good ones, in either coordinate, NaN included
+        for bad in (1.0 + 1e-12, -1.5, np.nan):
+            points = np.array([-1.0, -0.2, bad, 1.0])
+            for kind in ("conforming", "incompatible"):
+                with pytest.raises(GeometryError):
+                    strain_displacement_full(kind, UNIT_SQUARE, points, 0.0)
+                with pytest.raises(GeometryError):
+                    strain_displacement_full(kind, UNIT_SQUARE, 0.0, points)
+
+    @pytest.mark.parametrize("kind", ["conforming", "incompatible"])
+    def test_broadcast_equals_stacked_scalar_calls(self, rng, kind):
+        g = ElementGeometry(1.3, 0.4, 2.0)
+        assert strain_displacement_full(kind, g, 0.1, -0.7, mu=0.3).shape == (3, 8)
+        random_points = tuple(rng.uniform(-1, 1, (2, 3, 5)))
+        for xi, eta in ((XI_CORNERS, ETA_CORNERS), random_points):
+            xi, eta = np.asarray(xi), np.asarray(eta)
+            stacked = np.array([
+                strain_displacement_full(kind, g, float(x), float(e), mu=0.3)
+                for x, e in zip(xi.ravel(), eta.ravel())
+            ]).reshape(xi.shape + (3, 8))
+            got = strain_displacement_full(kind, g, xi, eta, mu=0.3)
+            assert np.array_equal(got, stacked)
 
 
 class TestQuadratureOracle:
