@@ -26,11 +26,21 @@ Constraints are handled by physical row/column elimination over the free
 DOFs, so the reduced matrix stays symmetric positive definite once enough
 DOFs are fixed; the full displacement vector is reconstructed with zeros at
 the fixed slots. :func:`solve` gathers the reduced band from ``K`` over the
-free DOFs in ascending order and factors it by banded Cholesky.
+free DOFs in ascending order and factors it by banded Cholesky, LAPACK's
+``dpbtrf``/``dpbtrs``. Those come from the ILP64 OpenBLAS that numpy's
+wheels bundle (``scipy-openblas``), called through ctypes and found on the
+first solve, so solving imports no scipy. Where numpy has no such library
+(conda/MKL or system-BLAS builds, older wheels) the same two routines come
+from ``scipy.linalg.lapack``. A failed factorization imports
+``scipy.linalg`` either way, to count the rigid modes.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,8 +243,6 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
     raises :class:`SolveError` naming the number of near-zero or negative
     eigenvalues. Fixed DOFs get zero displacement.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
     bw_K = 2 * len(mesh.y) + 3
     if np.shape(K) != (bw_K + 1, mesh.n_dofs):
         raise MeshError(
@@ -242,25 +250,128 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
             f"for this mesh, got shape {np.shape(K)}"
         )
     p = np.sort(free)
-    m = len(p)
-    bw = min(bw_K, m - 1)
-    # Lower band storage, ab[d, i] = K_a[i + d, i]: the entry at offset
-    # p[i + d] - p[i] of K's band, zero past K's bandwidth. The upper
-    # form factored ~5x slower on a 2-CPU host, with stalls of up to 1 s,
-    # unless OpenBLAS ran single-threaded.
-    j = np.arange(m) + np.arange(bw + 1)[:, None]
-    offset = p[np.minimum(j, m - 1)] - p
-    inside = (j < m) & (offset <= bw_K)
-    ab = np.where(inside, K[np.minimum(offset, bw_K), p], 0.0)
-    try:
-        cb = cholesky_banded(ab, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise _rigid_mode_error(ab) from exc
-    if np.min(cb[0] ** 2) <= 1e-10 * max(ab[0].max(), 1.0):
-        raise _rigid_mode_error(ab)
+    ab = _reduced_band(K, p, bw_K)
+    scale = max(ab[0].max(), 1.0)
+    pbtrf, pbtrs = _banded_cholesky()
+    cb, info = pbtrf(ab)
+    _check_arguments("dpbtrf", info)
+    if info > 0 or np.min(cb[0] ** 2) <= 1e-10 * scale:
+        raise _rigid_mode_error(_reduced_band(K, p, bw_K))
+    x, info = pbtrs(cb, np.asarray(P, dtype=float)[p])
+    _check_arguments("dpbtrs", info)
     u = np.zeros(mesh.n_dofs)
-    u[p] = cho_solve_banded((cb, True), P[p], check_finite=False)
+    u[p] = x
     return u
+
+
+def _reduced_band(K: np.ndarray, p: np.ndarray, bw_K: int) -> np.ndarray:
+    """Lower band of ``K`` over the sorted free DOFs ``p``, Fortran-ordered.
+
+    ``ab[d, i] = K_a[i + d, i]``: the entry at offset ``p[i + d] - p[i]``
+    of K's band, zero past K's bandwidth or past the last row. Where the
+    ``bw_K`` DOFs after ``p[i]`` are all free, that is column ``p[i]`` of
+    ``K`` as it stands; only the other columns, near a fixed DOF or the
+    end, are gathered entry by entry. ``ab`` is built as its C-ordered
+    transpose, so it is LAPACK's column-major band without a copy. The
+    upper form factored ~5x slower on a 2-CPU host, with stalls of up to
+    1 s, unless OpenBLAS ran single-threaded.
+    """
+    m = len(p)
+    abT = np.asarray(K, dtype=float).T[p, : min(bw_K, m - 1) + 1]
+    near = np.ones(m, dtype=bool)
+    near[: max(m - bw_K, 0)] = p[bw_K:] - p[: max(m - bw_K, 0)] != bw_K
+    i = np.flatnonzero(near)[:, None]
+    j = i + np.arange(abT.shape[1])
+    offset = p[np.minimum(j, m - 1)] - p[i]
+    inside = (j < m) & (offset <= bw_K)
+    abT[i[:, 0]] = np.where(inside, K[np.minimum(offset, bw_K), p[i]], 0.0)
+    return abT.T
+
+
+def _check_arguments(routine: str, info: int) -> None:
+    """Raise on a negative LAPACK ``info``: an illegal argument, not a
+    numerical failure."""
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+
+
+def _banded_cholesky():
+    """``(pbtrf, pbtrs)``: banded Cholesky factor and solve, lower form.
+
+    ``pbtrf(ab)`` factors the Fortran-ordered band ``ab`` and returns
+    ``(cb, info)``; ``pbtrs(cb, b)`` solves with that factor for one
+    right-hand side ``b`` and returns ``(x, info)``. Both may overwrite
+    their arguments. They run in numpy's own OpenBLAS when it has them,
+    else in scipy's.
+    """
+    routines = _numpy_openblas()
+    if routines is None:
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+        routines = (
+            lambda ab: dpbtrf(ab, lower=1, overwrite_ab=1),
+            lambda cb, b: dpbtrs(cb, b, lower=1, overwrite_b=1),
+        )
+    return routines
+
+
+@functools.cache
+def _numpy_openblas():
+    """:func:`_banded_cholesky`'s routines on numpy's bundled OpenBLAS.
+
+    numpy's wheels link ``scipy-openblas`` built with 64-bit integers and
+    ship it next to the package (``numpy.libs/``, or ``numpy/.dylibs/`` on
+    macOS), exporting LAPACK as ``scipy_<name>_64_``. The build config
+    names the library; its ``lib directory`` is the build machine's, so the
+    file is looked up next to numpy. Returns None where any of this is
+    missing.
+    """
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        return None
+    if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get(
+        "openblas configuration", ""
+    ):
+        return None
+    here = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(here + ".libs", "libscipy_openblas64_*"))
+    paths += glob.glob(os.path.join(here, ".dylibs", "libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(paths[0])
+        dpbtrf, dpbtrs = lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # Fortran passes every argument by reference and appends the length of
+    # each CHARACTER argument (here UPLO) as a trailing size_t.
+    dpbtrf.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, i64, ctypes.c_size_t]
+    dpbtrs.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, i64, ptr, i64, i64,
+                       ctypes.c_size_t]
+    dpbtrf.restype = dpbtrs.restype = None
+    ref = ctypes.byref
+
+    def pbtrf(ab):
+        ab = np.asfortranarray(ab, dtype=float)
+        kd, n = ab.shape[0] - 1, ab.shape[1]
+        info = ctypes.c_int64()
+        dpbtrf(b"L", ref(ctypes.c_int64(n)), ref(ctypes.c_int64(kd)), ab.ctypes.data,
+               ref(ctypes.c_int64(kd + 1)), ref(info), 1)
+        return ab, info.value
+
+    def pbtrs(cb, b):
+        cb = np.asfortranarray(cb, dtype=float)
+        b = np.ascontiguousarray(b, dtype=float)
+        kd, n = cb.shape[0] - 1, cb.shape[1]
+        if b.shape != (n,):
+            raise ValueError(f"need {n} right-hand side entries, got shape {b.shape}")
+        info = ctypes.c_int64()
+        dpbtrs(b"L", ref(ctypes.c_int64(n)), ref(ctypes.c_int64(kd)),
+               ref(ctypes.c_int64(1)), cb.ctypes.data, ref(ctypes.c_int64(kd + 1)),
+               b.ctypes.data, ref(ctypes.c_int64(n)), ref(info), 1)
+        return b, info.value
+
+    return pbtrf, pbtrs
 
 
 def _rigid_mode_error(ab: np.ndarray) -> SolveError:

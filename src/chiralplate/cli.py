@@ -28,6 +28,7 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -195,6 +196,15 @@ def _plate(cfg: dict, solid: bool) -> PlateSpec:
         raise ConfigError(f"bad plate spec: {exc}")
 
 
+@contextmanager
+def _plate_checked():
+    """Report a plate the mesh cannot fit (a MeshError) as a config error."""
+    try:
+        yield
+    except MeshError as exc:
+        raise ConfigError(f"bad plate spec: {exc}")
+
+
 def _choice(cfg: dict, args, key: str) -> str:
     """The user's word for a top-level choice: flag, else config, else default."""
     return getattr(args, key) or cfg.get(key, _CHOICES[key][0])
@@ -220,10 +230,8 @@ def cmd_solve(args) -> int:
 
     if cfg["scenario"] == "solid":
         spec = _plate(cfg, solid=True)
-        try:
+        with _plate_checked():
             mesh, tags = build_solid_mesh(spec, _given(cfg, "solid").get("layers", 2))
-        except MeshError as exc:
-            raise ConfigError(f"bad plate spec: {exc}")
         layer_cards = [Layer(material, kind, t) for t in tags]
     else:
         spec = _plate(cfg, solid=False)
@@ -234,14 +242,13 @@ def cmd_solve(args) -> int:
             )
         setup = 1 if cfg["scenario"] == "setup1" else 2
         try:
-            spec, _, mesh, layer_cards = composite_model(
-                setup, cell["d_a"], cell["rho_rel"], _ALGORITHMS[kind],
-                material, spec,
-            )
+            with _plate_checked():
+                spec, _, mesh, layer_cards = composite_model(
+                    setup, cell["d_a"], cell["rho_rel"], _ALGORITHMS[kind],
+                    material, spec,
+                )
         except GeometryError as exc:  # only a bad d_a or rho_rel raises it
             raise ConfigError(f"bad honeycomb cell: {exc}")
-        except MeshError as exc:
-            raise ConfigError(f"bad plate spec: {exc}")
 
     if args.dry_run:
         print(
@@ -278,19 +285,23 @@ def cmd_sweep(args) -> int:
     spec = _plate(cfg, solid=False)
     bc, algorithm = _choice(cfg, args, "bc"), _choice(cfg, args, "algorithm")
     if args.dry_run:
+        with _plate_checked():  # build every case's model as the run would
+            for d_a in DA_GRID:
+                for rho in RHO_GRID:
+                    composite_model(
+                        setup, d_a, rho, _ALGORITHMS[algorithm], material, spec
+                    )
         print(
             f"sweep setup {setup}: {len(DA_GRID)} x {len(RHO_GRID)} grid cases, "
             f"{bc}, {algorithm}"
         )
         return EXIT_OK
     out = _prepare_out(args, ["sweep.csv", "manifest.json"])
-    try:
+    with _plate_checked():
         rows = run_sweep(
             setup, BoundaryCondition(bc), _ALGORITHMS[algorithm], material=material,
             spec=spec, **_given(cfg, "load"),
         )
-    except MeshError as exc:
-        raise ConfigError(f"bad plate spec: {exc}")
     write_sweep_csv(rows, out / "sweep.csv")
     write_manifest(out / "manifest.json", cfg, ["sweep.csv"])
     print(f"wrote {len(rows)} cases to {out / 'sweep.csv'}")
@@ -304,16 +315,17 @@ def cmd_convergence(args) -> int:
     max_layers = _given(cfg, "convergence").get("max_layers", 5)
     load_n = _given(cfg, "load").get("F_probe", 60.0)
     if args.dry_run:
+        with _plate_checked():  # the study's meshes, as the run builds them
+            for layers in range(1, max_layers + 1):
+                build_solid_mesh(spec, layers, snap="equal_aspect")
         print(
             f"convergence study: 1..{max_layers} layers, both element kinds, "
             f"both boundary conditions, F = {fmt(load_n)} N"
         )
         return EXIT_OK
     out = _prepare_out(args, ["convergence.csv", "manifest.json"])
-    try:
+    with _plate_checked():
         rows = mesh_convergence_study(max_layers, load_n, material, spec)
-    except MeshError as exc:
-        raise ConfigError(f"bad plate spec: {exc}")
     write_convergence_csv(rows, out / "convergence.csv")
     write_manifest(out / "manifest.json", cfg, ["convergence.csv"])
     print(f"wrote {len(rows)} rows to {out / 'convergence.csv'}")

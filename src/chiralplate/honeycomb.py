@@ -91,6 +91,11 @@ class TetrachiralGeometry:
         return self.t_sw / self.r
 
 
+def _rib_length(d_a: float) -> float:
+    """Rib length ``l = sqrt(L_h^2 - d_a^2)`` at the fixed pitch ratio."""
+    return math.sqrt((PITCH_RATIO * d_a) ** 2 - d_a**2)
+
+
 def geometry_from_cell(d_a: float, t_sw: float) -> TetrachiralGeometry:
     """Construct the cell geometry from diameter and wall thickness.
 
@@ -107,7 +112,7 @@ def geometry_from_cell(d_a: float, t_sw: float) -> TetrachiralGeometry:
     if not t_sw > 0:
         raise GeometryError(f"wall thickness must be positive, got {t_sw}")
     L_h = PITCH_RATIO * d_a
-    l = math.sqrt(L_h**2 - d_a**2)
+    l = _rib_length(d_a)
     theta = math.atan2(d_a, l)
     g = TetrachiralGeometry(d_a=d_a, t_sw=t_sw, L_h=L_h, l=l, theta=theta)
     if not g.beta < 1.0:
@@ -127,6 +132,19 @@ def relative_density(g: TetrachiralGeometry) -> float:
     alpha, beta = g.alpha, g.beta
     if not beta < 1.0:
         raise GeometryError(f"beta = t_sw/r = {beta:g} must be below 1")
+    return _density(alpha, beta)
+
+
+def _density_of_cell(d_a: float, l: float, t_sw: float) -> float:
+    """:func:`relative_density` of the cell ``(d_a, t_sw)`` with rib length
+    ``l``, without building its geometry; the same float operations, so
+    the same value to the last bit. Requires ``0 < t_sw < d_a``."""
+    r = d_a / 2.0 + t_sw / 2.0
+    return _density(l / r, t_sw / r)
+
+
+def _density(alpha: float, beta: float) -> float:
+    """The closed form of :func:`relative_density` in ``alpha``, ``beta``."""
     phi = math.acos(1.0 - beta)
     num = beta * (2.0 * alpha + math.pi * (2.0 - beta)) - 2.0 * (
         phi - (1.0 - beta) * math.sin(phi)
@@ -154,10 +172,11 @@ def wall_thickness_for_density(d_a: float, rho_target: float) -> float:
             f"target density {rho_target:g} unreachable: maximum for "
             f"d_a={d_a} is {rho_max:g}"
         )
+    l = _rib_length(d_a)
     lo, hi = 0.0, d_a * (1.0 - 1e-12)
     while hi - lo > _BISECTION_TOL * max(1.0, d_a):
         mid = 0.5 * (lo + hi)
-        if relative_density(geometry_from_cell(d_a, mid)) < rho_target:
+        if _density_of_cell(d_a, l, mid) < rho_target:
             lo = mid
         else:
             hi = mid

@@ -2,12 +2,22 @@ import numpy as np
 import pytest
 
 from chiralplate import IsotropicMaterial, TransverselyIsotropicMaterial
+from chiralplate import assembly
 
 
 @pytest.fixture
 def resin():
     """Baseline photopolymer card used throughout the studies."""
     return IsotropicMaterial(E=2800.0, mu=0.35, rho=1200.0, sigma_el=35.0)
+
+
+@pytest.fixture(scope="class")
+def scipy_lapack():
+    """Solve through scipy.linalg.lapack, as where numpy's wheel has no
+    ILP64 scipy-openblas, for every test of a class."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_numpy_openblas", lambda: None)
+        yield
 
 
 @pytest.fixture

@@ -262,6 +262,11 @@ class TestConstraintsAndSolve:
         assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(P[free])
 
 
+@pytest.mark.usefixtures("scipy_lapack")
+class TestConstraintsAndSolveScipyLapack(TestConstraintsAndSolve):
+    """The same checks with solve on scipy's LAPACK, the fallback route."""
+
+
 class TestRecovery:
     def test_zero_displacement_zero_stress(self, steelish):
         mesh = grid_mesh(2, 1)

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import chiralplate.cli as cli
+from chiralplate import assembly
 from chiralplate.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from chiralplate.errors import SolveError
 from chiralplate.experiments import FORMLABS_CLEAR
@@ -356,9 +357,11 @@ class TestConfigValidation:
         "command, scenario, x1, dry_run",
         [("solve", "setup1", 12.1, []), ("solve", "setup1", 12.1, ["--dry-run"]),
          ("solve", "setup2", 12.1, []), ("solve", "solid", 12.3456789, []),
-         ("sweep", "setup1", 12.1, []), ("convergence", "convergence", 12.1, [])],
+         ("sweep", "setup1", 12.1, []), ("sweep", "setup1", 12.1, ["--dry-run"]),
+         ("convergence", "convergence", 12.1, []),
+         ("convergence", "convergence", 12.1, ["--dry-run"])],
         ids=["solve-setup1", "solve-setup1-dry-run", "solve-setup2", "solve-solid",
-             "sweep", "convergence"],
+             "sweep", "sweep-dry-run", "convergence", "convergence-dry-run"],
     )
     def test_off_grid_support_is_a_config_error(
         self, tmp_path, capsys, command, scenario, x1, dry_run
@@ -367,9 +370,13 @@ class TestConfigValidation:
         if scenario in ("setup1", "setup2") and command == "solve":
             data["honeycomb"] = self.CELL
         cfg = write_config(tmp_path, data)
-        args = [command, "--config", cfg, "--out", tmp_path / "o", *dry_run]
-        assert run(args) == EXIT_CONFIG
-        assert "bad plate spec: " in capsys.readouterr().err
+        args = [command, "--config", cfg, "--out", tmp_path / "o"]
+        assert run(args + dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad plate spec: " in err
+        if dry_run:  # the dry run reports what the run would
+            assert run(args) == EXIT_CONFIG
+            assert capsys.readouterr().err == err
 
     NEVER_READ = [
         ("honeycomb", {"scenario": "poisson"}, {"bc": "supported"}),
@@ -434,20 +441,60 @@ class TestDryRunEverywhere:
         assert logging.getLogger().level == logging.WARNING
 
 
+def _python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return proc.stdout.strip()
+
+
+needs_numpy_openblas = pytest.mark.skipif(
+    assembly._numpy_openblas() is None,
+    reason="numpy's wheel has no ILP64 scipy-openblas, so solve takes its "
+    "LAPACK from scipy",
+)
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
-        # only the solver needs scipy.linalg; honeycomb and --dry-run never solve
         code = "import sys, chiralplate.cli; print('scipy.linalg' in sys.modules)"
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p
+        assert _python(code) == "False"
+
+    @needs_numpy_openblas
+    def test_run_case_leaves_scipy_unloaded(self):
+        code = (
+            "import sys\n"
+            "from chiralplate import BoundaryCondition, run_case\n"
+            "run_case(1, 1.3, 0.353, BoundaryCondition.CLAMPED)\n"
+            "print('scipy' in sys.modules)"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True,
+        assert _python(code) == "False"
+
+    @needs_numpy_openblas
+    @pytest.mark.parametrize(
+        "command, config",
+        [("solve", {"scenario": "setup2", "honeycomb": TestConfigValidation.CELL}),
+         ("sweep", {"scenario": "setup1"}),
+         ("convergence", {"scenario": "convergence"})],
+        ids=["solve-setup2", "sweep", "convergence"],
+    )
+    def test_cli_solves_leave_scipy_unloaded(self, tmp_path, command, config):
+        argv = [command, "--config", str(write_config(tmp_path, config)),
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "from chiralplate.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('scipy' in sys.modules)"
         )
-        assert proc.stdout.strip() == "False"
+        assert _python(code).splitlines()[-1] == "False"
 
 
 class TestOverwriteProtection:

@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from chiralplate import honeycomb
 from chiralplate import (
     GeometryError,
     IsotropicMaterial,
@@ -97,6 +100,16 @@ class TestRelativeDensity:
             r1 = relative_density(geometry_from_cell(1.0, t_ratio))
             r2 = relative_density(geometry_from_cell(s, s * t_ratio))
             assert r2 == pytest.approx(r1, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-6, 1.0 - 1e-9))
+    def test_bisection_density_bitwise(self, d_a, fraction):
+        # the bisection evaluates rho(t_sw) without building a geometry
+        t_sw = d_a * fraction
+        g = geometry_from_cell(d_a, t_sw)
+        l = honeycomb._rib_length(d_a)
+        assert l == g.l
+        assert honeycomb._density_of_cell(d_a, l, t_sw) == relative_density(g)
 
     @pytest.mark.xfail(
         reason="published (t_sw, rho_rel) tables are not self-similar across "

@@ -6,7 +6,8 @@ isotropic cards. The oracles in ``oracles.py`` are the dense Cholesky solve
 of ``K[free, free]`` and the element-by-element, corner-by-corner recovery.
 The same draws run through ``analyze`` to check physical invariants that
 need no oracle: Maxwell-Betti reciprocity, positive work and linearity in
-the load.
+the load. The solve checks run on both LAPACK routes, numpy's bundled
+OpenBLAS and the scipy fallback, which must agree to the last bit.
 """
 
 import numpy as np
@@ -16,17 +17,25 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralplate import (
+    FORMLABS_CLEAR,
+    BoundaryCondition,
     IsotropicMaterial,
     Layer,
+    LoadCase,
     Mesh,
+    PlateSpec,
     SolveError,
     TransverselyIsotropicMaterial,
     analyze,
+    apply_boundary,
+    apply_load,
     assemble,
+    composite_model,
     free_dofs,
     recover,
     solve,
 )
+from chiralplate import assembly
 from oracles import dense_from_band, recover_loop, solve_dense
 
 # Moduli within one decade keep cond(K[free, free]) below ~1e6 on these
@@ -83,7 +92,11 @@ def systems(draw):
     return mesh, layers, fixed, P
 
 
-class TestBandedSolve:
+def _solve_properties():
+    """The banded solve's hypothesis tests, as new functions on each call:
+    hypothesis ties a test function to the one class that runs it, and
+    both solve routes run these."""
+
     @settings(max_examples=150, deadline=None)
     @given(systems())
     def test_matches_dense_oracle(self, system):
@@ -94,18 +107,6 @@ class TestBandedSolve:
         u_ref = solve_dense(dense_from_band(mesh, K), free, P)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
         assert_allclose(np.delete(u, free), 0.0, atol=0)
-
-    @pytest.mark.parametrize("nx, ny", [(12, 1), (1, 12), (3, 9)])
-    def test_single_row_and_tall_meshes(self, nx, ny):
-        mesh = Mesh(np.arange(nx + 1.0), np.arange(ny + 1.0), 1.0)
-        card = IsotropicMaterial(E=1000.0, mu=0.3)
-        layers = [Layer(card, "conforming", "plate")] * ny
-        K = assemble(mesh, layers)
-        free = free_dofs(mesh, [0, mesh.n_nodes - 1])
-        P = np.linspace(-1.0, 1.0, mesh.n_dofs)
-        u_ref = solve_dense(dense_from_band(mesh, K), free, P)
-        u = solve(mesh, K, free, P)
-        assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
 
     @settings(max_examples=60, deadline=None)
     @given(meshes(), st.data())
@@ -121,6 +122,103 @@ class TestBandedSolve:
         with pytest.raises(SolveError) as err:
             solve(mesh, K, free_dofs(mesh, [node]), np.ones(mesh.n_dofs))
         assert err.value.rigid_modes >= 1
+
+    return test_matches_dense_oracle, test_under_constrained_reports_rigid_modes
+
+
+class TestReducedBand:
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def test_is_the_band_of_the_reduced_matrix(self, system):
+        mesh, layers, fixed, _ = system
+        K = assemble(mesh, layers)
+        p = free_dofs(mesh, fixed)
+        bw_K = 2 * len(mesh.y) + 3
+        ab = assembly._reduced_band(K, p, bw_K)
+        K_a = dense_from_band(mesh, K)[np.ix_(p, p)]
+        m = len(p)
+        ref = np.zeros((min(bw_K, m - 1) + 1, m))
+        for d in range(len(ref)):
+            ref[d, : m - d] = np.diagonal(K_a, -d)
+        assert ab.flags.f_contiguous
+        assert np.array_equal(ab, ref)
+
+
+class TestBandedSolve:
+    test_matches_dense_oracle, test_under_constrained_reports_rigid_modes = (
+        _solve_properties()
+    )
+
+    @pytest.mark.parametrize("nx, ny", [(12, 1), (1, 12), (3, 9)])
+    def test_single_row_and_tall_meshes(self, nx, ny):
+        mesh = Mesh(np.arange(nx + 1.0), np.arange(ny + 1.0), 1.0)
+        card = IsotropicMaterial(E=1000.0, mu=0.3)
+        layers = [Layer(card, "conforming", "plate")] * ny
+        K = assemble(mesh, layers)
+        free = free_dofs(mesh, [0, mesh.n_nodes - 1])
+        P = np.linspace(-1.0, 1.0, mesh.n_dofs)
+        u_ref = solve_dense(dense_from_band(mesh, K), free, P)
+        u = solve(mesh, K, free, P)
+        assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+
+    @pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
+    def test_illegal_argument_raises(self, monkeypatch, routine):
+        # an empty band has KD = -1, which LAPACK rejects with info = -3
+        pbtrf, pbtrs = assembly._banded_cholesky()
+        if routine == "dpbtrf":
+            assert pbtrf(np.zeros((0, 4), order="F"))[1] == -3
+            routes = (lambda ab: pbtrf(ab[:0]), pbtrs)
+        else:
+            routes = (pbtrf, lambda cb, b: pbtrs(cb[:0], b))
+        monkeypatch.setattr(assembly, "_banded_cholesky", lambda: routes)
+        mesh = Mesh(np.arange(3.0), np.arange(2.0), 1.0)
+        card = IsotropicMaterial(E=1e3, mu=0.3)
+        K = assemble(mesh, [Layer(card, "conforming", "plate")])
+        with pytest.raises(ValueError, match=f"{routine}: illegal value in argument 3"):
+            solve(mesh, K, free_dofs(mesh, [0, 3]), np.ones(mesh.n_dofs))
+
+
+@pytest.mark.usefixtures("scipy_lapack")
+class TestBandedSolveScipyLapack(TestBandedSolve):
+    """The same checks with solve on scipy's LAPACK, the fallback route."""
+
+    test_matches_dense_oracle, test_under_constrained_reports_rigid_modes = (
+        _solve_properties()
+    )
+
+
+def _on_both_routes(*args):
+    """``solve(*args)`` on numpy's bundled OpenBLAS, then on scipy's LAPACK."""
+    u = solve(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_numpy_openblas", lambda: None)
+        return u, solve(*args)
+
+
+@pytest.mark.skipif(
+    assembly._numpy_openblas() is None,
+    reason="numpy's wheel has no ILP64 scipy-openblas; solve has only the "
+    "scipy route",
+)
+class TestLapackRoutesAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(systems())
+    def test_random_systems_bitwise(self, system):
+        mesh, layers, fixed, P = system
+        K = assemble(mesh, layers)
+        u, u_scipy = _on_both_routes(mesh, K, free_dofs(mesh, fixed), P)
+        assert np.array_equal(u, u_scipy)
+
+    @pytest.mark.parametrize("setup", [1, 2])
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    def test_paper_cases_bitwise(self, setup, bc):
+        spec, _, mesh, layers = composite_model(
+            setup, 1.3, 0.353, "incompatible_faces", FORMLABS_CLEAR, PlateSpec()
+        )
+        P = apply_load(mesh, LoadCase(30.0), spec)
+        free = free_dofs(mesh, apply_boundary(mesh, bc, spec))
+        u, u_scipy = _on_both_routes(mesh, assemble(mesh, layers), free, P)
+        assert np.array_equal(u, u_scipy)
 
 
 class TestArrayRecovery:
