@@ -13,14 +13,21 @@ the element block layout. Numbering across the short side of the plate
 keeps the DOFs an element couples at most ``bw = 2 * len(mesh.y) + 3``
 apart.
 
-Assembly places element ``i``'s 2x2 block ``(q, s)`` at global block
-``(m, n)`` when its local nodes ``q`` and ``s`` sit at global nodes ``m``
-and ``n``. The ``(n_elements, 8)`` table ``Mesh.element_dofs`` spells out
-that placement, so every element block lands in ``K`` in a single scatter.
-
 ``K`` is stored as its lower band, ``(bw + 1, n_dofs)``: ``K[d, c]`` holds
 the global entry coupling DOFs ``c + d`` and ``c`` (LAPACK's lower band
 storage).
+
+Every element of a layer is the same element, so assembly and recovery
+work per distinct layer card ``(kind, material, height)``, not per
+element: one element stiffness, strain matrix and elasticity matrix per
+card. Assembly places element ``i``'s 2x2 block ``(q, s)`` at global block
+``(m, n)`` when its local nodes ``q`` and ``s`` sit at global nodes ``m``
+and ``n``. On the structured grid the DOF gap ``d`` between two corners of
+an element is the same for every element, so with ``K`` viewed as
+``(bw + 1, len(x), len(y), 2)`` each column corner adds the blocks of all
+elements in one strided slice. Recovery gathers the corner displacements
+of all layers that share a card from the ``(len(x), len(y), 2)`` view of
+``u`` and applies the card's strain matrix to them in one ``einsum``.
 
 Constraints are handled by physical row/column elimination over the free
 DOFs, so the reduced matrix stays symmetric positive definite once enough
@@ -110,18 +117,24 @@ class Mesh:
     (1,1), (-1,1). Elements are numbered row-major (x fastest within a
     layer), so the layer of element ``i`` is ``i // nx``. ``element_dofs``
     is the read-only ``(n_elements, 8)`` table of each element's global
-    DOFs in local block order (x, y of corner 1, then corner 2, ...).
+    DOFs in local block order (x, y of corner 1, then corner 2, ...), for
+    the field dump and the test oracles; assembly and recovery index the
+    grid directly and do not read it.
     """
 
     def __init__(self, x_lines, y_lines, h: float):
         self.x = np.asarray(x_lines, dtype=float)
         self.y = np.asarray(y_lines, dtype=float)
-        if self.x.ndim != 1 or len(self.x) < 2 or np.any(np.diff(self.x) <= 0):
-            raise MeshError("x_lines must be strictly increasing with >= 2 entries")
-        if self.y.ndim != 1 or len(self.y) < 2 or np.any(np.diff(self.y) <= 0):
-            raise MeshError("y_lines must be strictly increasing with >= 2 entries")
+        for name, lines in (("x_lines", self.x), ("y_lines", self.y)):
+            if lines.ndim != 1 or len(lines) < 2:
+                raise MeshError(f"{name} must be strictly increasing with >= 2 entries")
+            if not np.isfinite(lines).all():
+                raise MeshError(f"{name} must be finite")
+            if np.any(np.diff(lines) <= 0):
+                raise MeshError(f"{name} must be strictly increasing with >= 2 entries")
         widths = np.diff(self.x)
-        if not np.allclose(widths, widths[0], rtol=1e-12, atol=1e-12):
+        # np.allclose(widths, widths[0], rtol=1e-12, atol=1e-12), spelled out
+        if not np.abs(widths - widths[0]).max() <= 1e-12 + 1e-12 * abs(widths[0]):
             raise MeshError("all elements must share the same width a_fe")
         if not 0 < h < np.inf:
             raise MeshError(f"depth must be positive and finite, got {h}")
@@ -185,30 +198,83 @@ def _layer_cards(mesh: Mesh, layers) -> tuple[Layer, ...]:
     return layers
 
 
+def _card_groups(mesh: Mesh, layers) -> dict[tuple, np.ndarray]:
+    """Layer indices of each distinct card ``(kind, material, height)``."""
+    groups: dict[tuple, list[int]] = {}
+    for j, layer in enumerate(layers):
+        key = (layer.kind, layer.material, mesh.layer_height(j))
+        groups.setdefault(key, []).append(j)
+    return {key: np.array(js) for key, js in groups.items()}
+
+
+# Corner q of an element sits _XO[q] node columns right of and _YO[q] node
+# rows above its corner 1: (0, 1, 1, 0) and (0, 0, 1, 1).
+_XO = (1 + np.array(XI_CORNERS, dtype=int)) // 2
+_YO = (1 + np.array(ETA_CORNERS, dtype=int)) // 2
+
+
+def _band_scatter_table():
+    """Per column corner s: the lower-band entries of its element columns.
+
+    Entry ``(r, a, s, b)`` of an element stiffness couples row DOF ``a`` of
+    corner ``r`` with column DOF ``b`` of corner ``s``. Their global DOFs
+    lie ``2 * (dx * len(y) + dy) + a - b`` apart, with ``(dx, dy)`` the grid
+    offset of ``r`` from ``s``, the same for every element. That gap is
+    >= 0, i.e. the entry is in the lower band, exactly when
+    ``(dx, dy, a - b) >= (0, 0, 0)`` in lexicographic order, since
+    ``len(y) >= 2``. The corners run in the order 3, 4, 2, 1, see
+    :func:`assemble`.
+    """
+    table = []
+    for s in (2, 3, 1, 0):
+        entries = [
+            (2 * r + a, 2 * s + b, _XO[r] - _XO[s], _YO[r] - _YO[s], a - b, b)
+            for r in range(4)
+            for a in range(2)
+            for b in range(2)
+            if (_XO[r] - _XO[s], _YO[r] - _YO[s], a - b) >= (0, 0, 0)
+        ]
+        table.append((_XO[s], _YO[s], *map(np.array, zip(*entries))))
+    return tuple(table)
+
+
+_BAND_SCATTER = _band_scatter_table()
+
+
 def assemble(mesh: Mesh, layers) -> np.ndarray:
     """Lower band of the global stiffness K, shape ``(bw + 1, n_dofs)``.
 
     ``K[d, c]`` couples DOFs ``c + d`` and ``c``, with half-bandwidth
     ``bw = 2 * len(mesh.y) + 3`` (see the module docstring). ``layers``
-    maps layer index to a :class:`Layer`; every element of a layer shares
-    one stiffness matrix, computed once per layer. All element blocks are
-    scattered in one pass through ``mesh.element_dofs``, adding the
-    contributions to each entry in element order.
+    maps layer index to a :class:`Layer`; the element stiffness is computed
+    once per distinct card ``(kind, material, height)``.
+
+    The band is viewed as ``(bw + 1, len(x), len(y), 2)``. For a column
+    corner ``s`` at grid offset ``(xs, ys)`` from corner 1, element
+    ``(i, j)``'s column DOF ``b`` is ``[.., i + xs, j + ys, b]`` and each
+    of its lower-band rows is a fixed gap ``d`` below it, so one strided add
+    ``K4[d, xs:xs + nx, ys:ys + n_layers, b] += k[j, row, col]`` places that
+    entry of all elements. The adds run over the column corners in the order
+    3, 4, 2, 1. A band entry at node ``(I, J)`` is shared by the elements
+    ``(I-1, J-1)``, ``(I, J-1)``, ``(I-1, J)`` and ``(I, J)``, which see
+    that node as their corner 3, 4, 2 and 1, so each entry receives its terms
+    in element order (row-major, x fastest), starting from 0.0, exactly as
+    one ``bincount`` over the elements' entries in turn adds them; ``K`` is
+    the same to the last bit.
     """
     layers = _layer_cards(mesh, layers)
-    k_layers = np.array([
-        element_stiffness(
-            layer.kind, ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h),
-            layer.material,
-        )
-        for j, layer in enumerate(layers)
-    ])
-    n, bw = mesh.n_dofs, 2 * len(mesh.y) + 3
-    row, col = mesh.element_dofs[:, :, None], mesh.element_dofs[:, None, :]
-    lower = row >= col
-    flat = ((row - col) * n + col)[lower]
-    weights = np.repeat(k_layers, mesh.nx, axis=0)[lower]
-    return np.bincount(flat, weights=weights, minlength=(bw + 1) * n).reshape(bw + 1, n)
+    k_layers = np.empty((mesh.n_layers, 8, 8))
+    for (kind, material, height), js in _card_groups(mesh, layers).items():
+        g = ElementGeometry(mesh.a_fe, height, mesh.h)
+        k_layers[js] = element_stiffness(kind, g, material)
+    ny, nx, n_layers = len(mesh.y), mesh.nx, mesh.n_layers
+    bw = 2 * ny + 3
+    K = np.zeros((bw + 1, mesh.n_dofs))
+    K4 = K.reshape(bw + 1, len(mesh.x), ny, 2)
+    for xs, ys, rows, cols, dx, dy, da, b in _BAND_SCATTER:
+        d = 2 * (dx * ny + dy) + da
+        K4[d, xs : xs + nx, ys : ys + n_layers, b] += k_layers[:, rows, cols].T[:, None]
+    return K
 
 
 def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
@@ -428,9 +494,10 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
     ``mode="diagnostic"`` additionally evaluates the shear strain/stress
     from the full 3-row matrix and rotates to principal stresses before the
     equivalent stress; it sits outside the normative pipeline and exists
-    for inspection. The elements of a layer share their strain matrices, so
-    each layer is one :func:`strain_displacement_full` call over the four
-    corners, one gather of element DOFs and one ``einsum``.
+    for inspection. Layers that share a card ``(kind, material, height)``
+    share their strain matrices, so each distinct card is one
+    :func:`strain_displacement_full` call over the four corners, one gather
+    of its elements' corner displacements and one ``einsum``.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_dofs,):
@@ -438,42 +505,47 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
     if mode not in ("standard", "diagnostic"):
         raise MeshError(f"unknown recovery mode {mode!r}")
     layers = _layer_cards(mesh, layers)
-    n_el = mesh.n_elements
-    exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
-    exy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
-    sxy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
-    U = u[mesh.element_dofs]
+    nx, shape = mesh.nx, (mesh.n_layers, mesh.nx, 4)
+    exx, eyy, sxx, syy, se = (np.empty(shape) for _ in range(5))
+    exy = np.empty(shape) if mode == "diagnostic" else None
+    sxy = np.empty(shape) if mode == "diagnostic" else None
+    u_grid = u.reshape(len(mesh.x), len(mesh.y), 2)
+    columns = np.arange(nx)[:, None] + _XO  # (nx, 4 corners)
 
-    for j, layer in enumerate(layers):
-        g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
-        chi = full_elasticity_matrix(layer.material)
+    for (kind, material, height), js in _card_groups(mesh, layers).items():
+        g = ElementGeometry(mesh.a_fe, height, mesh.h)
+        chi = full_elasticity_matrix(material)
         # Layer admits incompatible elements on isotropic cards only
-        mu = layer.material.mu if layer.kind == "incompatible" else 0.0
-        B3 = strain_displacement_full(layer.kind, g, XI_CORNERS, ETA_CORNERS, mu)
-        rows = slice(j * mesh.nx, (j + 1) * mesh.nx)
-        eps3 = np.einsum("qkd,ed->eqk", B3, U[rows])  # (nx, 4 corners, 3)
+        mu = material.mu if kind == "incompatible" else 0.0
+        B3 = strain_displacement_full(kind, g, XI_CORNERS, ETA_CORNERS, mu)
+        U = u_grid[columns, js[:, None, None] + _YO].reshape(-1, 8)
+        eps3 = np.einsum("qkd,ed->eqk", B3, U)  # (elements, 4 corners, 3)
+        eps3 = eps3.reshape(len(js), nx, 4, 3)
         sig = eps3[..., :2] @ chi[:2, :2].T
-        exx[rows], eyy[rows] = eps3[..., 0], eps3[..., 1]
-        sxx[rows], syy[rows] = sig[..., 0], sig[..., 1]
+        exx[js], eyy[js] = eps3[..., 0], eps3[..., 1]
+        sxx[js], syy[js] = sig[..., 0], sig[..., 1]
         if mode == "standard":
-            se[rows] = von_mises_plane(sig[..., 0], sig[..., 1])
+            se[js] = von_mises_plane(sig[..., 0], sig[..., 1])
         else:
-            exy[rows] = eps3[..., 2]
-            sxy[rows] = eps3 @ chi[2]
+            shear = eps3 @ chi[2]
+            exy[js], sxy[js] = eps3[..., 2], shear
             mid = 0.5 * (sig[..., 0] + sig[..., 1])
-            rad = np.hypot(0.5 * (sig[..., 0] - sig[..., 1]), sxy[rows])
-            se[rows] = von_mises_plane(mid + rad, mid - rad)
+            rad = np.hypot(0.5 * (sig[..., 0] - sig[..., 1]), shear)
+            se[js] = von_mises_plane(mid + rad, mid - rad)
+
+    def flat(a):
+        return None if a is None else a.reshape(mesh.n_elements, 4)
 
     return StressField(
         mesh=mesh,
-        exx=exx,
-        eyy=eyy,
-        sxx=sxx,
-        syy=syy,
-        se=se,
+        exx=flat(exx),
+        eyy=flat(eyy),
+        sxx=flat(sxx),
+        syy=flat(syy),
+        se=flat(se),
         tags=tuple(layer.tag for layer in layers),
-        exy=exy,
-        sxy=sxy,
+        exy=flat(exy),
+        sxy=flat(sxy),
     )
 
 

@@ -262,16 +262,21 @@ def mesh_convergence_study(
     consistently between the straddling top nodes.
     """
     solid_spec = spec.solid()
+    # Each layer count's mesh, tags and load serve all four families.
+    models = []
+    for layers in range(1, max_layers + 1):
+        mesh, tags = build_solid_mesh(solid_spec, layers, snap="equal_aspect")
+        P = apply_load(mesh, LoadCase(F_probe), solid_spec, split=True)
+        models.append((layers, mesh, tags, P))
     rows = []
     for kind in ("conforming", "incompatible"):
         for bc in (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED):
-            for layers in range(1, max_layers + 1):
-                mesh, tags = build_solid_mesh(solid_spec, layers, snap="equal_aspect")
+            for layers, mesh, tags, P in models:
                 analysis = analyze(
                     mesh,
                     [Layer(material, kind, t) for t in tags],
                     apply_boundary(mesh, bc, solid_spec),
-                    apply_load(mesh, LoadCase(F_probe), solid_spec, split=True),
+                    P,
                 )
                 rows.append(
                     ConvergenceRow(

@@ -226,18 +226,20 @@ def build_composite_mesh(
 
 
 def apply_boundary(mesh: Mesh, bc: BoundaryCondition, spec: PlateSpec) -> np.ndarray:
-    """Fixed node set for the given boundary condition."""
+    """Fixed node set for the given boundary condition, sorted and unique."""
+    fixed = np.zeros(mesh.n_nodes, dtype=bool)
     if bc is BoundaryCondition.CLAMPED:
-        columns = []
         for x0 in (spec.x1, spec.x2):
             nodes = mesh.nodes_on_line_x(x0)
             if len(nodes) == 0:
                 raise MeshError(f"clamp line x = {x0} does not coincide with a node line")
-            columns.append(nodes)
-        return np.unique(np.concatenate(columns))
-    if bc is BoundaryCondition.SUPPORTED:
-        return np.unique(mesh.bottom_nodes_at([spec.x1, spec.x2]))
-    raise MeshError(f"unknown boundary condition {bc!r}")
+            fixed[nodes] = True
+    elif bc is BoundaryCondition.SUPPORTED:
+        fixed[mesh.bottom_nodes_at([spec.x1, spec.x2])] = True
+    else:
+        raise MeshError(f"unknown boundary condition {bc!r}")
+    # A node mask, not np.unique: that imports numpy.ma, ~14 ms per process.
+    return np.flatnonzero(fixed)
 
 
 def apply_load(

@@ -10,9 +10,13 @@ and trades speed for obviousness:
 * :func:`assemble_dense` sums every element block into a dense ``n x n``
   stiffness in node-major DOF order, and :func:`dense_from_band` unpacks
   the band that ``assemble`` returns into that same dense matrix;
+* :func:`assemble_scatter` adds every element block into the band in one
+  ``bincount`` through ``Mesh.element_dofs``, in element order;
 * :func:`solve_dense` factors the dense reduced matrix ``K[free, free]``;
 * :func:`recover_loop` recovers the corner stresses element by element and
-  corner by corner with scalar von Mises evaluations;
+  corner by corner with scalar von Mises evaluations, and
+  :func:`recover_per_layer` layer by layer, with the array operations
+  ``recover`` applies to a group of layers;
 * :func:`quadrature_stiffness` integrates an element stiffness by
   Gauss-Legendre quadrature from the shape functions, the check on every
   closed form;
@@ -94,6 +98,17 @@ def expanded_stiffness(mesh: Mesh, elem: int, k_e: np.ndarray) -> np.ndarray:
     return K
 
 
+def _layer_stiffness(mesh: Mesh, layers) -> np.ndarray:
+    """``(n_layers, 8, 8)``: each layer's element stiffness."""
+    return np.array([
+        element_stiffness(
+            layer.kind, ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h),
+            layer.material,
+        )
+        for j, layer in enumerate(layers)
+    ])
+
+
 def assemble_dense(mesh: Mesh, layers) -> np.ndarray:
     """Dense global stiffness K in node-major DOF order.
 
@@ -101,19 +116,28 @@ def assemble_dense(mesh: Mesh, layers) -> np.ndarray:
     blocks are scattered in one pass through ``mesh.element_dofs``, adding
     the contributions to each entry in element order.
     """
-    layers = tuple(layers)
-    k_layers = np.array([
-        element_stiffness(
-            layer.kind, ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h),
-            layer.material,
-        )
-        for j, layer in enumerate(layers)
-    ])
+    k_layers = _layer_stiffness(mesh, tuple(layers))
     n = mesh.n_dofs
     dofs = mesh.element_dofs
     flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
     weights = np.repeat(k_layers, mesh.nx, axis=0).ravel()
     return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+
+
+def assemble_scatter(mesh: Mesh, layers) -> np.ndarray:
+    """Lower band of K, ``(bw + 1, n_dofs)``, in one scatter of all elements.
+
+    Every lower-triangle entry of every element block goes through
+    ``mesh.element_dofs`` to its band slot, and ``np.bincount`` adds the
+    contributions to each slot in element order.
+    """
+    k_layers = _layer_stiffness(mesh, tuple(layers))
+    n, bw = mesh.n_dofs, 2 * len(mesh.y) + 3
+    row, col = mesh.element_dofs[:, :, None], mesh.element_dofs[:, None, :]
+    lower = row >= col
+    flat = ((row - col) * n + col)[lower]
+    weights = np.repeat(k_layers, mesh.nx, axis=0)[lower]
+    return np.bincount(flat, weights=weights, minlength=(bw + 1) * n).reshape(bw + 1, n)
 
 
 def dense_from_band(mesh: Mesh, band: np.ndarray) -> np.ndarray:
@@ -175,6 +199,42 @@ def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
                     mid = 0.5 * (sig[0] + sig[1])
                     rad = np.hypot(0.5 * (sig[0] - sig[1]), sig3[2])
                     se[e, q] = von_mises_plane(mid + rad, mid - rad)
+    return StressField(
+        mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
+        tags=tuple(layer.tag for layer in layers), exy=exy, sxy=sxy,
+    )
+
+
+def recover_per_layer(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
+    """Corner strains and stresses, one layer at a time.
+
+    Each layer is one strain-matrix call over its four corners, one gather
+    through ``mesh.element_dofs`` and one ``einsum`` with the subscripts
+    ``recover`` uses, so each element's values come out to the same bits.
+    """
+    n_el = mesh.n_elements
+    exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
+    exy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
+    sxy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
+    U = u[mesh.element_dofs]
+    for j, layer in enumerate(layers):
+        g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
+        chi = full_elasticity_matrix(layer.material)
+        mu = layer.material.mu if layer.kind == "incompatible" else 0.0
+        B3 = strain_displacement_full(layer.kind, g, XI_CORNERS, ETA_CORNERS, mu)
+        rows = slice(j * mesh.nx, (j + 1) * mesh.nx)
+        eps3 = np.einsum("qkd,ed->eqk", B3, U[rows])
+        sig = eps3[..., :2] @ chi[:2, :2].T
+        exx[rows], eyy[rows] = eps3[..., 0], eps3[..., 1]
+        sxx[rows], syy[rows] = sig[..., 0], sig[..., 1]
+        if mode == "standard":
+            se[rows] = von_mises_plane(sig[..., 0], sig[..., 1])
+        else:
+            exy[rows] = eps3[..., 2]
+            sxy[rows] = eps3 @ chi[2]
+            mid = 0.5 * (sig[..., 0] + sig[..., 1])
+            rad = np.hypot(0.5 * (sig[..., 0] - sig[..., 1]), sxy[rows])
+            se[rows] = von_mises_plane(mid + rad, mid - rad)
     return StressField(
         mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
         tags=tuple(layer.tag for layer in layers), exy=exy, sxy=sxy,

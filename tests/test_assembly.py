@@ -96,6 +96,33 @@ class TestMesh:
         with pytest.raises(MeshError):
             Mesh([0.0, 1.0, 2.5], [0.0, 1.0], 1.0)
 
+    @pytest.mark.parametrize("jitter", [0.0, 5e-13, 1.5e-12, 3e-12, 1e-9])
+    def test_width_tolerance_is_allclose(self, jitter):
+        x = [0.0, 1.0, 2.0 + jitter]
+        widths = np.diff(x)
+        if np.allclose(widths, widths[0], rtol=1e-12, atol=1e-12):
+            assert Mesh(x, [0.0, 1.0], 1.0).a_fe == 1.0
+        else:
+            with pytest.raises(MeshError, match="same width"):
+                Mesh(x, [0.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "x, y, name",
+        [
+            ([0.0, 1.0, 2.0], [0.0, np.nan, 2.0], "y_lines"),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, np.inf], "y_lines"),
+            ([0.0, 1.0, 2.0], [-np.inf, 0.0], "y_lines"),
+            ([0.0, np.nan, 2.0], [0.0, 1.0], "x_lines"),
+            ([0.0, 1.0, np.inf], [0.0, 1.0], "x_lines"),
+        ],
+        ids=["nan-y", "inf-y", "minus-inf-y", "nan-x", "inf-x"],
+    )
+    def test_rejects_non_finite_lines(self, x, y, name):
+        # a NaN line used to pass, or fail as "uneven widths", and
+        # analyze then returned NaN stresses
+        with pytest.raises(MeshError, match=f"{name} must be finite"):
+            Mesh(x, y, 1.0)
+
     def test_rejects_non_monotone(self):
         with pytest.raises(MeshError):
             Mesh([0.0, 2.0, 1.0], [0.0, 1.0], 1.0)

@@ -1,9 +1,11 @@
-"""Banded solve and array recovery against the brute-force oracles.
+"""Assembly, banded solve and array recovery against the reference oracles.
 
 Hypothesis draws structured meshes (wide, tall and single-row), fixed node
 sets, conforming and incompatible layers, and isotropic and transversely
 isotropic cards. The oracles in ``oracles.py`` are the dense Cholesky solve
-of ``K[free, free]`` and the element-by-element, corner-by-corner recovery.
+of ``K[free, free]``, the element-by-element, corner-by-corner recovery,
+and the one-scatter assembly and per-layer recovery, which ``assemble`` and
+``recover`` must match to the last bit when layers repeat a card.
 The same draws run through ``analyze`` to check physical invariants that
 need no oracle: Maxwell-Betti reciprocity, positive work and linearity in
 the load. The solve checks run on both LAPACK routes, numpy's bundled
@@ -36,7 +38,13 @@ from chiralplate import (
     solve,
 )
 from chiralplate import assembly
-from oracles import dense_from_band, recover_loop, solve_dense
+from oracles import (
+    assemble_scatter,
+    dense_from_band,
+    recover_loop,
+    recover_per_layer,
+    solve_dense,
+)
 
 # Moduli within one decade keep cond(K[free, free]) below ~1e6 on these
 # meshes, so the rounding of either solver (~eps * cond) stays well under
@@ -76,6 +84,25 @@ def meshes(draw, max_cells=7):
     heights = draw(st.lists(st.floats(0.5, 2.0), min_size=ny, max_size=ny))
     y = np.concatenate([[0.0], np.cumsum(heights)])
     return Mesh(a_fe * np.arange(nx + 1), y, draw(st.floats(0.5, 3.0)))
+
+
+@st.composite
+def repeated_card_models(draw, tags=("plate",)):
+    """A mesh of 1-6 layers and its cards, drawn from a pool of 1-3 (kind,
+    material) pairs and 1-2 heights, so layers repeat a card or not; tags
+    are drawn per layer, as the faces of a composite share one card."""
+    pool = draw(st.lists(layer_cards(), min_size=1, max_size=3))
+    heights = draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=2))
+    n_layers, nx = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    y = np.concatenate(
+        [[0.0], np.cumsum([draw(st.sampled_from(heights)) for _ in range(n_layers)])]
+    )
+    mesh = Mesh(draw(st.floats(0.5, 2.0)) * np.arange(nx + 1), y, draw(st.floats(0.5, 3.0)))
+    layers = []
+    for _ in range(n_layers):
+        card = draw(st.sampled_from(pool))
+        layers.append(Layer(card.material, card.kind, draw(st.sampled_from(tags))))
+    return mesh, layers
 
 
 @st.composite
@@ -221,7 +248,35 @@ class TestLapackRoutesAgree:
         assert np.array_equal(u, u_scipy)
 
 
+class TestBandScatter:
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_card_models())
+    def test_matches_bincount_scatter_bitwise(self, model):
+        mesh, layers = model
+        K = assemble(mesh, layers)
+        assert K.tobytes() == assemble_scatter(mesh, layers).tobytes()
+
+
 class TestArrayRecovery:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        repeated_card_models(tags=("core", "face_top", "face_bottom")),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(("standard", "diagnostic")),
+    )
+    def test_repeated_cards_match_per_layer_bitwise(self, model, seed, mode):
+        mesh, layers = model
+        u = np.random.default_rng(seed).normal(0.0, 1e-2, mesh.n_dofs)
+        field = recover(mesh, layers, u, mode=mode)
+        ref = recover_per_layer(mesh, layers, u, mode=mode)
+        assert field.tags == ref.tags
+        for name in ("exx", "eyy", "sxx", "syy", "se", "exy", "sxy"):
+            got, want = getattr(field, name), getattr(ref, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(meshes(), st.data(), st.sampled_from(("standard", "diagnostic")))
     def test_matches_loop_oracle(self, mesh, data, mode):
