@@ -1,8 +1,8 @@
 """Mesh, global assembly, constraints, solve and stress recovery.
 
 :func:`analyze` runs the whole linear pipeline for one load case:
-:func:`assemble` the global stiffness, eliminate the fixed DOFs
-(:func:`free_dofs`), :func:`solve` the reduced system and :func:`recover`
+:func:`assemble` the global stiffness, fix the DOFs outside
+:func:`free_dofs`, :func:`solve` for the displacements and :func:`recover`
 the corner stresses. Each step is a pure function of its inputs.
 
 The mesh is a structured grid of axis-aligned rectangles grouped into
@@ -29,17 +29,18 @@ elements in one strided slice. Recovery gathers the corner displacements
 of all layers that share a card from the ``(len(x), len(y), 2)`` view of
 ``u`` and applies the card's strain matrix to them in one ``einsum``.
 
-Constraints are handled by physical row/column elimination over the free
-DOFs, so the reduced matrix stays symmetric positive definite once enough
-DOFs are fixed; the full displacement vector is reconstructed with zeros at
-the fixed slots. :func:`solve` gathers the reduced band from ``K`` over the
-free DOFs in ascending order and factors it by banded Cholesky, LAPACK's
-``dpbtrf``/``dpbtrs``. Those come from the ILP64 OpenBLAS that numpy's
-wheels bundle (``scipy-openblas``), called through ctypes and found on the
-first solve, so solving imports no scipy. Where numpy has no such library
-(conda/MKL or system-BLAS builds, older wheels) the same two routines come
-from ``scipy.linalg.lapack``. A failed factorization imports
-``scipy.linalg`` either way, to count the rigid modes.
+:func:`solve` holds the fixed DOFs at zero by pinning them in a copy of
+``K``'s band: their rows, columns and loads are zeroed and their diagonal
+set to a positive ``scale``, so the matrix stays symmetric positive
+definite once enough DOFs are fixed and the solve returns the full
+displacement vector, zero at the fixed DOFs. The band is factored by
+banded Cholesky, LAPACK's ``dpbtrf``/``dpbtrs``. Those come from the ILP64
+OpenBLAS that numpy's wheels bundle (``scipy-openblas``), called through
+ctypes and found on the first solve, so solving imports no scipy. Where
+numpy has no such library (conda/MKL or system-BLAS builds, older wheels)
+the same two routines come from ``scipy.linalg.lapack``. A failed
+factorization imports ``scipy.linalg`` either way, to count the rigid
+modes.
 """
 
 from __future__ import annotations
@@ -298,16 +299,16 @@ def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
 
 
 def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Direct symmetric solve of the reduced system; returns the full u.
+    """Direct symmetric solve with the DOFs outside ``free`` held at zero.
 
-    ``K`` is the band :func:`assemble` returns for ``mesh``; any other
-    shape raises :class:`MeshError`. The fixed rows and columns are
-    eliminated by gathering the band of the reduced matrix over the free
-    DOFs in ascending order, which is factored by banded Cholesky. A
-    singular or indefinite reduced matrix (not enough constraints), or one
-    whose smallest pivot is below 1e-10 of its largest diagonal entry,
-    raises :class:`SolveError` naming the number of near-zero or negative
-    eigenvalues. Fixed DOFs get zero displacement.
+    ``K`` is the band :func:`assemble` returns for ``mesh`` and ``P`` the
+    full load vector; any other shape raises :class:`MeshError`. Neither is
+    modified. Factors ``K``'s band with the fixed DOFs pinned
+    (:func:`_pinned_band`) and returns the full ``u``, ``+0.0`` at each
+    fixed DOF. A singular or indefinite stiffness over the free DOFs (not
+    enough constraints), or one whose smallest pivot is below 1e-10 of its
+    largest diagonal entry, raises :class:`SolveError` naming the number of
+    near-zero or negative eigenvalues.
     """
     bw_K = 2 * len(mesh.y) + 3
     if np.shape(K) != (bw_K + 1, mesh.n_dofs):
@@ -315,42 +316,39 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
             f"K must be the ({bw_K + 1}, {mesh.n_dofs}) band assemble returns "
             f"for this mesh, got shape {np.shape(K)}"
         )
-    p = np.sort(free)
-    ab = _reduced_band(K, p, bw_K)
-    scale = max(ab[0].max(), 1.0)
+    if np.shape(P) != (mesh.n_dofs,):
+        raise MeshError(f"P must have shape ({mesh.n_dofs},), got {np.shape(P)}")
+    fixed = np.ones(mesh.n_dofs, dtype=bool)
+    fixed[free] = False
+    scale = max(np.max(K[0, ~fixed]), 1.0)
     pbtrf, pbtrs = _banded_cholesky()
-    cb, info = pbtrf(ab)
+    cb, info = pbtrf(_pinned_band(K, fixed, scale))
     _check_arguments("dpbtrf", info)
     if info > 0 or np.min(cb[0] ** 2) <= 1e-10 * scale:
-        raise _rigid_mode_error(_reduced_band(K, p, bw_K))
-    x, info = pbtrs(cb, np.asarray(P, dtype=float)[p])
+        raise _rigid_mode_error(_pinned_band(K, fixed, scale))
+    u = np.array(P, dtype=float)
+    u[fixed] = 0.0
+    u, info = pbtrs(cb, u)
     _check_arguments("dpbtrs", info)
-    u = np.zeros(mesh.n_dofs)
-    u[p] = x
     return u
 
 
-def _reduced_band(K: np.ndarray, p: np.ndarray, bw_K: int) -> np.ndarray:
-    """Lower band of ``K`` over the sorted free DOFs ``p``, Fortran-ordered.
+def _pinned_band(K: np.ndarray, fixed: np.ndarray, scale: float) -> np.ndarray:
+    """Copy of ``K``'s band with the ``fixed`` DOFs pinned, Fortran-ordered.
 
-    ``ab[d, i] = K_a[i + d, i]``: the entry at offset ``p[i + d] - p[i]``
-    of K's band, zero past K's bandwidth or past the last row. Where the
-    ``bw_K`` DOFs after ``p[i]`` are all free, that is column ``p[i]`` of
-    ``K`` as it stands; only the other columns, near a fixed DOF or the
-    end, are gathered entry by entry. ``ab`` is built as its C-ordered
-    transpose, so it is LAPACK's column-major band without a copy. The
-    upper form factored ~5x slower on a 2-CPU host, with stalls of up to
-    1 s, unless OpenBLAS ran single-threaded.
+    A fixed DOF's row and column are zeroed and its diagonal set to
+    ``scale``, which leaves the stiffness over the free DOFs decoupled from
+    one eigenvalue ``scale`` per fixed DOF. The copy is the C-ordered
+    transpose of ``K``, so its ``.T`` is LAPACK's column-major lower band.
+    The upper form factored ~5x slower on a 2-CPU host, with stalls of up
+    to 1 s, unless OpenBLAS ran single-threaded.
     """
-    m = len(p)
-    abT = np.asarray(K, dtype=float).T[p, : min(bw_K, m - 1) + 1]
-    near = np.ones(m, dtype=bool)
-    near[: max(m - bw_K, 0)] = p[bw_K:] - p[: max(m - bw_K, 0)] != bw_K
-    i = np.flatnonzero(near)[:, None]
-    j = i + np.arange(abT.shape[1])
-    offset = p[np.minimum(j, m - 1)] - p[i]
-    inside = (j < m) & (offset <= bw_K)
-    abT[i[:, 0]] = np.where(inside, K[np.minimum(offset, bw_K), p[i]], 0.0)
+    abT = np.array(K.T, dtype=float, order="C")
+    f = np.flatnonzero(fixed)
+    i, d = np.nonzero(f[:, None] >= np.arange(abT.shape[1]))
+    abT[f[i] - d, d] = 0.0  # row f: K[d, f - d]
+    abT[f] = 0.0  # column f: K[:, f]
+    abT[f, 0] = scale
     return abT.T
 
 
@@ -441,7 +439,7 @@ def _numpy_openblas():
 
 
 def _rigid_mode_error(ab: np.ndarray) -> SolveError:
-    """SolveError counting the near-zero/negative modes of the reduced band."""
+    """SolveError counting the near-zero/negative modes of the pinned band."""
     from scipy.linalg import eigvals_banded
 
     eigvals = eigvals_banded(ab, lower=True, check_finite=False)

@@ -256,6 +256,32 @@ class TestConstraintsAndSolve:
         with pytest.raises(MeshError, match="band"):
             solve(mesh, K, free_dofs(mesh, left_edge), np.ones(mesh.n_dofs))
 
+    @pytest.mark.parametrize("shape", [(31,), (23,), (24, 2)], ids=["31", "23", "24x2"])
+    def test_wrong_load_shape_rejected(self, steelish, shape):
+        # 24 DOFs, 18 free: no load may be truncated or counted over the free DOFs
+        mesh = grid_mesh(3, 2)
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
+        free = free_dofs(mesh, mesh.nodes_on_line_x(0.0))
+        with pytest.raises(MeshError, match=r"P must have shape \(24,\)"):
+            solve(mesh, K, free, np.ones(shape))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_untouched_and_fixed_dofs_plus_zero(self, steelish, order):
+        mesh = grid_mesh(3, 2)
+        layers = [Layer(steelish, "conforming", "plate")] * 2
+        K = np.array(assemble(mesh, layers), order=order)
+        fixed = mesh.nodes_on_line_x(0.0)
+        free = free_dofs(mesh, fixed)
+        P = np.random.default_rng(7).normal(0.0, 10.0, mesh.n_dofs)
+        K_in, P_in = K.copy(order="K"), P.copy()
+        u = solve(mesh, K, free, P)
+        assert K.tobytes(order="A") == K_in.tobytes(order="A")
+        assert P.tobytes() == P_in.tobytes()
+        u_fixed = np.delete(u, free)
+        assert len(u_fixed) == 2 * len(fixed)
+        assert np.all(u_fixed == 0.0) and not np.signbit(u_fixed).any()
+        assert np.all(u[free] != 0.0)
+
     def test_zero_load_zero_displacement(self, steelish):
         mesh = grid_mesh(3, 1)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])

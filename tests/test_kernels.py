@@ -153,22 +153,35 @@ def _solve_properties():
     return test_matches_dense_oracle, test_under_constrained_reports_rigid_modes
 
 
-class TestReducedBand:
+class TestConstrainedBand:
     @settings(max_examples=150, deadline=None)
     @given(systems())
-    def test_is_the_band_of_the_reduced_matrix(self, system):
-        mesh, layers, fixed, _ = system
+    def test_is_the_pinned_band_of_K(self, system):
+        mesh, layers, fixed, P = system
         K = assemble(mesh, layers)
-        p = free_dofs(mesh, fixed)
-        bw_K = 2 * len(mesh.y) + 3
-        ab = assembly._reduced_band(K, p, bw_K)
-        K_a = dense_from_band(mesh, K)[np.ix_(p, p)]
-        m = len(p)
-        ref = np.zeros((min(bw_K, m - 1) + 1, m))
+        free = free_dofs(mesh, fixed)
+        pbtrf, pbtrs = assembly._banded_cholesky()
+        factored = []
+
+        def recording_pbtrf(ab):
+            factored.append((ab.flags.f_contiguous, ab.copy(order="F")))
+            return pbtrf(ab)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "_banded_cholesky", lambda: (recording_pbtrf, pbtrs))
+            solve(mesh, K, free, P)
+        [(f_contiguous, ab)] = factored
+        K_pinned = dense_from_band(mesh, K)
+        pinned = np.setdiff1d(np.arange(mesh.n_dofs), free)
+        scale = max(np.diagonal(K_pinned)[free].max(), 1.0)
+        K_pinned[pinned] = 0.0
+        K_pinned[:, pinned] = 0.0
+        K_pinned[pinned, pinned] = scale
+        ref = np.zeros_like(K)
         for d in range(len(ref)):
-            ref[d, : m - d] = np.diagonal(K_a, -d)
-        assert ab.flags.f_contiguous
-        assert np.array_equal(ab, ref)
+            ref[d, : mesh.n_dofs - d] = np.diagonal(K_pinned, -d)
+        assert f_contiguous
+        assert ab.shape == ref.shape and ab.tobytes() == ref.tobytes()
 
 
 class TestBandedSolve:
@@ -187,6 +200,16 @@ class TestBandedSolve:
         u_ref = solve_dense(dense_from_band(mesh, K), free, P)
         u = solve(mesh, K, free, P)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (4, 3), (6, 2)])
+    def test_one_fixed_node_leaves_exactly_one_rigid_mode(self, nx, ny):
+        # the pinned DOFs' eigenvalues equal the pivot scale, never a mode
+        mesh = Mesh(np.arange(nx + 1.0), np.arange(ny + 1.0), 1.0)
+        card = IsotropicMaterial(E=1000.0, mu=0.3)
+        K = assemble(mesh, [Layer(card, "conforming", "plate")] * ny)
+        with pytest.raises(SolveError) as err:
+            solve(mesh, K, free_dofs(mesh, [0]), np.ones(mesh.n_dofs))
+        assert err.value.rigid_modes == 1
 
     @pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
     def test_illegal_argument_raises(self, monkeypatch, routine):
