@@ -25,20 +25,17 @@ for bc in (cp.BoundaryCondition.CLAMPED, cp.BoundaryCondition.SUPPORTED):
         )
     print()
 
-# The same pipeline, spelled out step by step for the clamped case:
+# The same pipeline, step by step for the clamped case: build the model,
+# then evaluate one 60 N probe, which solves it and scales to F_crit.
 spec = cp.PlateSpec().solid()
-mesh, tags = cp.build_solid_mesh(spec, layers=2)
+material = cp.FORMLABS_CLEAR
+mesh, layers = cp.solid_model(spec, 2, "conforming", material)
 print(f"mesh: {mesh.nx} x {mesh.n_layers} elements, a_fe = {mesh.a_fe} mm")
 
-material = cp.FORMLABS_CLEAR
-result = cp.analyze(
-    mesh,
-    [cp.Layer(material, "conforming", t) for t in tags],
-    cp.apply_boundary(mesh, cp.BoundaryCondition.CLAMPED, spec),
-    cp.apply_load(mesh, cp.LoadCase(60.0), spec),
+result, sigma_max, f_crit = cp.evaluate(
+    mesh, layers, spec, cp.BoundaryCondition.CLAMPED, 60.0, material
 )
-field = result.field
 
 print(f"max |u_y| = {abs(result.u[1::2]).max():.4f} mm")
-print(f"sigma_max = {field.max_se():.2f} MPa")
-print(f"F_crit    = {60.0 * material.sigma_el / field.max_se():.2f} N")
+print(f"sigma_max = {sigma_max['plate']:.2f} MPa")
+print(f"F_crit    = {f_crit:.2f} N")

@@ -21,8 +21,6 @@ from .materials import (
     IsotropicMaterial,
     TransverselyIsotropicMaterial,
     plane_strain_matrix,
-    stress_recovery_matrix_iso,
-    stress_recovery_matrix_ti,
     ti_plane_strain_matrix,
     von_mises_plane,
 )
@@ -74,10 +72,12 @@ from .experiments import (
     V_CL,
     LayerStressLedger,
     composite_model,
+    evaluate,
     honeycomb_grid,
     mesh_convergence_study,
     poisson_diagram,
     run_case,
     run_solid_case,
     run_sweep,
+    solid_model,
 )

@@ -35,26 +35,20 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .assembly import Layer, analyze
 from .errors import ChiralplateError, ConfigError, GeometryError, MeshError
 from .experiments import (
     DA_GRID,
     FORMLABS_CLEAR,
     RHO_GRID,
     composite_model,
+    evaluate,
     honeycomb_grid,
     mesh_convergence_study,
     run_sweep,
+    solid_model,
 )
 from .materials import IsotropicMaterial
-from .plates import (
-    BoundaryCondition,
-    LoadCase,
-    PlateSpec,
-    apply_boundary,
-    apply_load,
-    build_solid_mesh,
-)
+from .plates import BoundaryCondition, PlateSpec
 from .reporting import (
     fmt,
     write_convergence_csv,
@@ -225,14 +219,14 @@ def cmd_solve(args) -> int:
     cfg = load_config(Path(args.config), "solve")
     material = _material(cfg)
     bc = BoundaryCondition(_choice(cfg, args, "bc"))
-    kind = _choice(cfg, args, "algorithm")
+    algorithm = _ALGORITHMS[_choice(cfg, args, "algorithm")]
     load_n = _given(cfg, "load").get("F_probe", 30.0)
 
     if cfg["scenario"] == "solid":
         spec = _plate(cfg, solid=True)
+        layers = _given(cfg, "solid").get("layers", 2)
         with _plate_checked():
-            mesh, tags = build_solid_mesh(spec, _given(cfg, "solid").get("layers", 2))
-        layer_cards = [Layer(material, kind, t) for t in tags]
+            mesh, layer_cards = solid_model(spec, layers, algorithm, material)
     else:
         spec = _plate(cfg, solid=False)
         cell = _given(cfg, "honeycomb")
@@ -244,8 +238,7 @@ def cmd_solve(args) -> int:
         try:
             with _plate_checked():
                 spec, _, mesh, layer_cards = composite_model(
-                    setup, cell["d_a"], cell["rho_rel"], _ALGORITHMS[kind],
-                    material, spec,
+                    setup, cell["d_a"], cell["rho_rel"], algorithm, material, spec
                 )
         except GeometryError as exc:  # only a bad d_a or rho_rel raises it
             raise ConfigError(f"bad honeycomb cell: {exc}")
@@ -258,21 +251,17 @@ def cmd_solve(args) -> int:
         return EXIT_OK
 
     out = _prepare_out(args, ["field.csv", "summary.csv", "manifest.json"])
-    analysis = analyze(
-        mesh, layer_cards, apply_boundary(mesh, bc, spec),
-        apply_load(mesh, LoadCase(load_n), spec),
+    analysis, by_tag, f_crit = evaluate(
+        mesh, layer_cards, spec, bc, load_n, material
     )
-    field = analysis.field
-    f_crit = load_n * material.sigma_el / field.max_se()
-
-    write_field_csv(field, analysis.u, out / "field.csv", max_rows=args.max_rows)
-    write_summary_csv(field, f_crit, out / "summary.csv")
+    write_field_csv(
+        analysis.field, analysis.u, out / "field.csv", max_rows=args.max_rows
+    )
+    write_summary_csv(by_tag, f_crit, out / "summary.csv")
     write_manifest(out / "manifest.json", cfg, ["field.csv", "summary.csv"])
     print(
         "sigma_max per layer: "
-        + ", ".join(
-            f"{t} = {fmt(v)} MPa" for t, v in sorted(field.max_se_by_tag().items())
-        )
+        + ", ".join(f"{t} = {fmt(v)} MPa" for t, v in sorted(by_tag.items()))
         + f"; F_crit = {fmt(f_crit)} N"
     )
     return EXIT_OK
@@ -317,7 +306,7 @@ def cmd_convergence(args) -> int:
     if args.dry_run:
         with _plate_checked():  # the study's meshes, as the run builds them
             for layers in range(1, max_layers + 1):
-                build_solid_mesh(spec, layers, snap="equal_aspect")
+                solid_model(spec, layers, "conforming", material, "equal_aspect")
         print(
             f"convergence study: 1..{max_layers} layers, both element kinds, "
             f"both boundary conditions, F = {fmt(load_n)} N"

@@ -8,11 +8,12 @@ densities:
 * setup 2 keeps the solid volume of the core fixed at V_cl = 351 mm^3, so
   the core thickness follows t_cl = V_cl / (rho_rel * a * h).
 
-Each case homogenizes the core, builds the composite mesh, solves one
-probe load and scales linearly to the critical force at which the largest
-equivalent stress reaches the material's elastic limit. Core maxima are
-read from the homogenized continuum field and are tagged as such in the
-ledger: they do not resolve cell-wall stress concentrations.
+Each case homogenizes the core and builds the composite mesh. Every
+campaign then calls the one :func:`evaluate`: it solves one probe load and
+scales linearly to the critical force at which the largest equivalent
+stress reaches the material's elastic limit. Core maxima are read from the
+homogenized continuum field and are tagged as such in the ledger: they do
+not resolve cell-wall stress concentrations.
 
 The mesh-convergence study refines the solid plate through the thickness
 (1..N element layers, both element kinds, both boundary conditions) on the
@@ -26,8 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .assembly import Layer, Mesh, analyze
-from .errors import GeometryError
+from .assembly import Analysis, Layer, Mesh, analyze
+from .errors import ConfigError, GeometryError, MaterialError
 from . import honeycomb as hc
 from .materials import IsotropicMaterial
 from .plates import (
@@ -47,6 +48,8 @@ __all__ = [
     "FORMLABS_CLEAR",
     "LayerStressLedger",
     "composite_model",
+    "solid_model",
+    "evaluate",
     "run_case",
     "run_solid_case",
     "run_sweep",
@@ -85,10 +88,6 @@ class LayerStressLedger:
     governing: str
     core_note: str = "homogenized"
 
-    @property
-    def sigma_max(self) -> float:
-        return max(self.sigma_core, self.sigma_top, self.sigma_bottom)
-
 
 def composite_model(
     setup: int,
@@ -126,6 +125,43 @@ def composite_model(
     return case_spec, t_sw, mesh, layers
 
 
+def solid_model(
+    spec: PlateSpec, layers: int, algorithm: str, material: IsotropicMaterial,
+    snap: str = "exact",
+) -> tuple[Mesh, list[Layer]]:
+    """Solid plate of one material: its mesh and one card per element layer.
+
+    ``algorithm`` is an element kind, or ``"incompatible_faces"``, which on
+    a plate that is all face means incompatible elements throughout.
+    """
+    mesh, tags = build_solid_mesh(spec, layers, snap)
+    kind = "incompatible" if algorithm == "incompatible_faces" else algorithm
+    return mesh, [Layer(material, kind, tag) for tag in tags]
+
+
+def evaluate(
+    mesh: Mesh, layers: Sequence[Layer], spec: PlateSpec, bc: BoundaryCondition,
+    F_probe: float, material: IsotropicMaterial,
+) -> tuple[Analysis, dict[str, float], float]:
+    """Solve one probe load on a plate model and scale to its critical load.
+
+    ``F_probe`` acts downward at ``spec.l_1`` on the top surface, split
+    between the two straddling nodes where ``l_1`` is off the node lines.
+    The model is linear, so the load at which the largest equivalent stress
+    reaches ``material.sigma_el`` is F_crit = F_probe * sigma_el / sigma_max.
+    Returns the analysis, the maximum equivalent stress per layer tag and
+    F_crit.
+    """
+    if not 0 < F_probe < math.inf:
+        raise ConfigError(f"probe load must be positive and finite, got {F_probe}")
+    if material.sigma_el is None:
+        raise MaterialError("critical-load scaling needs the material's sigma_el")
+    P = apply_load(mesh, LoadCase(F_probe), spec, split=True)
+    analysis = analyze(mesh, layers, apply_boundary(mesh, bc, spec), P)
+    by_tag = analysis.field.max_se_by_tag()
+    return analysis, by_tag, F_probe * material.sigma_el / max(by_tag.values())
+
+
 def run_case(
     setup: int,
     d_a: float,
@@ -141,8 +177,8 @@ def run_case(
     """Solve one composite case and report the layer-stress ledger.
 
     Grid membership of (d_a, rho_rel) is enforced unless
-    ``allow_off_grid=True``. The critical load comes from linear scaling of
-    one probe solve: F_crit = F_probe * sigma_el / sigma_max.
+    ``allow_off_grid=True``. The stresses and the critical load come from
+    :func:`evaluate`.
     """
     if not allow_off_grid:
         if not any(math.isclose(d_a, v) for v in DA_GRID):
@@ -156,17 +192,9 @@ def run_case(
     case_spec, t_sw, mesh, layers = composite_model(
         setup, d_a, rho_rel, algorithm, material, spec, core_layers
     )
-    P = apply_load(mesh, LoadCase(F_probe), case_spec)
-    analysis = analyze(mesh, layers, apply_boundary(mesh, bc, case_spec), P)
-    by_tag = analysis.field.max_se_by_tag()
-
-    sigma = {
-        "core": by_tag.get("core", 0.0),
-        "face_top": by_tag.get("face_top", 0.0),
-        "face_bottom": by_tag.get("face_bottom", 0.0),
-    }
-    governing = max(sigma, key=sigma.get)
-    sigma_max = sigma[governing]
+    _, by_tag, F_crit = evaluate(mesh, layers, case_spec, bc, F_probe, material)
+    # The ledger's order, which also breaks ties for the governing layer
+    sigma = {tag: by_tag[tag] for tag in ("core", "face_top", "face_bottom")}
     return LayerStressLedger(
         setup=setup,
         d_a=d_a,
@@ -179,8 +207,8 @@ def run_case(
         sigma_core=sigma["core"],
         sigma_top=sigma["face_top"],
         sigma_bottom=sigma["face_bottom"],
-        F_crit=F_probe * material.sigma_el / sigma_max,
-        governing=governing,
+        F_crit=F_crit,
+        governing=max(sigma, key=sigma.get),
     )
 
 
@@ -198,12 +226,9 @@ def run_solid_case(
     one material throughout, the chosen element kind everywhere.
     """
     solid_spec = spec.solid()
-    mesh, tags = build_solid_mesh(solid_spec, layers)
-    kind = "incompatible" if algorithm == "incompatible_faces" else algorithm
-    cards = [Layer(material, kind, tag) for tag in tags]
-    P = apply_load(mesh, LoadCase(F_probe), solid_spec)
-    analysis = analyze(mesh, cards, apply_boundary(mesh, bc, solid_spec), P)
-    sigma_max = analysis.field.max_se()
+    mesh, cards = solid_model(solid_spec, layers, algorithm, material)
+    _, by_tag, F_crit = evaluate(mesh, cards, solid_spec, bc, F_probe, material)
+    sigma_max = by_tag["plate"]
     return LayerStressLedger(
         setup=0,
         d_a=float("nan"),
@@ -216,7 +241,7 @@ def run_solid_case(
         sigma_core=0.0,
         sigma_top=sigma_max,
         sigma_bottom=sigma_max,
-        F_crit=F_probe * material.sigma_el / sigma_max,
+        F_crit=F_crit,
         governing="plate",
         core_note="solid plate",
     )
@@ -262,31 +287,21 @@ def mesh_convergence_study(
     consistently between the straddling top nodes.
     """
     solid_spec = spec.solid()
-    # Each layer count's mesh, tags and load serve all four families.
-    models = []
-    for layers in range(1, max_layers + 1):
-        mesh, tags = build_solid_mesh(solid_spec, layers, snap="equal_aspect")
-        P = apply_load(mesh, LoadCase(F_probe), solid_spec, split=True)
-        models.append((layers, mesh, tags, P))
     rows = []
     for kind in ("conforming", "incompatible"):
+        # Each layer count's model serves both boundary conditions
+        models = [
+            solid_model(solid_spec, layers, kind, material, snap="equal_aspect")
+            for layers in range(1, max_layers + 1)
+        ]
         for bc in (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED):
-            for layers, mesh, tags, P in models:
-                analysis = analyze(
-                    mesh,
-                    [Layer(material, kind, t) for t in tags],
-                    apply_boundary(mesh, bc, solid_spec),
-                    P,
+            for layers, (mesh, cards) in enumerate(models, start=1):
+                analysis, by_tag, _ = evaluate(
+                    mesh, cards, solid_spec, bc, F_probe, material
                 )
-                rows.append(
-                    ConvergenceRow(
-                        element_kind=kind,
-                        bc=bc.value,
-                        layers=layers,
-                        dofs=len(analysis.free_dofs),
-                        sigma_max=analysis.field.max_se(),
-                    )
-                )
+                rows.append(ConvergenceRow(
+                    kind, bc.value, layers, len(analysis.free_dofs), by_tag["plate"]
+                ))
     return rows
 
 

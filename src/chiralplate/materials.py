@@ -3,11 +3,9 @@
 Unit system is fixed to mm / N / MPa throughout the library. Two material
 models are supported: isotropic solids and transversely isotropic media
 (used for the homogenized honeycomb core). For each, the module builds
-
-* the full 3x3 plane-strain elasticity matrix ``chi`` ordered
-  ``(eps_xx, eps_yy, eps_xy)``, and
-* the 2x2 stress-recovery matrix obtained by dropping the shear row and
-  column, which is what the nodal stress recovery uses.
+the full 3x3 plane-strain elasticity matrix ``chi`` ordered
+``(eps_xx, eps_yy, eps_xy)``; the nodal stress recovery uses its upper 2x2
+block ``chi[:2, :2]``, the matrix with the shear row and column dropped.
 
 The von Mises equivalent stress of two principal stresses rounds out the
 module.
@@ -27,8 +25,6 @@ __all__ = [
     "TransverselyIsotropicMaterial",
     "plane_strain_matrix",
     "ti_plane_strain_matrix",
-    "stress_recovery_matrix_iso",
-    "stress_recovery_matrix_ti",
     "von_mises_plane",
 ]
 
@@ -162,16 +158,6 @@ def ti_plane_strain_matrix(mat: TransverselyIsotropicMaterial) -> np.ndarray:
             [0.0, 0.0, mat.m1 * mat._denominator()],
         ]
     )
-
-
-def stress_recovery_matrix_iso(mat: IsotropicMaterial) -> np.ndarray:
-    """2x2 recovery matrix: the isotropic matrix with shear eliminated."""
-    return plane_strain_matrix(mat)[:2, :2].copy()
-
-
-def stress_recovery_matrix_ti(mat: TransverselyIsotropicMaterial) -> np.ndarray:
-    """2x2 recovery matrix: the TI matrix with shear eliminated."""
-    return ti_plane_strain_matrix(mat)[:2, :2].copy()
 
 
 def von_mises_plane(s1, s2):

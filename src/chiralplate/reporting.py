@@ -115,14 +115,16 @@ def write_field_csv(
     return written
 
 
-def write_summary_csv(field: StressField, f_crit: float, path: Path) -> None:
+def write_summary_csv(
+    sigma_by_tag: dict[str, float], f_crit: float, path: Path
+) -> None:
     """Peak equivalent stress per layer tag and overall, and the critical load."""
     handle, writer = _open_writer(path)
     with handle:
         writer.writerow(["quantity", "value"])
-        for tag, val in sorted(field.max_se_by_tag().items()):
+        for tag, val in sorted(sigma_by_tag.items()):
             writer.writerow([f"sigma_max_{tag}_mpa", fmt(val)])
-        writer.writerow(["sigma_max_mpa", fmt(field.max_se())])
+        writer.writerow(["sigma_max_mpa", fmt(max(sigma_by_tag.values()))])
         writer.writerow(["F_crit_n", fmt(f_crit)])
 
 

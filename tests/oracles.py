@@ -37,8 +37,6 @@ from chiralplate import (
     StressField,
     TransverselyIsotropicMaterial,
     plane_strain_matrix,
-    stress_recovery_matrix_iso,
-    stress_recovery_matrix_ti,
     ti_plane_strain_matrix,
     von_mises_plane,
 )
@@ -173,9 +171,9 @@ def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
         mat = layer.material
         if isinstance(mat, TransverselyIsotropicMaterial):
-            chi2, mu = stress_recovery_matrix_ti(mat), mat.mu1
+            chi2, mu = ti_plane_strain_matrix(mat)[:2, :2], mat.mu1
         else:
-            chi2, mu = stress_recovery_matrix_iso(mat), mat.mu
+            chi2, mu = plane_strain_matrix(mat)[:2, :2], mat.mu
         chi3 = full_elasticity_matrix(mat)
         for i in range(mesh.nx):
             e = j * mesh.nx + i

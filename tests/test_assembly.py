@@ -28,9 +28,9 @@ from chiralplate import (
     composite_model,
     conforming_stiffness_iso,
     free_dofs,
+    plane_strain_matrix,
     recover,
     solve,
-    stress_recovery_matrix_iso,
 )
 from chiralplate.elements import ETA_CORNERS, XI_CORNERS, ElementGeometry
 from oracles import (
@@ -336,7 +336,7 @@ class TestRecovery:
         u = np.zeros(mesh.n_dofs)
         u[0::2] = eps * coords[:, 0]
         field = recover(mesh, [Layer(steelish, "conforming", "plate")] * 2, u)
-        chi2 = stress_recovery_matrix_iso(steelish)
+        chi2 = plane_strain_matrix(steelish)[:2, :2]
         assert_allclose(field.exx, eps, rtol=1e-12)
         assert_allclose(field.eyy, 0.0, atol=1e-18)
         assert_allclose(field.sxx, chi2[0, 0] * eps, rtol=1e-12)

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import chiralplate.cli as cli
-from chiralplate import assembly
+from chiralplate import assembly, experiments
 from chiralplate.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from chiralplate.errors import SolveError
 from chiralplate.experiments import FORMLABS_CLEAR
@@ -100,24 +100,23 @@ class TestSolve:
             outs[algo] = float(dict(l.split(",") for l in summary[1:])["F_crit_n"])
         assert outs["conforming"] != outs["incompatible"]
 
-    def test_setup2_solves_once(self, tmp_path, monkeypatch):
-        from chiralplate.experiments import run_case
+    @pytest.mark.parametrize("scenario", ["solid", "setup2"])
+    def test_solve_analyzes_once(self, tmp_path, monkeypatch, scenario):
+        from chiralplate.experiments import run_case, run_solid_case
         from chiralplate.plates import BoundaryCondition
         from chiralplate.reporting import fmt
 
         calls = []
-        real_analyze = cli.analyze
+        real_analyze = experiments.analyze
 
         def counting_analyze(*args):
             calls.append(args)
             return real_analyze(*args)
 
-        monkeypatch.setattr(cli, "analyze", counting_analyze)
-        data = {
-            "scenario": "setup2",
-            "honeycomb": {"d_a_mm": 1.3, "rho_rel": 0.3},
-            "load": {"F_y_n": 50.0},
-        }
+        monkeypatch.setattr(experiments, "analyze", counting_analyze)
+        data = {"scenario": scenario, "load": {"F_y_n": 50.0}}
+        if scenario == "setup2":
+            data["honeycomb"] = {"d_a_mm": 1.3, "rho_rel": 0.3}
         cfg = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert run(["solve", "--config", cfg, "--out", out, "--dry-run"]) == EXIT_OK
@@ -126,8 +125,11 @@ class TestSolve:
         assert len(calls) == 1
         summary = (out / "summary.csv").read_text().splitlines()
         f_crit = dict(line.split(",") for line in summary[1:])["F_crit_n"]
-        ledger = run_case(2, 1.3, 0.3, BoundaryCondition.CLAMPED,
-                          F_probe=50.0, allow_off_grid=True)
+        if scenario == "solid":
+            ledger = run_solid_case(BoundaryCondition.CLAMPED, F_probe=50.0)
+        else:
+            ledger = run_case(2, 1.3, 0.3, BoundaryCondition.CLAMPED,
+                              F_probe=50.0, allow_off_grid=True)
         assert f_crit == fmt(ledger.F_crit)
 
     def test_max_rows_caps_field_dump(self, tmp_path):
@@ -336,7 +338,7 @@ class TestConfigValidation:
         ids=["config", "numerical"],
     )
     def test_error_printed_once(self, tmp_path, capsys, monkeypatch, data, message):
-        monkeypatch.setattr(cli, "analyze", _singular_solve)
+        monkeypatch.setattr(experiments, "analyze", _singular_solve)
         cfg = write_config(tmp_path, data)
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) != EXIT_OK
         captured = capsys.readouterr()
@@ -344,7 +346,7 @@ class TestConfigValidation:
         assert captured.out == ""
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "analyze", _singular_solve)
+        monkeypatch.setattr(experiments, "analyze", _singular_solve)
         cfg = write_config(tmp_path, {"scenario": "setup1", "honeycomb": self.CELL})
         assert run(
             ["solve", "--config", cfg, "--out", tmp_path / "o"]

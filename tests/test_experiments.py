@@ -7,8 +7,10 @@ import pytest
 
 from chiralplate import (
     BoundaryCondition,
+    ConfigError,
     GeometryError,
     IsotropicMaterial,
+    MaterialError,
     honeycomb_grid,
     mesh_convergence_study,
     poisson_diagram,
@@ -70,6 +72,27 @@ class TestRunCase:
         assert clamped.F_crit == pytest.approx(92.0, rel=0.03)
         supported = run_solid_case(SUPPORTED)
         assert supported.F_crit == pytest.approx(60.1, rel=0.03)
+
+
+# Every campaign reaches evaluate, which checks the probe load and sigma_el
+CAMPAIGNS = {
+    "run_case": lambda **kw: run_case(1, 1.0, 0.14, CLAMPED, **kw),
+    "run_solid_case": lambda **kw: run_solid_case(CLAMPED, **kw),
+    "mesh_convergence_study": lambda **kw: mesh_convergence_study(1, **kw),
+}
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGNS.values(), ids=CAMPAIGNS)
+@pytest.mark.parametrize(
+    "bad, error",
+    [({"F_probe": -30.0}, ConfigError), ({"F_probe": 0.0}, ConfigError),
+     ({"F_probe": math.nan}, ConfigError), ({"F_probe": math.inf}, ConfigError),
+     ({"material": IsotropicMaterial(E=2800.0, mu=0.35)}, MaterialError)],
+    ids=["negative", "zero", "nan", "inf", "no_sigma_el"],
+)
+def test_evaluate_rejects_bad_probe_or_material(campaign, bad, error):
+    with pytest.raises(error):
+        campaign(**bad)
 
 
 class TestSweeps:
