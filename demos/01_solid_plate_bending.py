@@ -27,13 +27,15 @@ for bc in (cp.BoundaryCondition.CLAMPED, cp.BoundaryCondition.SUPPORTED):
 
 # The same pipeline, step by step for the clamped case: build the model,
 # then evaluate one 60 N probe, which solves it and scales to F_crit.
+# evaluate takes a tuple of boundary conditions, solves them all on one
+# assembled stiffness and returns one result per condition; here just one.
 spec = cp.PlateSpec().solid()
 material = cp.FORMLABS_CLEAR
 mesh, layers = cp.solid_model(spec, 2, "conforming", material)
 print(f"mesh: {mesh.nx} x {mesh.n_layers} elements, a_fe = {mesh.a_fe} mm")
 
-result, sigma_max, f_crit = cp.evaluate(
-    mesh, layers, spec, cp.BoundaryCondition.CLAMPED, 60.0, material
+[(result, sigma_max, f_crit)] = cp.evaluate(
+    mesh, layers, spec, (cp.BoundaryCondition.CLAMPED,), 60.0, material
 )
 
 print(f"max |u_y| = {abs(result.u[1::2]).max():.4f} mm")

@@ -1,9 +1,10 @@
 """Mesh, global assembly, constraints, solve and stress recovery.
 
-:func:`analyze` runs the whole linear pipeline for one load case:
-:func:`assemble` the global stiffness, fix the DOFs outside
-:func:`free_dofs`, :func:`solve` for the displacements and :func:`recover`
-the corner stresses. Each step is a pure function of its inputs.
+:func:`analyze` runs the whole linear pipeline for one load under one or
+more boundary conditions: :func:`assemble` the global stiffness once, then
+per fixed-node set fix the DOFs outside :func:`free_dofs` and :func:`solve`
+for the displacements, and :func:`recover` the corner stresses of all
+solutions in one pass. Each step is a pure function of its inputs.
 
 The mesh is a structured grid of axis-aligned rectangles grouped into
 horizontal layers; every element of a layer shares the same height and
@@ -26,8 +27,9 @@ and ``n``. On the structured grid the DOF gap ``d`` between two corners of
 an element is the same for every element, so with ``K`` viewed as
 ``(bw + 1, len(x), len(y), 2)`` each column corner adds the blocks of all
 elements in one strided slice. Recovery gathers the corner displacements
-of all layers that share a card from the ``(len(x), len(y), 2)`` view of
-``u`` and applies the card's strain matrix to them in one ``einsum``.
+as ``u[mesh.element_dofs]`` and applies each card's operator, the four
+corners' strain and stress rows stacked into one matrix, to all layers of
+that card in one matmul.
 
 :func:`solve` holds the fixed DOFs at zero by pinning them in a copy of
 ``K``'s band: their rows, columns and loads are zeroed and their diagonal
@@ -48,7 +50,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import logging
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +85,8 @@ __all__ = [
 ]
 
 Material = IsotropicMaterial | TransverselyIsotropicMaterial
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,8 @@ class Mesh:
     layer), so the layer of element ``i`` is ``i // nx``. ``element_dofs``
     is the read-only ``(n_elements, 8)`` table of each element's global
     DOFs in local block order (x, y of corner 1, then corner 2, ...), for
-    the field dump and the test oracles; assembly and recovery index the
-    grid directly and do not read it.
+    the field dump, the recovery's gather and the test oracles; assembly
+    indexes the grid directly and does not read it.
     """
 
     def __init__(self, x_lines, y_lines, h: float):
@@ -281,9 +287,12 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
 def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
     """Sorted DOFs left free once both DOFs of ``fixed_nodes`` are fixed.
 
-    A node id outside ``[0, n_nodes)`` raises :class:`ConstraintError`.
+    ``fixed_nodes`` is one 1-D sequence of node ids; anything else, or a
+    node id outside ``[0, n_nodes)``, raises :class:`ConstraintError`.
     """
     fixed_nodes = np.asarray(fixed_nodes, dtype=int)
+    if fixed_nodes.ndim != 1:
+        raise ConstraintError("fixed nodes must be a 1-D sequence of node ids")
     if fixed_nodes.size == 0:
         raise ConstraintError("no nodes to fix; the system would be singular")
     if fixed_nodes.min() < 0 or fixed_nodes.max() >= mesh.n_nodes:
@@ -482,33 +491,36 @@ class StressField:
         return float(self.se.max())
 
 
-def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> StressField:
+def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
     """Recover nodal strains and stresses at the four element corners.
 
     ``u`` is the full displacement vector of the mesh under the layer cards
-    ``layers``. ``mode="standard"`` applies rows 0-1 of the strain matrix and
-    the 2x2 recovery matrix (shear eliminated) and treats the recovered normal
+    ``layers``, which gives one :class:`StressField`, or a ``(k, n_dofs)``
+    stack of k of them, recovered in one pass into a list of k fields.
+    ``mode="standard"`` applies rows 0-1 of the strain matrix and the 2x2
+    recovery matrix (shear eliminated) and treats the recovered normal
     stresses as the principal pair for the equivalent stress.
     ``mode="diagnostic"`` additionally evaluates the shear strain/stress
     from the full 3-row matrix and rotates to principal stresses before the
     equivalent stress; it sits outside the normative pipeline and exists
     for inspection. Layers that share a card ``(kind, material, height)``
-    share their strain matrices, so each distinct card is one
-    :func:`strain_displacement_full` call over the four corners, one gather
-    of its elements' corner displacements and one ``einsum``.
+    share one ``(8, 4 * n)`` operator, which stacks the four corners' strain
+    rows and their stress rows ``chi[:2, :2] @ B`` (and the shear rows in
+    diagnostic mode), so each distinct card is one
+    :func:`strain_displacement_full` call, one gather of its elements'
+    corner displacements through ``mesh.element_dofs`` and one matmul.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.n_dofs,):
+    if u.ndim not in (1, 2) or u.shape[-1] != mesh.n_dofs:
         raise SolveError(f"need a solved displacement vector of {mesh.n_dofs} entries")
     if mode not in ("standard", "diagnostic"):
         raise MeshError(f"unknown recovery mode {mode!r}")
     layers = _layer_cards(mesh, layers)
-    nx, shape = mesh.nx, (mesh.n_layers, mesh.nx, 4)
-    exx, eyy, sxx, syy, se = (np.empty(shape) for _ in range(5))
-    exy = np.empty(shape) if mode == "diagnostic" else None
-    sxy = np.empty(shape) if mode == "diagnostic" else None
-    u_grid = u.reshape(len(mesh.x), len(mesh.y), 2)
-    columns = np.arange(nx)[:, None] + _XO  # (nx, 4 corners)
+    us = u.reshape(-1, mesh.n_dofs)
+    layer_dofs = mesh.element_dofs.reshape(mesh.n_layers, mesh.nx, 8)
+    # Per element: exx, eyy, sxx, syy (and exy, sxy), four corners each
+    n_q = 6 if mode == "diagnostic" else 4
+    out = np.empty((len(us), mesh.n_layers, mesh.nx, n_q * 4))
 
     for (kind, material, height), js in _card_groups(mesh, layers).items():
         g = ElementGeometry(mesh.a_fe, height, mesh.h)
@@ -516,35 +528,25 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard") -> Stress
         # Layer admits incompatible elements on isotropic cards only
         mu = material.mu if kind == "incompatible" else 0.0
         B3 = strain_displacement_full(kind, g, XI_CORNERS, ETA_CORNERS, mu)
-        U = u_grid[columns, js[:, None, None] + _YO].reshape(-1, 8)
-        eps3 = np.einsum("qkd,ed->eqk", B3, U)  # (elements, 4 corners, 3)
-        eps3 = eps3.reshape(len(js), nx, 4, 3)
-        sig = eps3[..., :2] @ chi[:2, :2].T
-        exx[js], eyy[js] = eps3[..., 0], eps3[..., 1]
-        sxx[js], syy[js] = sig[..., 0], sig[..., 1]
+        rows = [B3[:, 0], B3[:, 1], *np.swapaxes(chi[:2, :2] @ B3[:, :2], 0, 1)]
+        if mode == "diagnostic":
+            rows += [B3[:, 2], chi[2] @ B3]
+        # C-ordered (8, 4 * n_q): the matmul runs ~2x faster than on a .T view
+        op = np.concatenate([r.T for r in rows], axis=1)
+        out[:, js] = np.take(us, layer_dofs[js], axis=1) @ op  # u[element_dofs]
+
+    tags = tuple(layer.tag for layer in layers)
+    fields = []
+    for q in out.reshape(len(us), mesh.n_elements, n_q, 4).transpose(0, 2, 1, 3):
+        # q[i] is quantity i of every corner, an (n_elements, 4) view
         if mode == "standard":
-            se[js] = von_mises_plane(sig[..., 0], sig[..., 1])
+            se = von_mises_plane(q[2], q[3])
         else:
-            shear = eps3 @ chi[2]
-            exy[js], sxy[js] = eps3[..., 2], shear
-            mid = 0.5 * (sig[..., 0] + sig[..., 1])
-            rad = np.hypot(0.5 * (sig[..., 0] - sig[..., 1]), shear)
-            se[js] = von_mises_plane(mid + rad, mid - rad)
-
-    def flat(a):
-        return None if a is None else a.reshape(mesh.n_elements, 4)
-
-    return StressField(
-        mesh=mesh,
-        exx=flat(exx),
-        eyy=flat(eyy),
-        sxx=flat(sxx),
-        syy=flat(syy),
-        se=flat(se),
-        tags=tuple(layer.tag for layer in layers),
-        exy=flat(exy),
-        sxy=flat(sxy),
-    )
+            mid = 0.5 * (q[2] + q[3])
+            rad = np.hypot(0.5 * (q[2] - q[3]), q[5])
+            se = von_mises_plane(mid + rad, mid - rad)
+        fields.append(StressField(mesh, *q[:4], se, tags, *q[4:]))
+    return fields[0] if u.ndim == 1 else fields
 
 
 @dataclass(frozen=True)
@@ -556,12 +558,29 @@ class Analysis:
     field: StressField
 
 
-def analyze(mesh: Mesh, layers, fixed_nodes, P: np.ndarray) -> Analysis:
-    """Assemble, constrain, solve and recover one load case.
+def analyze(mesh: Mesh, layers, fixed_sets, P: np.ndarray) -> list[Analysis]:
+    """Assemble once, then constrain, solve and recover per boundary condition.
 
-    ``layers`` is the sequence of layer cards, ``fixed_nodes`` the nodes
-    whose two DOFs are fixed and ``P`` the full load vector.
+    ``layers`` is the sequence of layer cards, ``fixed_sets`` a sequence of
+    fixed-node sets (each the nodes whose two DOFs are fixed) and ``P`` the
+    full load vector. ``K`` does not depend on the constraints, so it is
+    assembled once and solved against each set; the solutions are recovered
+    in one pass. Returns one :class:`Analysis` per set, in order.
     """
-    free = free_dofs(mesh, fixed_nodes)
-    u = solve(mesh, assemble(mesh, layers), free, P)
-    return Analysis(free_dofs=free, u=u, field=recover(mesh, layers, u))
+    frees = [free_dofs(mesh, fixed) for fixed in fixed_sets]
+    if not frees:
+        raise ConstraintError("no fixed-node sets to analyze")
+    t0 = time.perf_counter()
+    K = assemble(mesh, layers)
+    t1 = time.perf_counter()
+    us = np.array([solve(mesh, K, free, P) for free in frees])
+    band_rows = len(K)
+    del K  # free the band before recovery allocates its arrays
+    t2 = time.perf_counter()
+    fields = recover(mesh, layers, us)
+    _log.debug(
+        "analyze: %d DOFs, %d band rows, %d fixed sets; assemble %.3f ms, "
+        "solve %.3f ms, recover %.3f ms", mesh.n_dofs, band_rows, len(frees),
+        1e3 * (t1 - t0), 1e3 * (t2 - t1), 1e3 * (time.perf_counter() - t2),
+    )
+    return [Analysis(free, u, field) for free, u, field in zip(frees, us, fields)]

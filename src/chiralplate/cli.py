@@ -251,8 +251,8 @@ def cmd_solve(args) -> int:
         return EXIT_OK
 
     out = _prepare_out(args, ["field.csv", "summary.csv", "manifest.json"])
-    analysis, by_tag, f_crit = evaluate(
-        mesh, layer_cards, spec, bc, load_n, material
+    [(analysis, by_tag, f_crit)] = evaluate(
+        mesh, layer_cards, spec, (bc,), load_n, material
     )
     write_field_csv(
         analysis.field, analysis.u, out / "field.csv", max_rows=args.max_rows

@@ -140,26 +140,31 @@ def solid_model(
 
 
 def evaluate(
-    mesh: Mesh, layers: Sequence[Layer], spec: PlateSpec, bc: BoundaryCondition,
-    F_probe: float, material: IsotropicMaterial,
-) -> tuple[Analysis, dict[str, float], float]:
+    mesh: Mesh, layers: Sequence[Layer], spec: PlateSpec,
+    bcs: Sequence[BoundaryCondition], F_probe: float, material: IsotropicMaterial,
+) -> list[tuple[Analysis, dict[str, float], float]]:
     """Solve one probe load on a plate model and scale to its critical load.
 
     ``F_probe`` acts downward at ``spec.l_1`` on the top surface, split
     between the two straddling nodes where ``l_1`` is off the node lines.
     The model is linear, so the load at which the largest equivalent stress
     reaches ``material.sigma_el`` is F_crit = F_probe * sigma_el / sigma_max.
-    Returns the analysis, the maximum equivalent stress per layer tag and
-    F_crit.
+    Every boundary condition in ``bcs`` is solved on the one stiffness
+    :func:`analyze` assembles. Returns, per boundary condition in order, the
+    analysis, the maximum equivalent stress per layer tag and F_crit.
     """
     if not 0 < F_probe < math.inf:
         raise ConfigError(f"probe load must be positive and finite, got {F_probe}")
     if material.sigma_el is None:
         raise MaterialError("critical-load scaling needs the material's sigma_el")
     P = apply_load(mesh, LoadCase(F_probe), spec, split=True)
-    analysis = analyze(mesh, layers, apply_boundary(mesh, bc, spec), P)
-    by_tag = analysis.field.max_se_by_tag()
-    return analysis, by_tag, F_probe * material.sigma_el / max(by_tag.values())
+    fixed_sets = [apply_boundary(mesh, bc, spec) for bc in bcs]
+    results = []
+    for analysis in analyze(mesh, layers, fixed_sets, P):
+        by_tag = analysis.field.max_se_by_tag()
+        F_crit = F_probe * material.sigma_el / max(by_tag.values())
+        results.append((analysis, by_tag, F_crit))
+    return results
 
 
 def run_case(
@@ -187,12 +192,13 @@ def run_case(
             raise GeometryError(
                 f"rho_rel = {rho_rel} not on the design grid {RHO_GRID}"
             )
-    if F_probe is None:
-        F_probe = DEFAULT_PROBE[setup]
+    # composite_model checks setup before it picks the default probe
     case_spec, t_sw, mesh, layers = composite_model(
         setup, d_a, rho_rel, algorithm, material, spec, core_layers
     )
-    _, by_tag, F_crit = evaluate(mesh, layers, case_spec, bc, F_probe, material)
+    if F_probe is None:
+        F_probe = DEFAULT_PROBE[setup]
+    [(_, by_tag, F_crit)] = evaluate(mesh, layers, case_spec, (bc,), F_probe, material)
     # The ledger's order, which also breaks ties for the governing layer
     sigma = {tag: by_tag[tag] for tag in ("core", "face_top", "face_bottom")}
     return LayerStressLedger(
@@ -227,7 +233,7 @@ def run_solid_case(
     """
     solid_spec = spec.solid()
     mesh, cards = solid_model(solid_spec, layers, algorithm, material)
-    _, by_tag, F_crit = evaluate(mesh, cards, solid_spec, bc, F_probe, material)
+    [(_, by_tag, F_crit)] = evaluate(mesh, cards, solid_spec, (bc,), F_probe, material)
     sigma_max = by_tag["plate"]
     return LayerStressLedger(
         setup=0,
@@ -287,21 +293,24 @@ def mesh_convergence_study(
     consistently between the straddling top nodes.
     """
     solid_spec = spec.solid()
+    bcs = (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED)
     rows = []
     for kind in ("conforming", "incompatible"):
-        # Each layer count's model serves both boundary conditions
-        models = [
-            solid_model(solid_spec, layers, kind, material, snap="equal_aspect")
-            for layers in range(1, max_layers + 1)
-        ]
-        for bc in (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED):
-            for layers, (mesh, cards) in enumerate(models, start=1):
-                analysis, by_tag, _ = evaluate(
-                    mesh, cards, solid_spec, bc, F_probe, material
-                )
-                rows.append(ConvergenceRow(
-                    kind, bc.value, layers, len(analysis.free_dofs), by_tag["plate"]
-                ))
+        # One evaluation per model serves both boundary conditions; only
+        # (dofs, sigma_max) outlives it, and the rows go out BC by BC
+        by_bc = {bc: [] for bc in bcs}
+        for layers in range(1, max_layers + 1):
+            mesh, cards = solid_model(
+                solid_spec, layers, kind, material, snap="equal_aspect"
+            )
+            kept = [
+                (len(analysis.free_dofs), by_tag["plate"]) for analysis, by_tag, _
+                in evaluate(mesh, cards, solid_spec, bcs, F_probe, material)
+            ]
+            for bc, (dofs, sigma) in zip(bcs, kept):
+                by_bc[bc].append(ConvergenceRow(kind, bc.value, layers, dofs, sigma))
+        for bc in bcs:
+            rows += by_bc[bc]
     return rows
 
 

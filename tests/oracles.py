@@ -15,7 +15,7 @@ and trades speed for obviousness:
 * :func:`solve_dense` factors the dense reduced matrix ``K[free, free]``;
 * :func:`recover_loop` recovers the corner stresses element by element and
   corner by corner with scalar von Mises evaluations, and
-  :func:`recover_per_layer` layer by layer, with the array operations
+  :func:`recover_per_layer` layer by layer, with the per-card operator
   ``recover`` applies to a group of layers;
 * :func:`quadrature_stiffness` integrates an element stiffness by
   Gauss-Legendre quadrature from the shape functions, the check on every
@@ -207,8 +207,10 @@ def recover_per_layer(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard")
     """Corner strains and stresses, one layer at a time.
 
     Each layer is one strain-matrix call over its four corners, one gather
-    through ``mesh.element_dofs`` and one ``einsum`` with the subscripts
-    ``recover`` uses, so each element's values come out to the same bits.
+    through ``mesh.element_dofs`` and one matmul with the operator
+    ``recover`` builds per card, its strain rows and their stress rows
+    stacked in the same order, so each element's values come out to the
+    same bits.
     """
     n_el = mesh.n_elements
     exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
@@ -220,18 +222,20 @@ def recover_per_layer(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard")
         chi = full_elasticity_matrix(layer.material)
         mu = layer.material.mu if layer.kind == "incompatible" else 0.0
         B3 = strain_displacement_full(layer.kind, g, XI_CORNERS, ETA_CORNERS, mu)
+        sig_rows = np.swapaxes(chi[:2, :2] @ B3[:, :2], 0, 1)
+        parts = [B3[:, 0], B3[:, 1], sig_rows[0], sig_rows[1]]
+        if mode == "diagnostic":
+            parts += [B3[:, 2], chi[2] @ B3]
         rows = slice(j * mesh.nx, (j + 1) * mesh.nx)
-        eps3 = np.einsum("qkd,ed->eqk", B3, U[rows])
-        sig = eps3[..., :2] @ chi[:2, :2].T
-        exx[rows], eyy[rows] = eps3[..., 0], eps3[..., 1]
-        sxx[rows], syy[rows] = sig[..., 0], sig[..., 1]
+        values = U[rows] @ np.concatenate([r.T for r in parts], axis=1)
+        q = values.reshape(mesh.nx, -1, 4)  # (element, quantity, corner)
+        exx[rows], eyy[rows], sxx[rows], syy[rows] = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
         if mode == "standard":
-            se[rows] = von_mises_plane(sig[..., 0], sig[..., 1])
+            se[rows] = von_mises_plane(sxx[rows], syy[rows])
         else:
-            exy[rows] = eps3[..., 2]
-            sxy[rows] = eps3 @ chi[2]
-            mid = 0.5 * (sig[..., 0] + sig[..., 1])
-            rad = np.hypot(0.5 * (sig[..., 0] - sig[..., 1]), sxy[rows])
+            exy[rows], sxy[rows] = q[:, 4], q[:, 5]
+            mid = 0.5 * (sxx[rows] + syy[rows])
+            rad = np.hypot(0.5 * (sxx[rows] - syy[rows]), sxy[rows])
             se[rows] = von_mises_plane(mid + rad, mid - rad)
     return StressField(
         mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,

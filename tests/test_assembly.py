@@ -8,12 +8,16 @@ unpack it with ``oracles.dense_from_band``, and one test holds that view
 equal to the dense reference assembly ``oracles.assemble_dense``.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from chiralplate import (
     FORMLABS_CLEAR,
+    BoundaryCondition,
+    LoadCase,
     ConstraintError,
     IsotropicMaterial,
     Layer,
@@ -23,6 +27,8 @@ from chiralplate import (
     SolveError,
     TransverselyIsotropicMaterial,
     analyze,
+    apply_boundary,
+    apply_load,
     assemble,
     build_solid_mesh,
     composite_model,
@@ -30,8 +36,10 @@ from chiralplate import (
     free_dofs,
     plane_strain_matrix,
     recover,
+    solid_model,
     solve,
 )
+from chiralplate import assembly
 from chiralplate.elements import ETA_CORNERS, XI_CORNERS, ElementGeometry
 from oracles import (
     assemble_dense,
@@ -308,7 +316,8 @@ class TestConstraintsAndSolve:
         layers = [Layer(steelish, "conforming", "plate")] * 2
         P = np.zeros(mesh.n_dofs)
         P[2 * mesh.node_id(3, 2) + 1] = -5.0
-        result = analyze(mesh, layers, [mesh.node_id(0, 0), mesh.node_id(6, 0)], P)
+        fixed = [mesh.node_id(0, 0), mesh.node_id(6, 0)]
+        [result] = analyze(mesh, layers, [fixed], P)
         free = result.free_dofs
         K_a = dense_from_band(mesh, assemble(mesh, layers))[np.ix_(free, free)]
         res = K_a @ result.u[free] - P[free]
@@ -325,7 +334,8 @@ class TestRecovery:
         mesh = grid_mesh(2, 1)
         layers = [Layer(steelish, "conforming", "plate")]
         bottom_corners = [mesh.node_id(0, 0), mesh.node_id(2, 0)]
-        field = analyze(mesh, layers, bottom_corners, np.zeros(mesh.n_dofs)).field
+        [result] = analyze(mesh, layers, [bottom_corners], np.zeros(mesh.n_dofs))
+        field = result.field
         assert_allclose(field.se, 0.0, atol=0)
 
     def test_uniform_stretch_patch(self, steelish):
@@ -359,7 +369,7 @@ class TestRecovery:
         P[rng.choice(above_bottom, 5)] = rng.normal(0, 3, 5)
         layers = [Layer(steelish, "conforming", "plate")] * 2
         bottom_corners = [mesh.node_id(0, 0), mesh.node_id(5, 0)]
-        assert analyze(mesh, layers, bottom_corners, P).field.se.min() >= 0.0
+        assert analyze(mesh, layers, [bottom_corners], P)[0].field.se.min() >= 0.0
 
     def test_superposition_componentwise(self, steelish):
         mesh = grid_mesh(4, 2)
@@ -370,7 +380,7 @@ class TestRecovery:
             P = np.zeros(mesh.n_dofs)
             for load_dof, value in loads:
                 P[load_dof] = value
-            return analyze(mesh, layers, fixed, P).field
+            return analyze(mesh, layers, [fixed], P)[0].field
 
         right, middle = 2 * mesh.node_id(4, 2) + 1, 2 * mesh.node_id(2, 2) + 1
         f1 = run((right, -2.0))
@@ -386,7 +396,8 @@ class TestRecovery:
         layers = [Layer(steelish, "conforming", "plate")]
         P = np.zeros(mesh.n_dofs)
         P[2 * mesh.node_id(2, 1) + 1] = -1.0
-        result = analyze(mesh, layers, [mesh.node_id(0, 0), mesh.node_id(3, 0)], P)
+        fixed = [mesh.node_id(0, 0), mesh.node_id(3, 0)]
+        [result] = analyze(mesh, layers, [fixed], P)
         standard = result.field
         diag = recover(mesh, layers, result.u, mode="diagnostic")
         assert standard.sxy is None and standard.exy is None
@@ -404,7 +415,8 @@ class TestRecovery:
         P = np.zeros(mesh.n_dofs)
         P[2 * mesh.node_id(1, 2) + 1] = -1.0
         bottom_corners = [mesh.node_id(0, 0), mesh.node_id(2, 0)]
-        by_tag = analyze(mesh, layers, bottom_corners, P).field.max_se_by_tag()
+        [result] = analyze(mesh, layers, [bottom_corners], P)
+        by_tag = result.field.max_se_by_tag()
         assert set(by_tag) == {"bottom", "top"}
         assert by_tag["bottom"] > 0 and by_tag["top"] > 0
 
@@ -439,3 +451,86 @@ class TestPatchTest:
         field = recover(mesh, layers, u)
         assert_allclose(field.exx, exx, rtol=1e-9)
         assert_allclose(field.eyy, eyy, rtol=1e-9)
+
+
+FIELD_ARRAYS = ("exx", "eyy", "sxx", "syy", "se", "exy", "sxy")
+
+
+def two_bc_model(kind):
+    """A 3-layer solid model (two distinct layer heights), its clamped and
+    supported fixed-node sets and a midspan probe load."""
+    spec = PlateSpec().solid()
+    mesh, layers = solid_model(spec, 3, kind, FORMLABS_CLEAR, snap="equal_aspect")
+    fixed_sets = [apply_boundary(mesh, bc, spec) for bc in BoundaryCondition]
+    return mesh, layers, fixed_sets, apply_load(mesh, LoadCase(60.0), spec, split=True)
+
+
+class TestAnalyze:
+    @pytest.mark.parametrize("kind", ["conforming", "incompatible"])
+    def test_shared_assembly_equals_single_sets_bitwise(self, kind):
+        mesh, layers, fixed_sets, P = two_bc_model(kind)
+        both = analyze(mesh, layers, fixed_sets, P)
+        assert len(both) == 2
+        for fixed, shared in zip(fixed_sets, both):
+            [single] = analyze(mesh, layers, [fixed], P)
+            assert shared.u.tobytes() == single.u.tobytes()
+            assert shared.free_dofs.tobytes() == single.free_dofs.tobytes()
+            assert shared.field.tags == single.field.tags
+            for name in FIELD_ARRAYS:
+                got, want = getattr(shared.field, name), getattr(single.field, name)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    def test_stacked_recovery_equals_single_recovery_bitwise(self):
+        mesh, layers, _, _ = two_bc_model("incompatible")
+        us = np.random.default_rng(5).normal(0.0, 1e-2, (3, mesh.n_dofs))
+        for mode in ("standard", "diagnostic"):
+            fields = recover(mesh, layers, us, mode=mode)
+            assert len(fields) == 3
+            for u, field in zip(us, fields):
+                single = recover(mesh, layers, u, mode=mode)
+                for name in FIELD_ARRAYS:
+                    got, want = getattr(field, name), getattr(single, name)
+                    assert (got is None and want is None) or (
+                        got.tobytes() == want.tobytes()
+                    )
+
+    def test_K_assembled_once_and_untouched_by_the_solves(self, monkeypatch):
+        mesh, layers, fixed_sets, P = two_bc_model("conforming")
+        assembled = []
+
+        def keeping_assemble(*args):
+            assembled.append(assemble(*args))
+            return assembled[-1]
+
+        monkeypatch.setattr(assembly, "assemble", keeping_assemble)
+        analyze(mesh, layers, fixed_sets, P)
+        assert len(assembled) == 1
+        assert assembled[0].tobytes() == assemble(mesh, layers).tobytes()
+
+    def test_fixed_sets_must_be_a_sequence_of_node_sets(self, steelish):
+        mesh = grid_mesh(3, 1)
+        layers = [Layer(steelish, "conforming", "plate")]
+        P = np.zeros(mesh.n_dofs)
+        with pytest.raises(ConstraintError, match="no fixed-node sets"):
+            analyze(mesh, layers, [], P)
+        # one flat node list is not a sequence of sets
+        with pytest.raises(ConstraintError, match="1-D sequence"):
+            analyze(mesh, layers, [mesh.node_id(0, 0), mesh.node_id(3, 0)], P)
+
+    def test_debug_record_per_call(self, caplog):
+        mesh, layers, fixed_sets, P = two_bc_model("conforming")
+        with caplog.at_level(logging.DEBUG, logger="chiralplate.assembly"):
+            analyze(mesh, layers, fixed_sets, P)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith(
+            f"analyze: {mesh.n_dofs} DOFs, {2 * len(mesh.y) + 4} band rows, "
+            "2 fixed sets; "
+        )
+        for stage in ("assemble", "solve", "recover"):
+            assert f"{stage} " in message and message.endswith(" ms")

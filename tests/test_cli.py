@@ -443,6 +443,38 @@ class TestDryRunEverywhere:
         assert logging.getLogger().level == logging.WARNING
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [("solve", SOLID_CONFIG),
+     ("solve", {"scenario": "setup2", "honeycomb": {"d_a_mm": 1.6, "rho_rel": 0.353}}),
+     ("sweep", {"scenario": "setup1"}),
+     ("convergence", {"scenario": "convergence", "convergence": {"max_layers": 2}}),
+     ("honeycomb", {"scenario": "poisson"})],
+    ids=["solve-solid", "solve-setup2", "sweep", "convergence", "honeycomb"],
+)
+def test_debug_log_leaves_outputs_unchanged(tmp_path, command, data):
+    cfg = write_config(tmp_path, data)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs, stderr = {}, {}
+    for level in ("warning", "debug"):
+        env = dict(os.environ, CHIRALPLATE_LOG=level)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / level
+        proc = subprocess.run(
+            [sys.executable, "-m", "chiralplate.cli", command, "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs[level] = {p.name: p.read_bytes() for p in out.iterdir()}
+        stderr[level] = proc.stderr
+    assert outputs["debug"] == outputs["warning"]
+    assert stderr["warning"] == ""
+    solves = stderr["debug"].count("DEBUG:chiralplate.assembly:analyze: ")
+    assert solves == {"solve": 1, "sweep": 36, "convergence": 4, "honeycomb": 0}[command]
+
+
 def _python(code: str) -> str:
     """stdout of ``code`` run in a fresh interpreter on this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"

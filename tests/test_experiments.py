@@ -18,6 +18,7 @@ from chiralplate import (
     run_solid_case,
     run_sweep,
 )
+from chiralplate import assembly, experiments
 from chiralplate.experiments import DA_GRID, RHO_GRID, V_CL
 
 CLAMPED = BoundaryCondition.CLAMPED
@@ -66,6 +67,12 @@ class TestRunCase:
         for rho in RHO_GRID:
             ledger = run_case(2, 1.6, rho, CLAMPED, F_probe=60.0)
             assert ledger.t_cl * rho * 54.0 * 13.0 == pytest.approx(V_CL, rel=1e-12)
+
+    @pytest.mark.parametrize("probe", [{}, {"F_probe": 30.0}], ids=["default", "given"])
+    def test_unknown_setup_is_a_geometry_error(self, probe):
+        # the default probe is looked up only once the setup is known
+        with pytest.raises(GeometryError, match="setup must be 1 or 2, got 3"):
+            run_case(3, 1.0, 0.353, CLAMPED, **probe)
 
     def test_solid_anchors(self):
         clamped = run_solid_case(CLAMPED)
@@ -139,6 +146,29 @@ def convergence_rows():
 
 
 class TestConvergenceStudy:
+    def test_one_assembly_and_evaluation_per_model(self, monkeypatch):
+        calls = {"assemble": 0, "evaluate": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(assembly, "assemble")
+        counting(experiments, "evaluate")
+        rows = mesh_convergence_study(max_layers=8)
+        # 2 element kinds x 8 layer counts, each solved for both BCs
+        assert calls == {"assemble": 16, "evaluate": 16}
+        assert [(r.element_kind, r.bc, r.layers) for r in rows] == [
+            (kind, bc, layers)
+            for kind in ("conforming", "incompatible")
+            for bc in ("clamped", "supported")
+            for layers in range(1, 9)
+        ]
 
     def test_shape(self, convergence_rows):
         assert len(convergence_rows) == 2 * 2 * 5

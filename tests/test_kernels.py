@@ -329,8 +329,8 @@ class TestPhysicsInvariants:
     def test_maxwell_betti_reciprocity(self, system, seed):
         mesh, layers, fixed, P1 = system
         P2 = np.random.default_rng(seed).normal(0.0, 10.0, mesh.n_dofs)
-        u1 = analyze(mesh, layers, fixed, P1).u
-        u2 = analyze(mesh, layers, fixed, P2).u
+        u1 = analyze(mesh, layers, [fixed], P1)[0].u
+        u2 = analyze(mesh, layers, [fixed], P2)[0].u
         # |u1 . P2| <= sqrt((u1 . P1)(u2 . P2)) (Cauchy-Schwarz in the
         # energy inner product), so this is the scale of either product
         scale = np.sqrt((u1 @ P1) * (u2 @ P2))
@@ -340,7 +340,7 @@ class TestPhysicsInvariants:
     @given(systems())
     def test_work_of_a_load_is_positive(self, system):
         mesh, layers, fixed, P = system
-        result = analyze(mesh, layers, fixed, P)
+        [result] = analyze(mesh, layers, [fixed], P)
         assert np.any(P[result.free_dofs] != 0)
         assert result.u @ P > 0
 
@@ -351,9 +351,9 @@ class TestPhysicsInvariants:
     def test_linear_in_the_load(self, system, seed, a, b):
         mesh, layers, fixed, P1 = system
         P2 = np.random.default_rng(seed).normal(0.0, 10.0, mesh.n_dofs)
-        r1 = analyze(mesh, layers, fixed, P1)
-        r2 = analyze(mesh, layers, fixed, P2)
-        r12 = analyze(mesh, layers, fixed, a * P1 + b * P2)
+        [r1] = analyze(mesh, layers, [fixed], P1)
+        [r2] = analyze(mesh, layers, [fixed], P2)
+        [r12] = analyze(mesh, layers, [fixed], a * P1 + b * P2)
         outputs = [(r.u, r.field.sxx, r.field.syy) for r in (r1, r2, r12)]
         for x1, x2, x12 in zip(*outputs):
             scale = abs(a) * np.linalg.norm(x1) + abs(b) * np.linalg.norm(x2)

@@ -202,10 +202,10 @@ class TestMirrorSymmetry:
         # l_1 = a/2 and x1 + x2 = a: u_y even, u_x odd about midspan
         solid = spec.solid()
         mesh, tags = build_solid_mesh(solid, 2)
-        result = analyze(
+        [result] = analyze(
             mesh,
             [Layer(resin, "conforming", t) for t in tags],
-            apply_boundary(mesh, bc, solid),
+            [apply_boundary(mesh, bc, solid)],
             apply_load(mesh, LoadCase(60.0), solid),
         )
         u = result.u
@@ -249,7 +249,7 @@ class TestEquilibrium:
             )
         F_y = 45.0
         P = apply_load(mesh, LoadCase(F_y), case_spec)
-        result = analyze(mesh, layers, apply_boundary(mesh, bc, case_spec), P)
+        [result] = analyze(mesh, layers, [apply_boundary(mesh, bc, case_spec)], P)
         reactions = dense_from_band(mesh, assemble(mesh, layers)) @ result.u - P
         fixed = np.setdiff1d(np.arange(mesh.n_dofs), result.free_dofs)
         assert len(fixed) > 0
@@ -276,7 +276,7 @@ class TestLargeMesh:
         K = assemble(mesh, layers)
         P = apply_load(mesh, LoadCase(F_y), solid)
         nodes = apply_boundary(mesh, BoundaryCondition.CLAMPED, solid)
-        result = analyze(mesh, layers, nodes, P)
+        [result] = analyze(mesh, layers, [nodes], P)
         elapsed = time.perf_counter() - start
         assert mesh.n_dofs > 14_000
         assert K.nbytes == (2 * len(mesh.y) + 4) * mesh.n_dofs * 8
