@@ -21,7 +21,8 @@ storage).
 Every element of a layer is the same element, so assembly and recovery
 work per distinct layer card ``(kind, material, height)``, not per
 element: one element stiffness, strain matrix and elasticity matrix per
-card. Assembly places element ``i``'s 2x2 block ``(q, s)`` at global block
+card; layers of one nominal height share one (:meth:`Mesh.layer_height`).
+Assembly places element ``i``'s 2x2 block ``(q, s)`` at global block
 ``(m, n)`` when its local nodes ``q`` and ``s`` sit at global nodes ``m``
 and ``n``. On the structured grid the DOF gap ``d`` between two corners of
 an element is the same for every element, so with ``K`` viewed as
@@ -35,14 +36,18 @@ that card in one matmul.
 ``K``'s band: their rows, columns and loads are zeroed and their diagonal
 set to a positive ``scale``, so the matrix stays symmetric positive
 definite once enough DOFs are fixed and the solve returns the full
-displacement vector, zero at the fixed DOFs. The band is factored by
-banded Cholesky, LAPACK's ``dpbtrf``/``dpbtrs``. Those come from the ILP64
-OpenBLAS that numpy's wheels bundle (``scipy-openblas``), called through
-ctypes and found on the first solve, so solving imports no scipy. Where
-numpy has no such library (conda/MKL or system-BLAS builds, older wheels)
-the same two routines come from ``scipy.linalg.lapack``. A failed
-factorization imports ``scipy.linalg`` either way, to count the rigid
-modes.
+displacement vector, zero at the fixed DOFs. A node column whose DOFs are
+all fixed (a clamp line) cuts the band into independent segments, and only
+those that carry load are factored. An unloaded one borders a fixed
+column, so its stiffness is positive definite and its ``u`` exactly
+``+0.0``: a clamped plate factors its span, not its overhangs. The bands
+are factored by banded Cholesky, LAPACK's ``dpbtrf``/``dpbtrs``. Those
+come from the ILP64 OpenBLAS that numpy's wheels bundle
+(``scipy-openblas``), called through ctypes and found on the first solve,
+so solving imports no scipy. Where numpy has no such library (conda/MKL or
+system-BLAS builds, older wheels) the same two routines come from
+``scipy.linalg.lapack``. A failed factorization imports ``scipy.linalg``
+either way, to count the rigid modes.
 """
 
 from __future__ import annotations
@@ -126,7 +131,9 @@ class Mesh:
     is the read-only ``(n_elements, 8)`` table of each element's global
     DOFs in local block order (x, y of corner 1, then corner 2, ...), for
     the field dump, the recovery's gather and the test oracles; assembly
-    indexes the grid directly and does not read it.
+    indexes the grid directly and does not read it. Widths within
+    ``1e-12 + 1e-12 * |w0|`` of the first, ``w0``, are all ``a_fe = w0``;
+    :meth:`layer_height` merges layer heights by the same rule.
     """
 
     def __init__(self, x_lines, y_lines, h: float):
@@ -147,6 +154,10 @@ class Mesh:
             raise MeshError(f"depth must be positive and finite, got {h}")
         self.h = float(h)
         self.a_fe = float(widths[0])
+        y, self._heights = self.y.tolist(), []
+        for b in map(float.__sub__, y[1:], y):  # y[j + 1] - y[j]
+            same = (c for c in self._heights if abs(b - c) <= 1e-12 + 1e-12 * c)
+            self._heights.append(next(same, b))
         self.nx = len(self.x) - 1
         self.n_layers = len(self.y) - 1
         col = len(self.y)
@@ -177,7 +188,8 @@ class Mesh:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def layer_height(self, j: int) -> float:
-        return float(self.y[j + 1] - self.y[j])
+        """``y[j + 1] - y[j]``, or the first earlier height within tolerance."""
+        return self._heights[j]
 
     def nodes_on_line_x(self, x0: float) -> np.ndarray:
         """Global ids of all nodes on the vertical line x = x0."""
@@ -314,10 +326,12 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
     full load vector; any other shape raises :class:`MeshError`. Neither is
     modified. Factors ``K``'s band with the fixed DOFs pinned
     (:func:`_pinned_band`) and returns the full ``u``, ``+0.0`` at each
-    fixed DOF. A singular or indefinite stiffness over the free DOFs (not
-    enough constraints), or one whose smallest pivot is below 1e-10 of its
-    largest diagonal entry, raises :class:`SolveError` naming the number of
-    near-zero or negative eigenvalues.
+    fixed DOF. Only the loaded segments between fully fixed node columns
+    are factored (see the module docstring); with no such column, the whole
+    band, even under zero load. A singular or indefinite stiffness over the
+    free DOFs (not enough constraints), or one whose smallest pivot is below
+    1e-10 of its largest diagonal entry, raises :class:`SolveError` naming
+    the number of near-zero or negative eigenvalues.
     """
     bw_K = 2 * len(mesh.y) + 3
     if np.shape(K) != (bw_K + 1, mesh.n_dofs):
@@ -330,34 +344,47 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
     fixed = np.ones(mesh.n_dofs, dtype=bool)
     fixed[free] = False
     scale = max(np.max(K[0, ~fixed]), 1.0)
-    pbtrf, pbtrs = _banded_cholesky()
-    cb, info = pbtrf(_pinned_band(K, fixed, scale))
-    _check_arguments("dpbtrf", info)
-    if info > 0 or np.min(cb[0] ** 2) <= 1e-10 * scale:
-        raise _rigid_mode_error(_pinned_band(K, fixed, scale))
     u = np.array(P, dtype=float)
     u[fixed] = 0.0
-    u, info = pbtrs(cb, u)
-    _check_arguments("dpbtrs", info)
+    col = 2 * len(mesh.y)  # no element couples across a fully fixed column
+    cut = [] if len(free) > mesh.n_dofs - col else (  # too few fixed for a cut
+        np.flatnonzero(fixed.reshape(-1, col).all(axis=1)).tolist())
+    pbtrf, pbtrs = _banded_cholesky()
+    for i, j in zip([-1, *cut], [*cut, len(mesh.x)]):
+        lo, hi = col * (i + 1), col * j
+        if cut and not u[lo:hi].any():
+            u[lo:hi] = 0.0  # unloaded and held by a fixed column: u = 0
+            continue
+        cb, info = pbtrf(_pinned_band(K, fixed, scale, lo, hi))
+        _check_arguments("dpbtrf", info)
+        if info > 0 or np.min(cb[0] ** 2) <= 1e-10 * scale:
+            raise _rigid_mode_error(_pinned_band(K, fixed, scale, lo, hi))
+        u[lo:hi], info = pbtrs(cb, u[lo:hi])
+        _check_arguments("dpbtrs", info)
     return u
 
 
-def _pinned_band(K: np.ndarray, fixed: np.ndarray, scale: float) -> np.ndarray:
-    """Copy of ``K``'s band with the ``fixed`` DOFs pinned, Fortran-ordered.
+def _pinned_band(K: np.ndarray, fixed: np.ndarray, scale: float, lo, hi) -> np.ndarray:
+    """Copy of ``K``'s band over DOFs ``[lo, hi)``, fixed ones pinned, F-ordered.
 
     A fixed DOF's row and column are zeroed and its diagonal set to
     ``scale``, which leaves the stiffness over the free DOFs decoupled from
-    one eigenvalue ``scale`` per fixed DOF. The copy is the C-ordered
-    transpose of ``K``, so its ``.T`` is LAPACK's column-major lower band.
-    The upper form factored ~5x slower on a 2-CPU host, with stalls of up
-    to 1 s, unless OpenBLAS ran single-threaded.
+    one eigenvalue ``scale`` per fixed DOF. Where a fixed node column
+    follows ``hi``, the entries coupling to it are zeroed too. The copy is
+    the C-ordered transpose of ``K[:, lo:hi]``, so its ``.T`` is LAPACK's
+    column-major lower band. The upper form factored ~5x slower on a 2-CPU
+    host, with stalls of up to 1 s, unless OpenBLAS ran single-threaded.
     """
-    abT = np.array(K.T, dtype=float, order="C")
-    f = np.flatnonzero(fixed)
-    i, d = np.nonzero(f[:, None] >= np.arange(abT.shape[1]))
+    abT = np.array(K[:, lo:hi].T, dtype=float, order="C")
+    f = np.flatnonzero(fixed[lo:hi])
+    n, kd = abT.shape[0], abT.shape[1] - 1
+    i, d = np.nonzero(f[:, None] >= np.arange(kd + 1))
     abT[f[i] - d, d] = 0.0  # row f: K[d, f - d]
     abT[f] = 0.0  # column f: K[:, f]
     abT[f, 0] = scale
+    if hi < len(fixed):
+        tail = abT[max(n - kd, 0) :]
+        tail[np.add.outer(np.arange(n - len(tail), n), np.arange(kd + 1)) >= n] = 0.0
     return abT.T
 
 
@@ -415,22 +442,22 @@ def _numpy_openblas():
         dpbtrf, dpbtrs = lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
     except (IndexError, OSError, AttributeError):
         return None
-    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    ptr, ints = ctypes.c_void_p, ctypes.c_int64 * 6
     # Fortran passes every argument by reference and appends the length of
-    # each CHARACTER argument (here UPLO) as a trailing size_t.
-    dpbtrf.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, i64, ctypes.c_size_t]
-    dpbtrs.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, i64, ptr, i64, i64,
+    # each CHARACTER argument (here UPLO) as a trailing size_t. The integers
+    # go by address into one int64 array: one ctypes object a call.
+    dpbtrf.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ptr, ctypes.c_size_t]
+    dpbtrs.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                        ctypes.c_size_t]
     dpbtrf.restype = dpbtrs.restype = None
-    ref = ctypes.byref
 
     def pbtrf(ab):
         ab = np.asfortranarray(ab, dtype=float)
         kd, n = ab.shape[0] - 1, ab.shape[1]
-        info = ctypes.c_int64()
-        dpbtrf(b"L", ref(ctypes.c_int64(n)), ref(ctypes.c_int64(kd)), ab.ctypes.data,
-               ref(ctypes.c_int64(kd + 1)), ref(info), 1)
-        return ab, info.value
+        iv = ints(n, kd, kd + 1)  # N, KD, LDAB, INFO
+        p = ctypes.addressof(iv)
+        dpbtrf(b"L", p, p + 8, ab.ctypes.data, p + 16, p + 24, 1)
+        return ab, iv[3]
 
     def pbtrs(cb, b):
         cb = np.asfortranarray(cb, dtype=float)
@@ -438,11 +465,11 @@ def _numpy_openblas():
         kd, n = cb.shape[0] - 1, cb.shape[1]
         if b.shape != (n,):
             raise ValueError(f"need {n} right-hand side entries, got shape {b.shape}")
-        info = ctypes.c_int64()
-        dpbtrs(b"L", ref(ctypes.c_int64(n)), ref(ctypes.c_int64(kd)),
-               ref(ctypes.c_int64(1)), cb.ctypes.data, ref(ctypes.c_int64(kd + 1)),
-               b.ctypes.data, ref(ctypes.c_int64(n)), ref(info), 1)
-        return b, info.value
+        iv = ints(n, kd, 1, kd + 1, n)  # N, KD, NRHS, LDAB, LDB, INFO
+        p = ctypes.addressof(iv)
+        dpbtrs(b"L", p, p + 8, p + 16, cb.ctypes.data, p + 24, b.ctypes.data,
+               p + 32, p + 40, 1)
+        return b, iv[5]
 
     return pbtrf, pbtrs
 

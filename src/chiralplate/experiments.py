@@ -135,8 +135,13 @@ def solid_model(
     a plate that is all face means incompatible elements throughout.
     """
     mesh, tags = build_solid_mesh(spec, layers, snap)
+    return mesh, _solid_cards(tags, algorithm, material)
+
+
+def _solid_cards(tags, algorithm: str, material: IsotropicMaterial) -> list[Layer]:
+    """:func:`solid_model`'s cards: one per tag of a solid mesh."""
     kind = "incompatible" if algorithm == "incompatible_faces" else algorithm
-    return mesh, [Layer(material, kind, tag) for tag in tags]
+    return [Layer(material, kind, tag) for tag in tags]
 
 
 def evaluate(
@@ -290,28 +295,26 @@ def mesh_convergence_study(
 
     Uses the equal-aspect mesh family (nx = round(a / b_fe)); on odd layer
     counts the load abscissa falls between nodes and the force is split
-    consistently between the straddling top nodes.
+    consistently between the straddling top nodes. Rows run by element
+    kind, BC and layer count; ``max_layers`` is an int >= 1.
     """
+    if type(max_layers) is not int or max_layers < 1:  # bool is not int here
+        raise ConfigError(f"max_layers must be an integer >= 1, got {max_layers!r}")
     solid_spec = spec.solid()
+    kinds = ("conforming", "incompatible")
     bcs = (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED)
-    rows = []
-    for kind in ("conforming", "incompatible"):
-        # One evaluation per model serves both boundary conditions; only
-        # (dofs, sigma_max) outlives it, and the rows go out BC by BC
-        by_bc = {bc: [] for bc in bcs}
-        for layers in range(1, max_layers + 1):
-            mesh, cards = solid_model(
-                solid_spec, layers, kind, material, snap="equal_aspect"
-            )
-            kept = [
-                (len(analysis.free_dofs), by_tag["plate"]) for analysis, by_tag, _
-                in evaluate(mesh, cards, solid_spec, bcs, F_probe, material)
-            ]
-            for bc, (dofs, sigma) in zip(bcs, kept):
-                by_bc[bc].append(ConvergenceRow(kind, bc.value, layers, dofs, sigma))
-        for bc in bcs:
-            rows += by_bc[bc]
-    return rows
+    counts = range(1, max_layers + 1)
+    kept = {}
+    for layers in counts:
+        mesh, tags = build_solid_mesh(solid_spec, layers, "equal_aspect")
+        for kind in kinds:
+            cards = _solid_cards(tags, kind, material)
+            results = evaluate(mesh, cards, solid_spec, bcs, F_probe, material)
+            for bc, (analysis, by_tag, _) in zip(bcs, results):
+                kept[kind, bc, layers] = len(analysis.free_dofs), by_tag["plate"]
+            del results, analysis  # only (dofs, sigma_max) outlives a model
+    order = [(kind, bc, n) for kind in kinds for bc in bcs for n in counts]
+    return [ConvergenceRow(kind, bc.value, n, *kept[kind, bc, n]) for kind, bc, n in order]
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from oracles import (
     dense_from_band,
     element_nodes,
     expanded_stiffness,
+    solve_dense,
 )
 
 
@@ -113,6 +114,19 @@ class TestMesh:
         else:
             with pytest.raises(MeshError, match="same width"):
                 Mesh(x, [0.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("jitter", [0.0, 5e-13, 1.5e-12, 3e-12, 1e-9])
+    def test_height_tolerance_is_the_width_tolerance(self, steelish, jitter):
+        # a layer takes the first earlier height within 1e-12 + 1e-12 * |b|
+        y = [0.0, 1.0, 2.0 + jitter, 3.0 + jitter]
+        mesh = Mesh([0.0, 1.0], y, 1.0)
+        heights = [mesh.layer_height(j) for j in range(3)]
+        layers = [Layer(steelish, "conforming", "plate")] * 3
+        cards = assembly._card_groups(mesh, layers)
+        if np.isclose(np.diff(y)[1], 1.0, rtol=1e-12, atol=1e-12):
+            assert heights == [1.0, 1.0, 1.0] and len(cards) == 1
+        else:
+            assert heights == [1.0, np.diff(y)[1], 1.0] and len(cards) == 2
 
     @pytest.mark.parametrize(
         "x, y, name",
@@ -289,6 +303,39 @@ class TestConstraintsAndSolve:
         assert len(u_fixed) == 2 * len(fixed)
         assert np.all(u_fixed == 0.0) and not np.signbit(u_fixed).any()
         assert np.all(u[free] != 0.0)
+
+    def test_clamped_plate_factors_the_span_only(self, monkeypatch):
+        # the overhangs beyond the clamp lines are unloaded and held by a
+        # fixed column: they are not factored and keep u = +0.0
+        spec = PlateSpec().solid()
+        mesh, layers = solid_model(spec, 4, "conforming", FORMLABS_CLEAR)
+        K = assemble(mesh, layers)
+        free = free_dofs(mesh, apply_boundary(mesh, BoundaryCondition.CLAMPED, spec))
+        P = apply_load(mesh, LoadCase(30.0), spec, split=True)
+        pbtrf, pbtrs = assembly._banded_cholesky()
+        widths = []
+        monkeypatch.setattr(
+            assembly, "_banded_cholesky",
+            lambda: (lambda ab: widths.append(ab.shape[1]) or pbtrf(ab), pbtrs),
+        )
+        u = solve(mesh, K, free, P)
+        u_ref = solve_dense(dense_from_band(mesh, K), free, P)
+        assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+        span = (mesh.x > spec.x1 + 1e-9) & (mesh.x < spec.x2 - 1e-9)
+        assert widths == [2 * len(mesh.y) * span.sum()]
+        outside = (mesh.x < spec.x1 - 1e-9) | (mesh.x > spec.x2 + 1e-9)
+        overhang = np.repeat(outside, 2 * len(mesh.y))
+        assert overhang.any() and np.all(u[overhang] == 0.0)
+        assert not np.signbit(u[overhang]).any()
+
+    def test_zero_load_without_a_fixed_column_is_still_checked(self, steelish):
+        # with no fully fixed node column the whole band is factored, so a
+        # rigid mode raises even where there is nothing to solve for
+        mesh = grid_mesh(3, 2)
+        K = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
+        with pytest.raises(SolveError) as err:
+            solve(mesh, K, free_dofs(mesh, [0]), np.zeros(mesh.n_dofs))
+        assert err.value.rigid_modes == 1
 
     def test_zero_load_zero_displacement(self, steelish):
         mesh = grid_mesh(3, 1)

@@ -147,7 +147,9 @@ def convergence_rows():
 
 class TestConvergenceStudy:
     def test_one_assembly_and_evaluation_per_model(self, monkeypatch):
-        calls = {"assemble": 0, "evaluate": 0}
+        calls = dict.fromkeys(
+            ("assemble", "evaluate", "element_stiffness", "build_solid_mesh"), 0
+        )
 
         def counting(module, name):
             real = getattr(module, name)
@@ -160,15 +162,26 @@ class TestConvergenceStudy:
 
         counting(assembly, "assemble")
         counting(experiments, "evaluate")
+        counting(assembly, "element_stiffness")
+        counting(experiments, "build_solid_mesh")
         rows = mesh_convergence_study(max_layers=8)
-        # 2 element kinds x 8 layer counts, each solved for both BCs
-        assert calls == {"assemble": 16, "evaluate": 16}
+        # 2 element kinds x 8 layer counts, each solved for both BCs, with
+        # one card per model and one mesh per layer count
+        assert calls == {
+            "assemble": 16, "evaluate": 16, "element_stiffness": 16,
+            "build_solid_mesh": 8,
+        }
         assert [(r.element_kind, r.bc, r.layers) for r in rows] == [
             (kind, bc, layers)
             for kind in ("conforming", "incompatible")
             for bc in ("clamped", "supported")
             for layers in range(1, 9)
         ]
+
+    @pytest.mark.parametrize("max_layers", [0, -2, 2.0, True, "3", None])
+    def test_max_layers_must_be_a_positive_int(self, max_layers):
+        with pytest.raises(ConfigError, match="max_layers"):
+            mesh_convergence_study(max_layers=max_layers)
 
     def test_shape(self, convergence_rows):
         assert len(convergence_rows) == 2 * 2 * 5

@@ -1,7 +1,8 @@
 """Assembly, banded solve and array recovery against the reference oracles.
 
 Hypothesis draws structured meshes (wide, tall and single-row), fixed node
-sets, conforming and incompatible layers, and isotropic and transversely
+sets (some with whole node columns, which split the band, and loads zeroed
+on some columns), conforming and incompatible layers, and isotropic and transversely
 isotropic cards. The oracles in ``oracles.py`` are the dense Cholesky solve
 of ``K[free, free]``, the element-by-element, corner-by-corner recovery,
 and the one-scatter assembly and per-layer recovery, which ``assemble`` and
@@ -119,13 +120,47 @@ def systems(draw):
     return mesh, layers, fixed, P
 
 
+@st.composite
+def split_systems(draw):
+    """A system of :func:`systems` with whole node columns fixed as well,
+    which split the band into segments, and the load zeroed on some node
+    columns, so that some segments carry no load."""
+    mesh, layers, fixed, P = draw(systems())
+    columns = st.lists(st.integers(0, len(mesh.x) - 1), unique=True)
+    ny = len(mesh.y)
+    fixed = sorted({*fixed, *(i * ny + j for i in draw(columns) for j in range(ny))})
+    assume(len(fixed) < mesh.n_nodes)
+    P = P.reshape(len(mesh.x), 2 * ny).copy()
+    P[draw(columns)] = 0.0
+    return mesh, layers, fixed, P.ravel()
+
+
+def split_segments(mesh, free, P):
+    """The band segments a solve works on, as ``(loaded, unloaded)`` lists of
+    DOF ranges. A node column whose DOFs are all fixed cuts the band; the
+    segments are the nonempty ranges between cuts, loaded when ``P`` is
+    nonzero on a free DOF of theirs. With no cut, the whole band is one
+    segment, counted as loaded whatever ``P``."""
+    col = 2 * len(mesh.y)
+    load = np.zeros(mesh.n_dofs)
+    load[free] = P[free]
+    fixed_columns = np.isin(np.arange(mesh.n_dofs), free, invert=True).reshape(-1, col)
+    cut = np.flatnonzero(fixed_columns.all(axis=1)).tolist()
+    if not cut:
+        return [(0, mesh.n_dofs)], []
+    starts, ends = [0] + [(i + 1) * col for i in cut], [i * col for i in cut]
+    bounds = [(lo, hi) for lo, hi in zip(starts, ends + [mesh.n_dofs]) if hi > lo]
+    loaded = [(lo, hi) for lo, hi in bounds if load[lo:hi].any()]
+    return loaded, [seg for seg in bounds if seg not in loaded]
+
+
 def _solve_properties():
     """The banded solve's hypothesis tests, as new functions on each call:
     hypothesis ties a test function to the one class that runs it, and
     both solve routes run these."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(systems())
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(systems(), split_systems()))
     def test_matches_dense_oracle(self, system):
         mesh, layers, fixed, P = system
         K = assemble(mesh, layers)
@@ -134,6 +169,10 @@ def _solve_properties():
         u_ref = solve_dense(dense_from_band(mesh, K), free, P)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
         assert_allclose(np.delete(u, free), 0.0, atol=0)
+        assert not np.signbit(np.delete(u, free)).any()
+        # a segment left unsolved keeps u = +0.0
+        for lo, hi in split_segments(mesh, free, P)[1]:
+            assert np.all(u[lo:hi] == 0.0) and not np.signbit(u[lo:hi]).any()
 
     @settings(max_examples=60, deadline=None)
     @given(meshes(), st.data())
@@ -155,7 +194,7 @@ def _solve_properties():
 
 class TestConstrainedBand:
     @settings(max_examples=150, deadline=None)
-    @given(systems())
+    @given(st.one_of(systems(), split_systems()))
     def test_is_the_pinned_band_of_K(self, system):
         mesh, layers, fixed, P = system
         K = assemble(mesh, layers)
@@ -170,18 +209,22 @@ class TestConstrainedBand:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "_banded_cholesky", lambda: (recording_pbtrf, pbtrs))
             solve(mesh, K, free, P)
-        [(f_contiguous, ab)] = factored
         K_pinned = dense_from_band(mesh, K)
         pinned = np.setdiff1d(np.arange(mesh.n_dofs), free)
         scale = max(np.diagonal(K_pinned)[free].max(), 1.0)
         K_pinned[pinned] = 0.0
         K_pinned[:, pinned] = 0.0
         K_pinned[pinned, pinned] = scale
-        ref = np.zeros_like(K)
-        for d in range(len(ref)):
-            ref[d, : mesh.n_dofs - d] = np.diagonal(K_pinned, -d)
-        assert f_contiguous
-        assert ab.shape == ref.shape and ab.tobytes() == ref.tobytes()
+        # solve must factor exactly the loaded segments, in order, so every
+        # segment it skips is one that carries no load
+        loaded, _ = split_segments(mesh, free, P)
+        assert len(factored) == len(loaded)
+        for (f_contiguous, ab), (lo, hi) in zip(factored, loaded):
+            ref = np.zeros((len(K), hi - lo))
+            for d in range(min(len(ref), hi - lo)):
+                ref[d, : hi - lo - d] = np.diagonal(K_pinned[lo:hi, lo:hi], -d)
+            assert f_contiguous
+            assert ab.shape == ref.shape and ab.tobytes() == ref.tobytes()
 
 
 class TestBandedSolve:

@@ -25,6 +25,7 @@ from chiralplate import (
     composite_model,
     core_layer_count,
 )
+from chiralplate import assembly
 from oracles import dense_from_band
 
 
@@ -83,6 +84,15 @@ class TestSolidMesh:
         with pytest.raises(MeshError):
             build_solid_mesh(spec.solid(), 0)
 
+    @pytest.mark.parametrize("snap", ["exact", "equal_aspect"])
+    def test_one_height_per_nominal_layer(self, spec, snap):
+        # np.linspace's layers differ in the last bit; they share one height
+        for layers in range(1, 13):
+            mesh, _ = build_solid_mesh(spec.solid(), layers, snap)
+            heights = {mesh.layer_height(j) for j in range(layers)}
+            assert heights == {mesh.layer_height(0)}
+            assert mesh.layer_height(0) == pytest.approx(spec.t_p / layers, rel=1e-14)
+
     def test_equal_aspect_family(self, spec):
         mesh, _ = build_solid_mesh(spec.solid(), 1, snap="equal_aspect")
         assert mesh.nx == 27  # exactly square elements, no node at midspan
@@ -105,6 +115,18 @@ class TestCompositeMesh:
         mesh, layers = build_composite_mesh(spec, core_card, resin)
         assert mesh.n_layers == 4
         assert [l.tag for l in layers] == ["face_bottom", "core", "core", "face_top"]
+
+    @pytest.mark.parametrize("rho", [0.425, 0.496])
+    def test_faces_share_one_card(self, rho):
+        # setup 2's faces here differ in the last bit of y: one face card
+        _, _, mesh, layers = composite_model(
+            2, 1.0, rho, "conforming", IsotropicMaterial(E=2800.0, mu=0.35),
+            PlateSpec(),
+        )
+        faces = np.diff(mesh.y)[[0, -1]]
+        assert faces[0] != faces[1]
+        assert mesh.layer_height(0) == mesh.layer_height(mesh.n_layers - 1)
+        assert len(assembly._card_groups(mesh, layers)) == 2  # faces and core
 
     def test_band_rounding_keeps_grid_point(self):
         # 1.4164 mm (the constant-volume grid at rho = 0.353) is a
