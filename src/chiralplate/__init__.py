@@ -57,7 +57,6 @@ from .assembly import (
 )
 from .plates import (
     BoundaryCondition,
-    LoadCase,
     PlateSpec,
     apply_boundary,
     apply_load,

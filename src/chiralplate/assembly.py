@@ -40,12 +40,12 @@ displacement vector, zero at the fixed DOFs. A node column whose DOFs are
 all fixed (a clamp line) cuts the band into independent segments, and only
 those that carry load are factored. An unloaded one borders a fixed
 column, so its stiffness is positive definite and its ``u`` exactly
-``+0.0``: a clamped plate factors its span, not its overhangs. The bands
-are factored by banded Cholesky, LAPACK's ``dpbtrf``/``dpbtrs``. Those
-come from the ILP64 OpenBLAS that numpy's wheels bundle
-(``scipy-openblas``), called through ctypes and found on the first solve,
-so solving imports no scipy. Where numpy has no such library (conda/MKL or
-system-BLAS builds, older wheels) the same two routines come from
+``+0.0``: a clamped plate factors its span, not its overhangs. Each
+loaded segment is factored and solved by banded Cholesky in one call of
+LAPACK's ``dpbsv``. It comes from the ILP64 OpenBLAS that numpy's wheels
+bundle (``scipy-openblas``), called through ctypes and found on the first
+solve, so solving imports no scipy. Where numpy has no such library
+(conda/MKL or system-BLAS builds, older wheels) the same routine comes from
 ``scipy.linalg.lapack``. A failed factorization imports ``scipy.linalg``
 either way, to count the rigid modes.
 """
@@ -299,14 +299,19 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
 def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
     """Sorted DOFs left free once both DOFs of ``fixed_nodes`` are fixed.
 
-    ``fixed_nodes`` is one 1-D sequence of node ids; anything else, or a
-    node id outside ``[0, n_nodes)``, raises :class:`ConstraintError`.
+    ``fixed_nodes`` is one 1-D sequence of integer node ids; anything else
+    (floats, a boolean node mask), or a node id outside ``[0, n_nodes)``,
+    raises :class:`ConstraintError`.
     """
-    fixed_nodes = np.asarray(fixed_nodes, dtype=int)
+    fixed_nodes = np.asarray(fixed_nodes)
     if fixed_nodes.ndim != 1:
         raise ConstraintError("fixed nodes must be a 1-D sequence of node ids")
     if fixed_nodes.size == 0:
         raise ConstraintError("no nodes to fix; the system would be singular")
+    if fixed_nodes.dtype.kind not in "iu":
+        raise ConstraintError(
+            f"fixed node ids must be integers, got dtype {fixed_nodes.dtype}"
+        )
     if fixed_nodes.min() < 0 or fixed_nodes.max() >= mesh.n_nodes:
         raise ConstraintError(
             f"fixed node ids must lie in [0, {mesh.n_nodes}), got "
@@ -324,14 +329,15 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
 
     ``K`` is the band :func:`assemble` returns for ``mesh`` and ``P`` the
     full load vector; any other shape raises :class:`MeshError`. Neither is
-    modified. Factors ``K``'s band with the fixed DOFs pinned
-    (:func:`_pinned_band`) and returns the full ``u``, ``+0.0`` at each
-    fixed DOF. Only the loaded segments between fully fixed node columns
-    are factored (see the module docstring); with no such column, the whole
-    band, even under zero load. A singular or indefinite stiffness over the
-    free DOFs (not enough constraints), or one whose smallest pivot is below
-    1e-10 of its largest diagonal entry, raises :class:`SolveError` naming
-    the number of near-zero or negative eigenvalues.
+    modified. Factors and solves ``K``'s band with the fixed DOFs pinned
+    (:func:`_pinned_band`) in one ``dpbsv`` call per segment and returns
+    the full ``u``, ``+0.0`` at each fixed DOF. Only the loaded segments
+    between fully fixed node columns are solved (see the module docstring);
+    with no such column, the whole band, even under zero load. A singular
+    or indefinite stiffness over the free DOFs (not enough constraints), or
+    one whose smallest pivot is below 1e-10 of its largest diagonal entry,
+    raises :class:`SolveError` naming the number of near-zero or negative
+    eigenvalues.
     """
     bw_K = 2 * len(mesh.y) + 3
     if np.shape(K) != (bw_K + 1, mesh.n_dofs):
@@ -349,18 +355,18 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
     col = 2 * len(mesh.y)  # no element couples across a fully fixed column
     cut = [] if len(free) > mesh.n_dofs - col else (  # too few fixed for a cut
         np.flatnonzero(fixed.reshape(-1, col).all(axis=1)).tolist())
-    pbtrf, pbtrs = _banded_cholesky()
+    pbsv = _banded_solver()
     for i, j in zip([-1, *cut], [*cut, len(mesh.x)]):
         lo, hi = col * (i + 1), col * j
         if cut and not u[lo:hi].any():
             u[lo:hi] = 0.0  # unloaded and held by a fixed column: u = 0
             continue
-        cb, info = pbtrf(_pinned_band(K, fixed, scale, lo, hi))
-        _check_arguments("dpbtrf", info)
+        cb, x, info = pbsv(_pinned_band(K, fixed, scale, lo, hi), u[lo:hi])
+        if info < 0:
+            raise ValueError(f"dpbsv: illegal value in argument {-info}")
         if info > 0 or np.min(cb[0] ** 2) <= 1e-10 * scale:
             raise _rigid_mode_error(_pinned_band(K, fixed, scale, lo, hi))
-        u[lo:hi], info = pbtrs(cb, u[lo:hi])
-        _check_arguments("dpbtrs", info)
+        u[lo:hi] = x
     return u
 
 
@@ -388,36 +394,25 @@ def _pinned_band(K: np.ndarray, fixed: np.ndarray, scale: float, lo, hi) -> np.n
     return abT.T
 
 
-def _check_arguments(routine: str, info: int) -> None:
-    """Raise on a negative LAPACK ``info``: an illegal argument, not a
-    numerical failure."""
-    if info < 0:
-        raise ValueError(f"{routine}: illegal value in argument {-info}")
+def _banded_solver():
+    """``pbsv(ab, b) -> (cb, x, info)``: LAPACK ``dpbsv``, lower form.
 
-
-def _banded_cholesky():
-    """``(pbtrf, pbtrs)``: banded Cholesky factor and solve, lower form.
-
-    ``pbtrf(ab)`` factors the Fortran-ordered band ``ab`` and returns
-    ``(cb, info)``; ``pbtrs(cb, b)`` solves with that factor for one
-    right-hand side ``b`` and returns ``(x, info)``. Both may overwrite
-    their arguments. They run in numpy's own OpenBLAS when it has them,
-    else in scipy's.
+    Factors the Fortran-ordered band ``ab`` by Cholesky and solves with the
+    factor for one right-hand side ``b``; returns the factor, the solution
+    and LAPACK's ``info``. It may overwrite both arguments. It runs in
+    numpy's own OpenBLAS when that has it, else in scipy's.
     """
-    routines = _numpy_openblas()
-    if routines is None:
-        from scipy.linalg.lapack import dpbtrf, dpbtrs
+    pbsv = _numpy_openblas()
+    if pbsv is None:
+        from scipy.linalg.lapack import dpbsv
 
-        routines = (
-            lambda ab: dpbtrf(ab, lower=1, overwrite_ab=1),
-            lambda cb, b: dpbtrs(cb, b, lower=1, overwrite_b=1),
-        )
-    return routines
+        pbsv = functools.partial(dpbsv, lower=1, overwrite_ab=1, overwrite_b=1)
+    return pbsv
 
 
 @functools.cache
 def _numpy_openblas():
-    """:func:`_banded_cholesky`'s routines on numpy's bundled OpenBLAS.
+    """:func:`_banded_solver`'s routine on numpy's bundled OpenBLAS.
 
     numpy's wheels link ``scipy-openblas`` built with 64-bit integers and
     ship it next to the package (``numpy.libs/``, or ``numpy/.dylibs/`` on
@@ -438,40 +433,29 @@ def _numpy_openblas():
     paths = glob.glob(os.path.join(here + ".libs", "libscipy_openblas64_*"))
     paths += glob.glob(os.path.join(here, ".dylibs", "libscipy_openblas64_*"))
     try:
-        lib = ctypes.CDLL(paths[0])
-        dpbtrf, dpbtrs = lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
+        dpbsv = ctypes.CDLL(paths[0]).scipy_dpbsv_64_
     except (IndexError, OSError, AttributeError):
         return None
     ptr, ints = ctypes.c_void_p, ctypes.c_int64 * 6
     # Fortran passes every argument by reference and appends the length of
     # each CHARACTER argument (here UPLO) as a trailing size_t. The integers
     # go by address into one int64 array: one ctypes object a call.
-    dpbtrf.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ptr, ctypes.c_size_t]
-    dpbtrs.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                       ctypes.c_size_t]
-    dpbtrf.restype = dpbtrs.restype = None
+    dpbsv.argtypes = [ctypes.c_char_p, *[ptr] * 8, ctypes.c_size_t]
+    dpbsv.restype = None
 
-    def pbtrf(ab):
+    def pbsv(ab, b):
         ab = np.asfortranarray(ab, dtype=float)
-        kd, n = ab.shape[0] - 1, ab.shape[1]
-        iv = ints(n, kd, kd + 1)  # N, KD, LDAB, INFO
-        p = ctypes.addressof(iv)
-        dpbtrf(b"L", p, p + 8, ab.ctypes.data, p + 16, p + 24, 1)
-        return ab, iv[3]
-
-    def pbtrs(cb, b):
-        cb = np.asfortranarray(cb, dtype=float)
         b = np.ascontiguousarray(b, dtype=float)
-        kd, n = cb.shape[0] - 1, cb.shape[1]
+        kd, n = ab.shape[0] - 1, ab.shape[1]
         if b.shape != (n,):
             raise ValueError(f"need {n} right-hand side entries, got shape {b.shape}")
         iv = ints(n, kd, 1, kd + 1, n)  # N, KD, NRHS, LDAB, LDB, INFO
         p = ctypes.addressof(iv)
-        dpbtrs(b"L", p, p + 8, p + 16, cb.ctypes.data, p + 24, b.ctypes.data,
-               p + 32, p + 40, 1)
-        return b, iv[5]
+        dpbsv(b"L", p, p + 8, p + 16, ab.ctypes.data, p + 24, b.ctypes.data,
+              p + 32, p + 40, 1)
+        return ab, b, iv[5]
 
-    return pbtrf, pbtrs
+    return pbsv
 
 
 def _rigid_mode_error(ab: np.ndarray) -> SolveError:

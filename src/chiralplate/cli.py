@@ -48,7 +48,7 @@ from .experiments import (
     solid_model,
 )
 from .materials import IsotropicMaterial
-from .plates import BoundaryCondition, PlateSpec
+from .plates import BoundaryCondition, PlateSpec, build_solid_mesh
 from .reporting import (
     fmt,
     write_convergence_csv,
@@ -306,7 +306,7 @@ def cmd_convergence(args) -> int:
     if args.dry_run:
         with _plate_checked():  # the study's meshes, as the run builds them
             for layers in range(1, max_layers + 1):
-                solid_model(spec, layers, "conforming", material, "equal_aspect")
+                build_solid_mesh(spec, layers, "equal_aspect")
         print(
             f"convergence study: 1..{max_layers} layers, both element kinds, "
             f"both boundary conditions, F = {fmt(load_n)} N"

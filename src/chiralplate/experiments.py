@@ -33,7 +33,6 @@ from . import honeycomb as hc
 from .materials import IsotropicMaterial
 from .plates import (
     BoundaryCondition,
-    LoadCase,
     PlateSpec,
     apply_boundary,
     apply_load,
@@ -126,15 +125,14 @@ def composite_model(
 
 
 def solid_model(
-    spec: PlateSpec, layers: int, algorithm: str, material: IsotropicMaterial,
-    snap: str = "exact",
+    spec: PlateSpec, layers: int, algorithm: str, material: IsotropicMaterial
 ) -> tuple[Mesh, list[Layer]]:
     """Solid plate of one material: its mesh and one card per element layer.
 
     ``algorithm`` is an element kind, or ``"incompatible_faces"``, which on
     a plate that is all face means incompatible elements throughout.
     """
-    mesh, tags = build_solid_mesh(spec, layers, snap)
+    mesh, tags = build_solid_mesh(spec, layers)
     return mesh, _solid_cards(tags, algorithm, material)
 
 
@@ -162,7 +160,7 @@ def evaluate(
         raise ConfigError(f"probe load must be positive and finite, got {F_probe}")
     if material.sigma_el is None:
         raise MaterialError("critical-load scaling needs the material's sigma_el")
-    P = apply_load(mesh, LoadCase(F_probe), spec, split=True)
+    P = apply_load(mesh, F_probe, spec)
     fixed_sets = [apply_boundary(mesh, bc, spec) for bc in bcs]
     results = []
     for analysis in analyze(mesh, layers, fixed_sets, P):

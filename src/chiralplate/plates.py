@@ -19,7 +19,7 @@ to square as possible. The refinement family used by the mesh-convergence
 study instead keeps the exact equal-aspect count from the paper's meshes
 (nx = round(a / b_fe)); on that family the support lines still land on
 nodes, but the load abscissa may fall between two nodes for odd layer
-counts and is then split consistently between them (opt-in).
+counts; the load is then split consistently between them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .materials import IsotropicMaterial, TransverselyIsotropicMaterial
 __all__ = [
     "PlateSpec",
     "BoundaryCondition",
-    "LoadCase",
     "build_solid_mesh",
     "build_composite_mesh",
     "apply_boundary",
@@ -91,13 +90,6 @@ class PlateSpec:
 class BoundaryCondition(enum.Enum):
     CLAMPED = "clamped"
     SUPPORTED = "supported"  # elastic rotation at the two bottom supports
-
-
-@dataclass(frozen=True)
-class LoadCase:
-    """Total downward force [N] applied at the top node at x = l_1."""
-
-    F_y: float
 
 
 def _node_count_constraint(spec: PlateSpec) -> int:
@@ -242,32 +234,26 @@ def apply_boundary(mesh: Mesh, bc: BoundaryCondition, spec: PlateSpec) -> np.nda
     return np.flatnonzero(fixed)
 
 
-def apply_load(
-    mesh: Mesh, lc: LoadCase, spec: PlateSpec, split: bool = False
-) -> np.ndarray:
-    """Load vector: total force F_y, downward, at the top node at x = l_1.
+def apply_load(mesh: Mesh, F_y: float, spec: PlateSpec) -> np.ndarray:
+    """Load vector: total force ``F_y`` [N], downward, on the top edge at ``l_1``.
 
-    With ``split=False`` the load abscissa must coincide with a node line.
-    ``split=True`` distributes the force linearly between the two top nodes
-    straddling ``l_1`` (consistent nodal loading on the refinement family
-    whose odd layer counts have no node at midspan).
+    The force goes to the top node at ``x = l_1``. Where ``l_1`` falls
+    between two node lines (the odd layer counts of the refinement family),
+    it is split linearly between the two straddling top nodes, the
+    consistent nodal load.
     """
     P = np.zeros(mesh.n_dofs)
     j_top = len(mesh.y) - 1
     d = np.abs(mesh.x - spec.l_1)
     i_near = int(np.argmin(d))
     if d[i_near] <= 1e-9:
-        P[2 * mesh.node_id(i_near, j_top) + 1] = -lc.F_y
+        P[2 * mesh.node_id(i_near, j_top) + 1] = -F_y
         return P
-    if not split:
-        raise MeshError(
-            f"load abscissa l_1 = {spec.l_1} does not coincide with a node line"
-        )
     i_lo = int(np.searchsorted(mesh.x, spec.l_1)) - 1
     i_hi = i_lo + 1
     if i_lo < 0 or i_hi >= len(mesh.x):
         raise MeshError(f"load abscissa l_1 = {spec.l_1} outside the mesh")
     w_hi = (spec.l_1 - mesh.x[i_lo]) / (mesh.x[i_hi] - mesh.x[i_lo])
-    P[2 * mesh.node_id(i_lo, j_top) + 1] = -lc.F_y * (1.0 - w_hi)
-    P[2 * mesh.node_id(i_hi, j_top) + 1] = -lc.F_y * w_hi
+    P[2 * mesh.node_id(i_lo, j_top) + 1] = -F_y * (1.0 - w_hi)
+    P[2 * mesh.node_id(i_hi, j_top) + 1] = -F_y * w_hi
     return P

@@ -17,7 +17,6 @@ from numpy.testing import assert_allclose
 from chiralplate import (
     FORMLABS_CLEAR,
     BoundaryCondition,
-    LoadCase,
     ConstraintError,
     IsotropicMaterial,
     Layer,
@@ -250,6 +249,15 @@ class TestConstraintsAndSolve:
         with pytest.raises(ConstraintError, match="must lie in"):
             free_dofs(single_element_mesh(), fixed)
 
+    @pytest.mark.parametrize(
+        "fixed", [[0.9, 3.2], [True, False, False, False]], ids=["float", "mask"]
+    )
+    def test_non_integer_node_ids_rejected(self, fixed):
+        # neither may be read as node ids: not truncated to nodes 0 and 3,
+        # nor a node mask taken as the ids 1 and 0
+        with pytest.raises(ConstraintError, match="must be integers"):
+            free_dofs(single_element_mesh(), fixed)
+
     def test_reduced_matrix_positive_definite(self, steelish):
         mesh = single_element_mesh()
         K = dense_from_band(
@@ -311,12 +319,12 @@ class TestConstraintsAndSolve:
         mesh, layers = solid_model(spec, 4, "conforming", FORMLABS_CLEAR)
         K = assemble(mesh, layers)
         free = free_dofs(mesh, apply_boundary(mesh, BoundaryCondition.CLAMPED, spec))
-        P = apply_load(mesh, LoadCase(30.0), spec, split=True)
-        pbtrf, pbtrs = assembly._banded_cholesky()
+        P = apply_load(mesh, 30.0, spec)
+        pbsv = assembly._banded_solver()
         widths = []
         monkeypatch.setattr(
-            assembly, "_banded_cholesky",
-            lambda: (lambda ab: widths.append(ab.shape[1]) or pbtrf(ab), pbtrs),
+            assembly, "_banded_solver",
+            lambda: lambda ab, b: widths.append(ab.shape[1]) or pbsv(ab, b),
         )
         u = solve(mesh, K, free, P)
         u_ref = solve_dense(dense_from_band(mesh, K), free, P)
@@ -504,12 +512,13 @@ FIELD_ARRAYS = ("exx", "eyy", "sxx", "syy", "se", "exy", "sxy")
 
 
 def two_bc_model(kind):
-    """A 3-layer solid model (two distinct layer heights), its clamped and
-    supported fixed-node sets and a midspan probe load."""
+    """A 3-layer solid model (two raw layer heights, one card), its clamped
+    and supported fixed-node sets and a midspan probe load."""
     spec = PlateSpec().solid()
-    mesh, layers = solid_model(spec, 3, kind, FORMLABS_CLEAR, snap="equal_aspect")
+    mesh, tags = build_solid_mesh(spec, 3, "equal_aspect")
+    layers = [Layer(FORMLABS_CLEAR, kind, tag) for tag in tags]
     fixed_sets = [apply_boundary(mesh, bc, spec) for bc in BoundaryCondition]
-    return mesh, layers, fixed_sets, apply_load(mesh, LoadCase(60.0), spec, split=True)
+    return mesh, layers, fixed_sets, apply_load(mesh, 60.0, spec)
 
 
 class TestAnalyze:

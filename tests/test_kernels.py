@@ -24,7 +24,6 @@ from chiralplate import (
     BoundaryCondition,
     IsotropicMaterial,
     Layer,
-    LoadCase,
     Mesh,
     PlateSpec,
     SolveError,
@@ -199,15 +198,15 @@ class TestConstrainedBand:
         mesh, layers, fixed, P = system
         K = assemble(mesh, layers)
         free = free_dofs(mesh, fixed)
-        pbtrf, pbtrs = assembly._banded_cholesky()
+        pbsv = assembly._banded_solver()
         factored = []
 
-        def recording_pbtrf(ab):
+        def recording_pbsv(ab, b):
             factored.append((ab.flags.f_contiguous, ab.copy(order="F")))
-            return pbtrf(ab)
+            return pbsv(ab, b)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(assembly, "_banded_cholesky", lambda: (recording_pbtrf, pbtrs))
+            mp.setattr(assembly, "_banded_solver", lambda: recording_pbsv)
             solve(mesh, K, free, P)
         K_pinned = dense_from_band(mesh, K)
         pinned = np.setdiff1d(np.arange(mesh.n_dofs), free)
@@ -256,18 +255,27 @@ class TestBandedSolve:
 
     @pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
     def test_illegal_argument_raises(self, monkeypatch, routine):
-        # an empty band has KD = -1, which LAPACK rejects with info = -3
-        pbtrf, pbtrs = assembly._banded_cholesky()
+        # dpbsv is dpbtrf then dpbtrs, and checks the arguments of both. An
+        # empty band has KD = -1, which LAPACK rejects with info = -3. A
+        # right-hand side one entry short has LDB < N, info = -8 on scipy's
+        # route; the ctypes wrapper refuses its shape before the call.
+        pbsv = assembly._banded_solver()
         if routine == "dpbtrf":
-            assert pbtrf(np.zeros((0, 4), order="F"))[1] == -3
-            routes = (lambda ab: pbtrf(ab[:0]), pbtrs)
+            assert pbsv(np.zeros((0, 4), order="F"), np.zeros(4))[2] == -3
+            routes = lambda ab, b: pbsv(ab[:0], b)
+            message = "dpbsv: illegal value in argument 3"
         else:
-            routes = (pbtrf, lambda cb, b: pbtrs(cb[:0], b))
-        monkeypatch.setattr(assembly, "_banded_cholesky", lambda: routes)
+            routes = lambda ab, b: pbsv(ab, b[:-1])
+            message = (
+                "dpbsv: illegal value in argument 8"
+                if assembly._numpy_openblas() is None
+                else r"need 12 right-hand side entries, got shape \(11,\)"
+            )
+        monkeypatch.setattr(assembly, "_banded_solver", lambda: routes)
         mesh = Mesh(np.arange(3.0), np.arange(2.0), 1.0)
         card = IsotropicMaterial(E=1e3, mu=0.3)
         K = assemble(mesh, [Layer(card, "conforming", "plate")])
-        with pytest.raises(ValueError, match=f"{routine}: illegal value in argument 3"):
+        with pytest.raises(ValueError, match=message):
             solve(mesh, K, free_dofs(mesh, [0, 3]), np.ones(mesh.n_dofs))
 
 
@@ -308,7 +316,7 @@ class TestLapackRoutesAgree:
         spec, _, mesh, layers = composite_model(
             setup, 1.3, 0.353, "incompatible_faces", FORMLABS_CLEAR, PlateSpec()
         )
-        P = apply_load(mesh, LoadCase(30.0), spec)
+        P = apply_load(mesh, 30.0, spec)
         free = free_dofs(mesh, apply_boundary(mesh, bc, spec))
         u, u_scipy = _on_both_routes(mesh, assemble(mesh, layers), free, P)
         assert np.array_equal(u, u_scipy)

@@ -11,7 +11,6 @@ from chiralplate import (
     BoundaryCondition,
     IsotropicMaterial,
     Layer,
-    LoadCase,
     Mesh,
     MeshError,
     PlateSpec,
@@ -193,12 +192,12 @@ class TestBoundaryAndLoad:
 
     def test_zero_force_zero_vector(self, spec):
         mesh, _ = build_solid_mesh(spec.solid(), 2)
-        P = apply_load(mesh, LoadCase(0.0), spec)
+        P = apply_load(mesh, 0.0, spec)
         assert not P.any()
 
     def test_point_load_placement(self, spec):
         mesh, _ = build_solid_mesh(spec.solid(), 2)
-        P = apply_load(mesh, LoadCase(30.0), spec)
+        P = apply_load(mesh, 30.0, spec)
         nz = np.flatnonzero(P)
         assert len(nz) == 1
         assert P[nz[0]] == -30.0
@@ -208,14 +207,14 @@ class TestBoundaryAndLoad:
         assert coords[m, 1] == pytest.approx(2.0)  # top surface
         assert nz[0] % 2 == 1  # y DOF
 
-    def test_load_off_node_rejected_then_split(self, spec):
+    def test_load_off_node_split_between_straddling_nodes(self, spec):
         mesh, _ = build_solid_mesh(spec.solid(), 1, snap="equal_aspect")
-        with pytest.raises(MeshError):
-            apply_load(mesh, LoadCase(30.0), spec)
-        P = apply_load(mesh, LoadCase(30.0), spec, split=True)
+        P = apply_load(mesh, 30.0, spec)
+        # l_1 = 27 lies midway between the top nodes at x = 26 and x = 28
         nz = np.flatnonzero(P)
-        assert len(nz) == 2
-        assert P.sum() == pytest.approx(-30.0)
+        assert nz.tolist() == [2 * mesh.node_id(i, 1) + 1 for i in (13, 14)]
+        assert_allclose(mesh.x[[13, 14]], [26.0, 28.0])
+        assert P[nz].tolist() == [-15.0, -15.0]
 
 
 class TestMirrorSymmetry:
@@ -228,7 +227,7 @@ class TestMirrorSymmetry:
             mesh,
             [Layer(resin, "conforming", t) for t in tags],
             [apply_boundary(mesh, bc, solid)],
-            apply_load(mesh, LoadCase(60.0), solid),
+            apply_load(mesh, 60.0, solid),
         )
         u = result.u
         nxn = len(mesh.x)
@@ -270,7 +269,7 @@ class TestEquilibrium:
                 2, 1.6, 0.14, "incompatible_faces", resin, spec
             )
         F_y = 45.0
-        P = apply_load(mesh, LoadCase(F_y), case_spec)
+        P = apply_load(mesh, F_y, case_spec)
         [result] = analyze(mesh, layers, [apply_boundary(mesh, bc, case_spec)], P)
         reactions = dense_from_band(mesh, assemble(mesh, layers)) @ result.u - P
         fixed = np.setdiff1d(np.arange(mesh.n_dofs), result.free_dofs)
@@ -296,7 +295,7 @@ class TestLargeMesh:
         F_y = 45.0
         start = time.perf_counter()
         K = assemble(mesh, layers)
-        P = apply_load(mesh, LoadCase(F_y), solid)
+        P = apply_load(mesh, F_y, solid)
         nodes = apply_boundary(mesh, BoundaryCondition.CLAMPED, solid)
         [result] = analyze(mesh, layers, [nodes], P)
         elapsed = time.perf_counter() - start
