@@ -20,6 +20,7 @@ from .errors import (
 from .materials import (
     IsotropicMaterial,
     TransverselyIsotropicMaterial,
+    full_elasticity_matrix,
     plane_strain_matrix,
     ti_plane_strain_matrix,
     von_mises_plane,
@@ -38,10 +39,7 @@ from .honeycomb import (
 )
 from .elements import (
     ElementGeometry,
-    conforming_stiffness_iso,
-    conforming_stiffness_ti,
-    incompatible_stiffness_iso,
-    incompatible_stiffness_iso_layered,
+    element_stiffness,
     strain_displacement_full,
 )
 from .assembly import (

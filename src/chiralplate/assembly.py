@@ -68,12 +68,12 @@ from .elements import (
     XI_CORNERS,
     ElementGeometry,
     element_stiffness,
-    full_elasticity_matrix,
     strain_displacement_full,
 )
 from .materials import (
     IsotropicMaterial,
     TransverselyIsotropicMaterial,
+    full_elasticity_matrix,
     von_mises_plane,
 )
 
@@ -217,13 +217,23 @@ def _layer_cards(mesh: Mesh, layers) -> tuple[Layer, ...]:
     return layers
 
 
-def _card_groups(mesh: Mesh, layers) -> dict[tuple, np.ndarray]:
-    """Layer indices of each distinct card ``(kind, material, height)``."""
+def _card_groups(mesh: Mesh, layers) -> list[tuple]:
+    """``(kind, g, chi, mu, js)`` per distinct card ``(kind, material, height)``.
+
+    Its :class:`ElementGeometry`, elasticity matrix, the Poisson's ratio of
+    the incompatible coupling terms (0 for the conforming kind) and the
+    indices of the layers that carry it.
+    """
     groups: dict[tuple, list[int]] = {}
     for j, layer in enumerate(layers):
         key = (layer.kind, layer.material, mesh.layer_height(j))
         groups.setdefault(key, []).append(j)
-    return {key: np.array(js) for key, js in groups.items()}
+    return [
+        (kind, ElementGeometry(mesh.a_fe, height, mesh.h),
+         full_elasticity_matrix(material),
+         material.mu if kind == "incompatible" else 0.0, np.array(js))
+        for (kind, material, height), js in groups.items()
+    ]
 
 
 # Corner q of an element sits _XO[q] node columns right of and _YO[q] node
@@ -283,9 +293,8 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
     """
     layers = _layer_cards(mesh, layers)
     k_layers = np.empty((mesh.n_layers, 8, 8))
-    for (kind, material, height), js in _card_groups(mesh, layers).items():
-        g = ElementGeometry(mesh.a_fe, height, mesh.h)
-        k_layers[js] = element_stiffness(kind, g, material)
+    for kind, g, chi, mu, js in _card_groups(mesh, layers):
+        k_layers[js] = element_stiffness(kind, g, chi, mu)
     ny, nx, n_layers = len(mesh.y), mesh.nx, mesh.n_layers
     bw = 2 * ny + 3
     K = np.zeros((bw + 1, mesh.n_dofs))
@@ -498,9 +507,6 @@ class StressField:
             out[tag] = float(np.maximum(out.get(tag, peak), peak))
         return out
 
-    def max_se(self) -> float:
-        return float(self.se.max())
-
 
 def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
     """Recover nodal strains and stresses at the four element corners.
@@ -533,11 +539,7 @@ def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
     n_q = 6 if mode == "diagnostic" else 4
     out = np.empty((len(us), mesh.n_layers, mesh.nx, n_q * 4))
 
-    for (kind, material, height), js in _card_groups(mesh, layers).items():
-        g = ElementGeometry(mesh.a_fe, height, mesh.h)
-        chi = full_elasticity_matrix(material)
-        # Layer admits incompatible elements on isotropic cards only
-        mu = material.mu if kind == "incompatible" else 0.0
+    for kind, g, chi, mu, js in _card_groups(mesh, layers):
         B3 = strain_displacement_full(kind, g, XI_CORNERS, ETA_CORNERS, mu)
         rows = [B3[:, 0], B3[:, 1], *np.swapaxes(chi[:2, :2] @ B3[:, :2], 0, 1)]
         if mode == "diagnostic":

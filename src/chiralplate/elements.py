@@ -9,20 +9,20 @@ with dimensionless coordinates ``xi = 2(x - x_c)/a_fe`` and
 ``eta = 2(y - y_c)/b_fe``. Degrees of freedom are node-major:
 ``(v1x, v1y, v2x, v2y, v3x, v3y, v4x, v4y)``.
 
-Two element families are implemented, both with closed-form 8x8 stiffness
-assembled from 2x2 blocks indexed by the corner signs:
-
-* the conforming element with bilinear shape functions, for isotropic and
-  transversely isotropic materials;
-* the incompatible element, whose displacement field adds quadratic modes
-  tied to the opposite-axis nodal displacements. The additions cancel the
-  varying part of the shear strain, which is what softens the element in
-  bending. Only the isotropic form exists.
+Two element kinds are implemented, the conforming element with bilinear
+shape functions and the incompatible element, whose displacement field adds
+quadratic modes tied to the opposite-axis nodal displacements. The additions
+cancel the varying part of the shear strain, which is what softens the
+element in bending. :func:`element_stiffness` is the one closed-form 8x8
+stiffness of both, assembled from 2x2 blocks indexed by the corner signs. It
+reads a material card only as its 3x3 elasticity matrix ``chi`` (and the
+Poisson's ratio of the incompatible coupling terms), so this module knows
+nothing of material cards.
 
 :func:`strain_displacement_full` is the one strain/displacement matrix of
-both families. The corner stress recovery evaluates it at the four corners
-in one call per layer, and the test suite integrates ``beta^T chi beta``
-from it by Gauss-Legendre quadrature as the independent check on every
+both kinds. The corner stress recovery evaluates it at the four corners
+in one call per layer card, and the test suite integrates ``beta^T chi beta``
+from it by Gauss-Legendre quadrature as the independent check on the
 closed form (the integrands are quadratic per direction, so order 2 is
 already exact; higher orders must agree identically).
 """
@@ -35,21 +35,12 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import GeometryError, MaterialError
-from .materials import (
-    IsotropicMaterial,
-    TransverselyIsotropicMaterial,
-    plane_strain_matrix,
-    ti_plane_strain_matrix,
-)
 
 __all__ = [
     "XI_CORNERS",
     "ETA_CORNERS",
     "ElementGeometry",
-    "conforming_stiffness_iso",
-    "conforming_stiffness_ti",
-    "incompatible_stiffness_iso",
-    "incompatible_stiffness_iso_layered",
+    "element_stiffness",
     "strain_displacement_full",
 ]
 
@@ -72,9 +63,9 @@ class ElementGeometry:
     h: float
 
     def __post_init__(self):
-        if min(self.a_fe, self.b_fe, self.h) <= 0:
+        if not all(0 < d < np.inf for d in (self.a_fe, self.b_fe, self.h)):
             raise GeometryError(
-                f"element dimensions must be positive, got "
+                f"element dimensions must be positive and finite, got "
                 f"a_fe={self.a_fe}, b_fe={self.b_fe}, h={self.h}"
             )
 
@@ -89,87 +80,55 @@ def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(2, 0, 3, 1).reshape(8, 8)
 
 
-def conforming_stiffness_iso(
-    g: ElementGeometry, mat: IsotropicMaterial
+def element_stiffness(
+    kind: str, g: ElementGeometry, chi: ArrayLike, mu: float = 0.0
 ) -> np.ndarray:
-    """Closed-form stiffness of the conforming element, isotropic material.
+    """Closed-form 8x8 stiffness ``int B^T chi B dA`` of either element kind.
 
-    Sum of the normal-strain and shear blocks; symmetric, positive
-    semidefinite with exactly the three rigid-body zero modes.
+    ``chi`` is the 3x3 elasticity matrix of an orthotropic card (zero
+    ``chi[0, 2]`` and ``chi[1, 2]``, which are not read) and ``mu`` the
+    Poisson's ratio in the incompatible element's coupling terms; the
+    conforming kind ignores it, as :func:`strain_displacement_full` does.
+    With ``c_ij = chi[i, j]`` and ``w = h/4``, block ``(r, s)`` is
+
+    * xx: ``w [gamma xi_r xi_s (c00 + w0 eta_r eta_s / 3)
+      + c22 (eta_r eta_s / gamma)(1 + t xi_r xi_s / 3)]``,
+    * yy: ``w [(eta_r eta_s / gamma)(c11 + w1 xi_r xi_s / 3)
+      + c22 gamma xi_r xi_s (1 + t eta_r eta_s / 3)]``,
+    * xy: ``w (c01 xi_r eta_s + c22 eta_r xi_s)``, and yx its transpose,
+
+    with ``w0 = c00 - 2 mu c01 + mu^2 c11`` and ``w1 = c11 - 2 mu c01 +
+    mu^2 c00`` from the coupling terms, and ``t = 1`` for the conforming
+    kind (``mu = 0``, so ``w0 = c00``, ``w1 = c11``) but ``t = 0`` for the
+    incompatible one, whose added modes make the shear strain constant.
+    Symmetric, positive semidefinite with exactly the three rigid-body zero
+    modes for a positive definite ``chi``.
     """
-    return conforming_stiffness_ti(
-        g,
-        TransverselyIsotropicMaterial(
-            E1=mat.E, mu1=mat.mu, E2=mat.E, mu2=mat.mu, G2=mat.G
-        ),
-    )
-
-
-def conforming_stiffness_ti(
-    g: ElementGeometry, mat: TransverselyIsotropicMaterial
-) -> np.ndarray:
-    """Closed-form stiffness of the conforming element, TI material.
-
-    Reduces to the isotropic form under isotropic degeneration of the
-    material card.
-    """
-    gam, h = g.gamma, g.h
-    n1, mu1, mu2, G2 = mat.n1, mat.mu1, mat.mu2, mat.G2
-    cE = mat.E2 * h / (4.0 * (1.0 + mu1) * (1.0 - mu1 - 2.0 * n1 * mu2**2))
-    cG = G2 * h / 4.0
-    a11 = n1 - n1**2 * mu2**2
-    a12 = n1 * mu2 * (1.0 + mu1)
-    a22 = 1.0 - mu1**2
+    if kind not in ("conforming", "incompatible"):
+        raise MaterialError(f"unknown element kind {kind!r}")
+    chi = np.asarray(chi, dtype=float)
+    c00, c01, c11, c22 = chi[0, 0], chi[0, 1], chi[1, 1], chi[2, 2]
+    t = 1.0 if kind == "conforming" else 0.0
+    mu = 0.0 if kind == "conforming" else mu
+    w0 = c00 - 2.0 * mu * c01 + mu**2 * c11
+    w1 = c11 - 2.0 * mu * c01 + mu**2 * c00
+    gam = g.gamma
     xr, xs, er, es = _XR, _XS, _ER, _ES
-    kE = cE * np.array(
+    k = np.array(
         [
-            [a11 * gam * xr * xs * (1.0 + er * es / 3.0), a12 * xr * es],
-            [a12 * er * xs, a22 * (er * es / gam) * (1.0 + xr * xs / 3.0)],
+            [
+                gam * xr * xs * (c00 + w0 * er * es / 3.0)
+                + c22 * (er * es / gam) * (1.0 + t * xr * xs / 3.0),
+                c01 * xr * es + c22 * er * xs,
+            ],
+            [
+                c01 * er * xs + c22 * xr * es,
+                (er * es / gam) * (c11 + w1 * xr * xs / 3.0)
+                + c22 * gam * xr * xs * (1.0 + t * er * es / 3.0),
+            ],
         ]
     )
-    kG = cG * np.array(
-        [
-            [(er * es / gam) * (1.0 + xr * xs / 3.0), er * xs],
-            [xr * es, gam * xr * xs * (1.0 + er * es / 3.0)],
-        ]
-    )
-    return _blocks_to_matrix(kE + kG)
-
-
-def incompatible_stiffness_iso(
-    g: ElementGeometry, mat: IsotropicMaterial
-) -> np.ndarray:
-    """Closed-form stiffness of the incompatible element.
-
-    The shear block loses the 1/3 correction terms of the conforming
-    element (the added modes make the shear strain constant), and the
-    normal block's bracket becomes ``1 - mu + (1 - mu - mu^2 - mu^3)/3``
-    on the diagonal coupling.
-    """
-    gam, h = g.gamma, g.h
-    E, mu, G = mat.E, mat.mu, mat.G
-    cE = E * h / (4.0 * (1.0 + mu) * (1.0 - 2.0 * mu))
-    cG = G * h / 4.0
-    br = (1.0 - mu - mu**2 - mu**3) / 3.0
-    xr, xs, er, es = _XR, _XS, _ER, _ES
-    kE = cE * np.array(
-        [
-            [gam * xr * xs * (1.0 - mu + br * er * es), mu * xr * es],
-            [mu * er * xs, (er * es / gam) * (1.0 - mu + br * xr * xs)],
-        ]
-    )
-    kG = cG * np.array(
-        [
-            [er * es / gam, er * xs],
-            [xr * es, gam * xr * xs],
-        ]
-    )
-    return _blocks_to_matrix(kE + kG)
-
-
-# The layered formulas parameterize gamma, E and mu by the layer index but
-# are otherwise identical to the single-layer incompatible element.
-incompatible_stiffness_iso_layered = incompatible_stiffness_iso
+    return _blocks_to_matrix(g.h / 4.0 * k)
 
 
 def strain_displacement_full(
@@ -209,30 +168,3 @@ def strain_displacement_full(
         B[..., 2, 1::2] = xq * (1.0 + eq * eta) / (2.0 * a_fe)
     return B
 
-
-def element_stiffness(
-    kind: str,
-    g: ElementGeometry,
-    mat: IsotropicMaterial | TransverselyIsotropicMaterial,
-) -> np.ndarray:
-    """Dispatch to the right closed form for a (kind, material) pair."""
-    if isinstance(mat, TransverselyIsotropicMaterial):
-        if kind != "conforming":
-            raise MaterialError(
-                "incompatible elements are defined for isotropic layers only"
-            )
-        return conforming_stiffness_ti(g, mat)
-    if kind == "conforming":
-        return conforming_stiffness_iso(g, mat)
-    if kind == "incompatible":
-        return incompatible_stiffness_iso(g, mat)
-    raise MaterialError(f"unknown element kind {kind!r}")
-
-
-def full_elasticity_matrix(
-    mat: IsotropicMaterial | TransverselyIsotropicMaterial,
-) -> np.ndarray:
-    """Full 3x3 elasticity matrix for either material model."""
-    if isinstance(mat, TransverselyIsotropicMaterial):
-        return ti_plane_strain_matrix(mat)
-    return plane_strain_matrix(mat)

@@ -6,6 +6,8 @@ models are supported: isotropic solids and transversely isotropic media
 the full 3x3 plane-strain elasticity matrix ``chi`` ordered
 ``(eps_xx, eps_yy, eps_xy)``; the nodal stress recovery uses its upper 2x2
 block ``chi[:2, :2]``, the matrix with the shear row and column dropped.
+:func:`full_elasticity_matrix` gives ``chi`` for either card; the element
+stiffness and the stress recovery read a card only through it.
 
 The von Mises equivalent stress of two principal stresses rounds out the
 module.
@@ -23,6 +25,7 @@ from .errors import MaterialError
 __all__ = [
     "IsotropicMaterial",
     "TransverselyIsotropicMaterial",
+    "full_elasticity_matrix",
     "plane_strain_matrix",
     "ti_plane_strain_matrix",
     "von_mises_plane",
@@ -102,16 +105,22 @@ class TransverselyIsotropicMaterial:
     G2: float
 
     def __post_init__(self):
+        card = (self.E1, self.mu1, self.E2, self.mu2, self.G2)
+        if not all(map(math.isfinite, card)):
+            raise MaterialError(f"card entries must be finite, got {card}")
         if self.E1 < 0:
             raise MaterialError(f"E1 must be non-negative, got {self.E1}")
         if not self.E2 > 0:
             raise MaterialError(f"E2 must be positive, got {self.E2}")
         if not self.G2 > 0:
             raise MaterialError(f"G2 must be positive, got {self.G2}")
-        if self._denominator() <= 0:
+        # Each factor, not only their product: two negative factors give a
+        # positive denominator but an indefinite chi.
+        f1, f2 = 1.0 + self.mu1, 1.0 - self.mu1 - 2.0 * self.n1 * self.mu2**2
+        if not (f1 > 0 and f2 > 0):
             raise MaterialError(
-                "elasticity matrix ill-posed: (1+mu1)(1-mu1-2*n1*mu2^2) = "
-                f"{self._denominator():g} must be positive"
+                f"elasticity matrix ill-posed: 1+mu1 = {f1:g} and "
+                f"1-mu1-2*n1*mu2^2 = {f2:g} must both be positive"
             )
 
     @property
@@ -158,6 +167,15 @@ def ti_plane_strain_matrix(mat: TransverselyIsotropicMaterial) -> np.ndarray:
             [0.0, 0.0, mat.m1 * mat._denominator()],
         ]
     )
+
+
+def full_elasticity_matrix(
+    mat: IsotropicMaterial | TransverselyIsotropicMaterial,
+) -> np.ndarray:
+    """Full 3x3 plane-strain elasticity matrix ``chi`` of either card."""
+    if isinstance(mat, TransverselyIsotropicMaterial):
+        return ti_plane_strain_matrix(mat)
+    return plane_strain_matrix(mat)
 
 
 def von_mises_plane(s1, s2):

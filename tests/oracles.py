@@ -36,6 +36,7 @@ from chiralplate import (
     Mesh,
     StressField,
     TransverselyIsotropicMaterial,
+    full_elasticity_matrix,
     plane_strain_matrix,
     ti_plane_strain_matrix,
     von_mises_plane,
@@ -45,7 +46,6 @@ from chiralplate.elements import (
     XI_CORNERS,
     ElementGeometry,
     element_stiffness,
-    full_elasticity_matrix,
     strain_displacement_full,
 )
 
@@ -101,7 +101,8 @@ def _layer_stiffness(mesh: Mesh, layers) -> np.ndarray:
     return np.array([
         element_stiffness(
             layer.kind, ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h),
-            layer.material,
+            full_elasticity_matrix(layer.material),
+            layer.material.mu if layer.kind == "incompatible" else 0.0,
         )
         for j, layer in enumerate(layers)
     ])

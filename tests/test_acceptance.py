@@ -116,15 +116,16 @@ def test_criterion_05_analytic_vs_quadrature(rng):
         ti = random_ti(rng)
         iso2 = random_iso(rng)
         g2 = ElementGeometry(1.0, float(rng.uniform(0.2, 5.0)), g.h)
+        chi, chi_ti, chi2 = (cp.full_elasticity_matrix(m) for m in (iso, ti, iso2))
         checks = [
-            (cp.conforming_stiffness_iso(g, iso),
-             quadrature_stiffness("conforming", g, cp.plane_strain_matrix(iso), 2)),
-            (cp.incompatible_stiffness_iso(g, iso),
-             quadrature_stiffness("incompatible", g, cp.plane_strain_matrix(iso), 3, mu=iso.mu)),
-            (cp.conforming_stiffness_ti(g, ti),
-             quadrature_stiffness("conforming", g, cp.ti_plane_strain_matrix(ti), 2)),
-            (cp.incompatible_stiffness_iso_layered(g2, iso2),
-             quadrature_stiffness("incompatible", g2, cp.plane_strain_matrix(iso2), 3, mu=iso2.mu)),
+            (cp.element_stiffness("conforming", g, chi),
+             quadrature_stiffness("conforming", g, chi, 2)),
+            (cp.element_stiffness("incompatible", g, chi, iso.mu),
+             quadrature_stiffness("incompatible", g, chi, 3, mu=iso.mu)),
+            (cp.element_stiffness("conforming", g, chi_ti),
+             quadrature_stiffness("conforming", g, chi_ti, 2)),
+            (cp.element_stiffness("incompatible", g2, chi2, iso2.mu),
+             quadrature_stiffness("incompatible", g2, chi2, 3, mu=iso2.mu)),
         ]
         for analytic, quadrature in checks:
             rel = np.linalg.norm(analytic - quadrature) / np.linalg.norm(analytic)
@@ -139,7 +140,10 @@ def test_criterion_05_analytic_vs_quadrature(rng):
 
 
 def test_criterion_06_rigid_modes_and_patch(rng, resin):
-    k = cp.conforming_stiffness_iso(ElementGeometry(1.3, 0.8, 2.0), random_iso(rng))
+    k = cp.element_stiffness(
+        "conforming", ElementGeometry(1.3, 0.8, 2.0),
+        cp.plane_strain_matrix(random_iso(rng)),
+    )
     eig = np.linalg.eigvalsh(k)
     n_zero = int(np.sum(np.abs(eig) < 1e-10 * eig.max()))
 

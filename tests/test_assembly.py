@@ -31,7 +31,7 @@ from chiralplate import (
     assemble,
     build_solid_mesh,
     composite_model,
-    conforming_stiffness_iso,
+    element_stiffness,
     free_dofs,
     plane_strain_matrix,
     recover,
@@ -165,7 +165,9 @@ class TestAssemble:
         K = dense_from_band(
             mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")])
         )
-        k_e = conforming_stiffness_iso(ElementGeometry(1, 1, 1), steelish)
+        k_e = element_stiffness(
+            "conforming", ElementGeometry(1, 1, 1), plane_strain_matrix(steelish)
+        )
         assert_allclose(K, expanded_stiffness(mesh, 0, k_e), rtol=0, atol=0)
         nodes = element_nodes(mesh, 0)
         for q_r, m in enumerate(nodes):
@@ -182,7 +184,9 @@ class TestAssemble:
         K = dense_from_band(
             mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")])
         )
-        k_e = conforming_stiffness_iso(ElementGeometry(1, 1, 1), steelish)
+        k_e = element_stiffness(
+            "conforming", ElementGeometry(1, 1, 1), plane_strain_matrix(steelish)
+        )
         K_oracle = expanded_stiffness(mesh, 0, k_e) + expanded_stiffness(mesh, 1, k_e)
         assert_allclose(K, K_oracle, rtol=0, atol=1e-15)
 
@@ -215,6 +219,15 @@ class TestAssemble:
         assert_allclose(
             dense_from_band(mesh, band), assemble_dense(mesh, layers), rtol=0, atol=0
         )
+
+    def test_layer_rejects_incompatible_ti_card(self):
+        # the element kinds share one closed form in chi, so this card check
+        # is what keeps a TI card off the incompatible kind, whose coupling
+        # terms need an isotropic card's mu
+        ti = TransverselyIsotropicMaterial(E1=40.0, mu1=0.0, E2=1000.0, mu2=0.35, G2=300.0)
+        with pytest.raises(MeshError, match="isotropic"):
+            Layer(ti, "incompatible", "core")
+        assert Layer(ti, "conforming", "core").kind == "conforming"
 
     def test_layer_count_mismatch(self, steelish):
         mesh = grid_mesh(2, 2)

@@ -1,10 +1,11 @@
-"""Element stiffness: closed forms against the quadrature oracle.
+"""Element stiffness: the closed form against the quadrature oracle.
 
 The oracle integrates beta^T chi beta with Gauss-Legendre rules built
 straight from the shape functions, so it shares no code path with the
 block formulas. Strain-displacement entries are checked against central
 finite differences of the displacement interpolation, a second independent
-route.
+route. Each element family is one (kind, card) pair fed to
+``element_stiffness`` as the card's elasticity matrix.
 """
 
 import numpy as np
@@ -15,10 +16,8 @@ from chiralplate import (
     ElementGeometry,
     GeometryError,
     IsotropicMaterial,
-    conforming_stiffness_iso,
-    conforming_stiffness_ti,
-    incompatible_stiffness_iso,
-    incompatible_stiffness_iso_layered,
+    MaterialError,
+    element_stiffness,
     plane_strain_matrix,
     strain_displacement_full,
     ti_plane_strain_matrix,
@@ -51,47 +50,73 @@ def rel_frobenius(A, B) -> float:
     return np.linalg.norm(A - B) / np.linalg.norm(B)
 
 
+def conforming_iso(g, mat):
+    return element_stiffness("conforming", g, plane_strain_matrix(mat))
+
+
+def incompatible_iso(g, mat):
+    return element_stiffness("incompatible", g, plane_strain_matrix(mat), mat.mu)
+
+
+def conforming_ti(g, ti):
+    return element_stiffness("conforming", g, ti_plane_strain_matrix(ti))
+
+
+def assert_rigid_modes(g, k):
+    scale = np.abs(k).max()
+    for v in RIGID_MODES + [rotation_mode(g)]:
+        assert np.abs(k @ v).max() < 1e-12 * scale
+
+
+def nullity(k) -> int:
+    eig = np.linalg.eigvalsh(k)
+    return int(np.sum(np.abs(eig) < 1e-10 * eig.max()))
+
+
 class TestConformingIso:
     def test_unit_square_corner_entry(self):
         # E part contributes 1/3, shear part 1/6 at mu = 0
-        k = conforming_stiffness_iso(UNIT_SQUARE, IsotropicMaterial(E=1.0, mu=0.0))
+        k = conforming_iso(UNIT_SQUARE, IsotropicMaterial(E=1.0, mu=0.0))
         assert k[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_symmetry_exact(self, rng):
         for _ in range(10):
             g = ElementGeometry(1.0, float(rng.uniform(0.2, 5.0)), 1.0)
-            k = conforming_stiffness_iso(g, random_iso(rng))
-            assert np.array_equal(k, k.T) or np.allclose(k, k.T, rtol=0, atol=0)
+            k = conforming_iso(g, random_iso(rng))
+            assert np.array_equal(k, k.T)
 
     def test_rigid_modes(self, rng):
         g = ElementGeometry(1.3, 0.7, 2.0)
-        k = conforming_stiffness_iso(g, random_iso(rng))
-        scale = np.abs(k).max()
-        for v in RIGID_MODES + [rotation_mode(g)]:
-            assert np.abs(k @ v).max() < 1e-12 * scale
+        assert_rigid_modes(g, conforming_iso(g, random_iso(rng)))
 
     def test_nullity_exactly_three(self, rng):
-        k = conforming_stiffness_iso(UNIT_SQUARE, random_iso(rng))
-        eig = np.linalg.eigvalsh(k)
-        assert np.sum(np.abs(eig) < 1e-10 * eig.max()) == 3
+        assert nullity(conforming_iso(UNIT_SQUARE, random_iso(rng))) == 3
 
     def test_quadrature_oracle(self, rng):
         for _ in range(50):
             g = ElementGeometry(1.0, float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.5, 20)))
             mat = random_iso(rng)
-            k = conforming_stiffness_iso(g, mat)
+            k = conforming_iso(g, mat)
             kq = quadrature_stiffness("conforming", g, plane_strain_matrix(mat))
             assert rel_frobenius(kq, k) < 1e-12
+
+    def test_ignores_mu(self, rng):
+        # the conforming strain matrix has no coupling terms to carry mu
+        chi = plane_strain_matrix(random_iso(rng))
+        g = ElementGeometry(1.0, 0.4, 2.0)
+        assert np.array_equal(
+            element_stiffness("conforming", g, chi, 0.3),
+            element_stiffness("conforming", g, chi),
+        )
 
 
 class TestIncompatibleIso:
     def test_symmetry_and_rigid_modes(self, rng):
         g = ElementGeometry(2.0, 0.5, 1.5)
-        k = incompatible_stiffness_iso(g, random_iso(rng))
-        assert_allclose(k, k.T, rtol=0, atol=0)
-        scale = np.abs(k).max()
-        for v in RIGID_MODES + [rotation_mode(g)]:
-            assert np.abs(k @ v).max() < 1e-12 * scale
+        k = incompatible_iso(g, random_iso(rng))
+        assert np.array_equal(k, k.T)
+        assert_rigid_modes(g, k)
+        assert nullity(k) == 3
 
     def test_shear_block_loses_correction_terms(self):
         # with chi_G alone, the incompatible diagonal block is G/4 * eta_r
@@ -100,11 +125,15 @@ class TestIncompatibleIso:
         g = UNIT_SQUARE
         chi_G = np.zeros((3, 3))
         chi_G[2, 2] = mat.G
-        kG = quadrature_stiffness("incompatible", g, chi_G, mu=mat.mu)
+        kG = element_stiffness("incompatible", g, chi_G, mat.mu)
         assert kG[0, 0] == pytest.approx(mat.G / 4.0, rel=1e-14)
+        assert_allclose(kG, quadrature_stiffness("incompatible", g, chi_G, mu=mat.mu),
+                        rtol=0, atol=1e-15)
         # conforming counterpart keeps the (1 + 1/3) factor
-        kG_conf = quadrature_stiffness("conforming", g, chi_G)
+        kG_conf = element_stiffness("conforming", g, chi_G)
         assert kG_conf[0, 0] == pytest.approx(mat.G / 4.0 * (4.0 / 3.0), rel=1e-14)
+        assert_allclose(kG_conf, quadrature_stiffness("conforming", g, chi_G),
+                        rtol=0, atol=1e-15)
 
     def test_mu_zero_normal_block_matches_conforming(self):
         # at mu = 0 the incompatible bracket (1 - mu + (1-mu-mu^2-mu^3)/3 *
@@ -112,29 +141,23 @@ class TestIncompatibleIso:
         mat = IsotropicMaterial(E=1.0, mu=0.0)
         chi_E = plane_strain_matrix(mat)
         chi_E[2, 2] = 0.0
-        kE_inc = quadrature_stiffness("incompatible", UNIT_SQUARE, chi_E, mu=0.0)
-        kE_conf = quadrature_stiffness("conforming", UNIT_SQUARE, chi_E)
-        assert_allclose(kE_inc, kE_conf, atol=1e-15)
+        kE_inc = element_stiffness("incompatible", UNIT_SQUARE, chi_E, 0.0)
+        kE_conf = element_stiffness("conforming", UNIT_SQUARE, chi_E)
+        assert_allclose(kE_inc, kE_conf, rtol=0, atol=1e-15)
+        assert_allclose(
+            kE_inc, quadrature_stiffness("incompatible", UNIT_SQUARE, chi_E, mu=0.0),
+            rtol=0, atol=1e-15,
+        )
 
     def test_quadrature_oracle(self, rng):
         for _ in range(50):
             g = ElementGeometry(1.0, float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.5, 20)))
             mat = random_iso(rng)
-            k = incompatible_stiffness_iso(g, mat)
+            k = incompatible_iso(g, mat)
             kq = quadrature_stiffness(
                 "incompatible", g, plane_strain_matrix(mat), order=3, mu=mat.mu
             )
             assert rel_frobenius(kq, k) < 1e-12
-
-    def test_layered_alias(self, rng):
-        g = ElementGeometry(1.5, 0.5, 13.0)
-        mat = random_iso(rng)
-        assert_allclose(
-            incompatible_stiffness_iso_layered(g, mat),
-            incompatible_stiffness_iso(g, mat),
-            rtol=0,
-            atol=0,
-        )
 
     def test_softer_in_bending_cantilever(self):
         # tip-loaded cantilever, one element through the depth; the
@@ -144,8 +167,8 @@ class TestIncompatibleIso:
         L, d, h = 10.0, 1.0, 1.0
         n = 10
         g = ElementGeometry(L / n, d, h)
-        k_conf = conforming_stiffness_iso(g, mat)
-        k_inc = incompatible_stiffness_iso(g, mat)
+        k_conf = conforming_iso(g, mat)
+        k_inc = incompatible_iso(g, mat)
 
         def tip_deflection(k_e):
             nn = 2 * (n + 1)
@@ -182,23 +205,61 @@ class TestConformingTI:
                 E1=iso.E, mu1=iso.mu, E2=iso.E, mu2=iso.mu, G2=iso.G
             )
             g = ElementGeometry(1.0, float(rng.uniform(0.2, 5.0)), 3.0)
-            assert rel_frobenius(
-                conforming_stiffness_ti(g, ti), conforming_stiffness_iso(g, iso)
-            ) < 1e-12
+            assert rel_frobenius(conforming_ti(g, ti), conforming_iso(g, iso)) < 1e-12
+
+    def test_symmetry_rigid_modes_and_nullity(self, rng):
+        g = ElementGeometry(0.8, 1.9, 2.5)
+        k = conforming_ti(g, random_ti(rng))
+        assert np.array_equal(k, k.T)
+        assert_rigid_modes(g, k)
+        assert nullity(k) == 3
 
     def test_quadrature_oracle(self, rng):
         for _ in range(50):
             g = ElementGeometry(1.0, float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.5, 20)))
             ti = random_ti(rng)
-            k = conforming_stiffness_ti(g, ti)
+            k = conforming_ti(g, ti)
             kq = quadrature_stiffness("conforming", g, ti_plane_strain_matrix(ti))
             assert rel_frobenius(kq, k) < 1e-12
 
     def test_linear_in_depth(self, rng):
         ti = random_ti(rng)
-        k1 = conforming_stiffness_ti(ElementGeometry(1.0, 0.5, 1.0), ti)
-        k2 = conforming_stiffness_ti(ElementGeometry(1.0, 0.5, 2.0), ti)
+        k1 = conforming_ti(ElementGeometry(1.0, 0.5, 1.0), ti)
+        k2 = conforming_ti(ElementGeometry(1.0, 0.5, 2.0), ti)
         assert_allclose(k2, 2 * k1, rtol=1e-14)
+
+
+class TestIncompatibleTI:
+    """The general bracket: an anisotropic chi with an independent mu.
+
+    No card reaches this pair through :class:`Layer`, but the closed form
+    covers it, and it is the one case where ``w0 != w1`` and neither
+    reduces to the isotropic bracket.
+    """
+
+    def test_quadrature_oracle(self, rng):
+        for _ in range(50):
+            g = ElementGeometry(
+                float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0)),
+                float(rng.uniform(0.5, 20)),
+            )
+            chi = ti_plane_strain_matrix(random_ti(rng))
+            mu = float(rng.uniform(0.0, 0.45))
+            k = element_stiffness("incompatible", g, chi, mu)
+            kq = quadrature_stiffness("incompatible", g, chi, order=3, mu=mu)
+            assert rel_frobenius(kq, k) < 1e-12
+
+    def test_symmetry_rigid_modes_and_nullity(self, rng):
+        g = ElementGeometry(1.7, 0.6, 3.0)
+        k = element_stiffness("incompatible", g, ti_plane_strain_matrix(random_ti(rng)), 0.3)
+        assert np.array_equal(k, k.T)
+        assert_rigid_modes(g, k)
+        assert nullity(k) == 3
+
+
+def test_rejects_unknown_kind():
+    with pytest.raises(MaterialError):
+        element_stiffness("serendipity", UNIT_SQUARE, np.eye(3))
 
 
 class TestStrainDisplacement:
@@ -303,3 +364,11 @@ class TestQuadratureOracle:
     def test_rejects_bad_geometry(self):
         with pytest.raises(GeometryError):
             ElementGeometry(0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dims", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, -np.inf), (1.0, 1.0, np.nan)]
+)
+def test_geometry_rejects_non_finite_dimensions(dims):
+    with pytest.raises(GeometryError):
+        ElementGeometry(*dims)

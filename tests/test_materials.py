@@ -5,6 +5,8 @@ forms; the recovery block is additionally cross-checked by inverting the
 plane-strain compliance matrix, an independent route to the same entries.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -145,6 +147,24 @@ class TestTransverselyIsotropic:
     def test_rejects_zero_G2(self):
         with pytest.raises(MaterialError):
             TransverselyIsotropicMaterial(E1=1.0, mu1=0.3, E2=1.0, mu2=0.3, G2=0.0)
+
+    def test_rejects_indefinite_card_with_positive_denominator(self):
+        # both factors of (1+mu1)(1-mu1-2*n1*mu2^2) negative (-1 and -2):
+        # the product is positive, but chi = [[-7.5, -2.5], [-2.5, -1.5]] (+)
+        # [1] has eigenvalues -8.4, -0.59 and 1
+        with pytest.raises(MaterialError, match="must both be positive"):
+            TransverselyIsotropicMaterial(E1=10.0, mu1=-2.0, E2=1.0, mu2=0.5, G2=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("E1", math.nan), ("mu1", math.nan), ("E2", math.inf), ("G2", math.inf),
+         ("mu2", math.nan), ("E1", math.inf)],
+    )
+    def test_rejects_non_finite_entry(self, field, value):
+        card = dict(E1=100.0, mu1=0.2, E2=400.0, mu2=0.1, G2=50.0)
+        card[field] = value
+        with pytest.raises(MaterialError, match="finite"):
+            TransverselyIsotropicMaterial(**card)
 
     def test_rejects_illposed_denominator(self):
         # n1 * mu2^2 large enough to flip the denominator sign
