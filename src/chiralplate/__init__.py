@@ -72,7 +72,6 @@ from .experiments import (
     evaluate,
     honeycomb_grid,
     mesh_convergence_study,
-    poisson_diagram,
     run_case,
     run_solid_case,
     run_sweep,

@@ -486,7 +486,7 @@ class StressField:
 
     Arrays are shaped ``(n_elements, 4)`` in local corner order. ``tags``
     holds the tag of each element layer; element ``e`` lies in layer
-    ``e // mesh.nx``. ``sxy``/``exy`` are populated in diagnostic mode only.
+    ``e // mesh.nx``.
     """
 
     mesh: Mesh
@@ -496,8 +496,6 @@ class StressField:
     syy: np.ndarray
     se: np.ndarray
     tags: tuple[str, ...]
-    exy: np.ndarray | None = None
-    sxy: np.ndarray | None = None
 
     def max_se_by_tag(self) -> dict[str, float]:
         """Maximum von Mises value over all recovery points, per layer tag."""
@@ -508,57 +506,42 @@ class StressField:
         return out
 
 
-def recover(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
+def recover(mesh: Mesh, layers, u: np.ndarray):
     """Recover nodal strains and stresses at the four element corners.
 
     ``u`` is the full displacement vector of the mesh under the layer cards
     ``layers``, which gives one :class:`StressField`, or a ``(k, n_dofs)``
     stack of k of them, recovered in one pass into a list of k fields.
-    ``mode="standard"`` applies rows 0-1 of the strain matrix and the 2x2
-    recovery matrix (shear eliminated) and treats the recovered normal
-    stresses as the principal pair for the equivalent stress.
-    ``mode="diagnostic"`` additionally evaluates the shear strain/stress
-    from the full 3-row matrix and rotates to principal stresses before the
-    equivalent stress; it sits outside the normative pipeline and exists
-    for inspection. Layers that share a card ``(kind, material, height)``
-    share one ``(8, 4 * n)`` operator, which stacks the four corners' strain
-    rows and their stress rows ``chi[:2, :2] @ B`` (and the shear rows in
-    diagnostic mode), so each distinct card is one
+    Rows 0-1 of the strain matrix give the normal strains and the 2x2
+    recovery matrix ``chi[:2, :2]`` (shear eliminated) the normal stresses,
+    which are taken as the principal pair for the equivalent stress. Layers
+    that share a card ``(kind, material, height)`` share one ``(8, 16)``
+    operator, which stacks the four corners' strain rows and their stress
+    rows ``chi[:2, :2] @ B``, so each distinct card is one
     :func:`strain_displacement_full` call, one gather of its elements'
     corner displacements through ``mesh.element_dofs`` and one matmul.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != mesh.n_dofs:
         raise SolveError(f"need a solved displacement vector of {mesh.n_dofs} entries")
-    if mode not in ("standard", "diagnostic"):
-        raise MeshError(f"unknown recovery mode {mode!r}")
     layers = _layer_cards(mesh, layers)
     us = u.reshape(-1, mesh.n_dofs)
     layer_dofs = mesh.element_dofs.reshape(mesh.n_layers, mesh.nx, 8)
-    # Per element: exx, eyy, sxx, syy (and exy, sxy), four corners each
-    n_q = 6 if mode == "diagnostic" else 4
-    out = np.empty((len(us), mesh.n_layers, mesh.nx, n_q * 4))
+    # Per element: exx, eyy, sxx, syy, four corners each
+    out = np.empty((len(us), mesh.n_layers, mesh.nx, 16))
 
     for kind, g, chi, mu, js in _card_groups(mesh, layers):
         B3 = strain_displacement_full(kind, g, XI_CORNERS, ETA_CORNERS, mu)
         rows = [B3[:, 0], B3[:, 1], *np.swapaxes(chi[:2, :2] @ B3[:, :2], 0, 1)]
-        if mode == "diagnostic":
-            rows += [B3[:, 2], chi[2] @ B3]
-        # C-ordered (8, 4 * n_q): the matmul runs ~2x faster than on a .T view
+        # C-ordered (8, 16): the matmul runs ~2x faster than on a .T view
         op = np.concatenate([r.T for r in rows], axis=1)
         out[:, js] = np.take(us, layer_dofs[js], axis=1) @ op  # u[element_dofs]
 
     tags = tuple(layer.tag for layer in layers)
     fields = []
-    for q in out.reshape(len(us), mesh.n_elements, n_q, 4).transpose(0, 2, 1, 3):
+    for q in out.reshape(len(us), mesh.n_elements, 4, 4).transpose(0, 2, 1, 3):
         # q[i] is quantity i of every corner, an (n_elements, 4) view
-        if mode == "standard":
-            se = von_mises_plane(q[2], q[3])
-        else:
-            mid = 0.5 * (q[2] + q[3])
-            rad = np.hypot(0.5 * (q[2] - q[3]), q[5])
-            se = von_mises_plane(mid + rad, mid - rad)
-        fields.append(StressField(mesh, *q[:4], se, tags, *q[4:]))
+        fields.append(StressField(mesh, *q, von_mises_plane(q[2], q[3]), tags))
     return fields[0] if u.ndim == 1 else fields
 
 

@@ -127,9 +127,11 @@ def _check_number(where: str, name: str, value) -> None:
 def load_config(path: Path, command: str) -> dict:
     """Parse and validate one YAML scenario document for ``command``."""
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
@@ -151,15 +153,16 @@ def load_config(path: Path, command: str) -> dict:
             raise ConfigError(f"unknown key {key!r} in top level")
     if "scenario" not in raw:
         raise ConfigError("missing required key 'scenario' in top level")
-    if raw["scenario"] not in SCENARIOS[command]:
+    scenario = raw["scenario"]
+    if not isinstance(scenario, str) or scenario not in SCENARIOS[command]:
         raise ConfigError(
             f"{command!r} handles {'/'.join(SCENARIOS[command])}, "
-            f"got {raw['scenario']!r}"
+            f"got {scenario!r}"
         )
-    unread = set(raw) - {"scenario", *SCENARIOS[command][raw["scenario"]]}
+    unread = set(raw) - {"scenario", *SCENARIOS[command][scenario]}
     if unread:
         raise ConfigError(
-            f"{command!r} on {raw['scenario']!r} never reads "
+            f"{command!r} on {scenario!r} never reads "
             f"{', '.join(sorted(unread))}"
         )
     return raw

@@ -53,7 +53,6 @@ __all__ = [
     "run_solid_case",
     "run_sweep",
     "mesh_convergence_study",
-    "poisson_diagram",
     "honeycomb_grid",
 ]
 
@@ -95,7 +94,6 @@ def composite_model(
     algorithm: str,
     material: IsotropicMaterial,
     spec: PlateSpec,
-    core_layers: int | None = None,
 ) -> tuple[PlateSpec, float, Mesh, list[Layer]]:
     """Homogenized three-layer model of one design case.
 
@@ -118,9 +116,7 @@ def composite_model(
         l_1=spec.l_1, x1=spec.x1, x2=spec.x2,
     )
     core = hc.effective_material(hc.geometry_from_cell(d_a, t_sw), material)
-    mesh, layers = build_composite_mesh(
-        case_spec, core, material, core_layers=core_layers, algorithm=algorithm
-    )
+    mesh, layers = build_composite_mesh(case_spec, core, material, algorithm=algorithm)
     return case_spec, t_sw, mesh, layers
 
 
@@ -179,7 +175,6 @@ def run_case(
     F_probe: float | None = None,
     material: IsotropicMaterial = FORMLABS_CLEAR,
     spec: PlateSpec = PlateSpec(),
-    core_layers: int | None = None,
     allow_off_grid: bool = False,
 ) -> LayerStressLedger:
     """Solve one composite case and report the layer-stress ledger.
@@ -197,7 +192,7 @@ def run_case(
             )
     # composite_model checks setup before it picks the default probe
     case_spec, t_sw, mesh, layers = composite_model(
-        setup, d_a, rho_rel, algorithm, material, spec, core_layers
+        setup, d_a, rho_rel, algorithm, material, spec
     )
     if F_probe is None:
         F_probe = DEFAULT_PROBE[setup]
@@ -355,11 +350,3 @@ def honeycomb_grid(
                 )
             )
     return rows
-
-
-def poisson_diagram(
-    d_a_values: Sequence[float] = DA_GRID,
-    rho_values: Sequence[float] = RHO_GRID,
-) -> list[HoneycombRow]:
-    """Data behind the Poisson sign-transition diagram (alias of the grid)."""
-    return honeycomb_grid(d_a_values, rho_values)

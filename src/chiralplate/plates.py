@@ -169,8 +169,8 @@ def core_layer_count(t_cl: float) -> int:
         return 2
     raise MeshError(
         f"core thickness {t_cl:g} mm outside the layering bands "
-        f"{CORE_SINGLE_LAYER_BAND} and {CORE_DOUBLE_LAYER_BAND}; "
-        "pass core_layers explicitly"
+        f"{CORE_SINGLE_LAYER_BAND} and {CORE_DOUBLE_LAYER_BAND}, for which "
+        "no core layer count is defined"
     )
 
 

@@ -162,12 +162,10 @@ def solve_dense(K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
     return u
 
 
-def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
+def recover_loop(mesh: Mesh, layers, u: np.ndarray):
     """Corner strains and stresses, one element and one corner at a time."""
     n_el = mesh.n_elements
     exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
-    exy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
-    sxy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
     for j, layer in enumerate(layers):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
         mat = layer.material
@@ -175,7 +173,6 @@ def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
             chi2, mu = ti_plane_strain_matrix(mat)[:2, :2], mat.mu1
         else:
             chi2, mu = plane_strain_matrix(mat)[:2, :2], mat.mu
-        chi3 = full_elasticity_matrix(mat)
         for i in range(mesh.nx):
             e = j * mesh.nx + i
             nodes = element_nodes(mesh, e)
@@ -189,22 +186,14 @@ def recover_loop(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
                 sig = chi2 @ eps
                 exx[e, q], eyy[e, q] = eps
                 sxx[e, q], syy[e, q] = sig
-                if mode == "standard":
-                    se[e, q] = von_mises_plane(sig[0], sig[1])
-                else:
-                    eps3 = B @ v
-                    sig3 = chi3 @ eps3
-                    exy[e, q], sxy[e, q] = eps3[2], sig3[2]
-                    mid = 0.5 * (sig[0] + sig[1])
-                    rad = np.hypot(0.5 * (sig[0] - sig[1]), sig3[2])
-                    se[e, q] = von_mises_plane(mid + rad, mid - rad)
+                se[e, q] = von_mises_plane(sig[0], sig[1])
     return StressField(
         mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
-        tags=tuple(layer.tag for layer in layers), exy=exy, sxy=sxy,
+        tags=tuple(layer.tag for layer in layers),
     )
 
 
-def recover_per_layer(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard"):
+def recover_per_layer(mesh: Mesh, layers, u: np.ndarray):
     """Corner strains and stresses, one layer at a time.
 
     Each layer is one strain-matrix call over its four corners, one gather
@@ -215,8 +204,6 @@ def recover_per_layer(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard")
     """
     n_el = mesh.n_elements
     exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
-    exy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
-    sxy = np.zeros((n_el, 4)) if mode == "diagnostic" else None
     U = u[mesh.element_dofs]
     for j, layer in enumerate(layers):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
@@ -225,22 +212,14 @@ def recover_per_layer(mesh: Mesh, layers, u: np.ndarray, mode: str = "standard")
         B3 = strain_displacement_full(layer.kind, g, XI_CORNERS, ETA_CORNERS, mu)
         sig_rows = np.swapaxes(chi[:2, :2] @ B3[:, :2], 0, 1)
         parts = [B3[:, 0], B3[:, 1], sig_rows[0], sig_rows[1]]
-        if mode == "diagnostic":
-            parts += [B3[:, 2], chi[2] @ B3]
         rows = slice(j * mesh.nx, (j + 1) * mesh.nx)
         values = U[rows] @ np.concatenate([r.T for r in parts], axis=1)
         q = values.reshape(mesh.nx, -1, 4)  # (element, quantity, corner)
         exx[rows], eyy[rows], sxx[rows], syy[rows] = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        if mode == "standard":
-            se[rows] = von_mises_plane(sxx[rows], syy[rows])
-        else:
-            exy[rows], sxy[rows] = q[:, 4], q[:, 5]
-            mid = 0.5 * (sxx[rows] + syy[rows])
-            rad = np.hypot(0.5 * (sxx[rows] - syy[rows]), sxy[rows])
-            se[rows] = von_mises_plane(mid + rad, mid - rad)
+        se[rows] = von_mises_plane(sxx[rows], syy[rows])
     return StressField(
         mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
-        tags=tuple(layer.tag for layer in layers), exy=exy, sxy=sxy,
+        tags=tuple(layer.tag for layer in layers),
     )
 
 

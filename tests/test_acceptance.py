@@ -176,7 +176,7 @@ def test_criterion_06_rigid_modes_and_patch(rng, resin):
 
 
 def test_criterion_07_poisson_sign_transition():
-    rows = cp.poisson_diagram()
+    rows = cp.honeycomb_grid()
     low_ok = all(
         r.mu_qi < 0 and r.mu_lu < 0 for r in rows if r.rho_rel < 0.3
     )

@@ -459,20 +459,6 @@ class TestRecovery:
             b = getattr(f12, name)
             assert_allclose(b, a, rtol=1e-9, atol=1e-12 * np.abs(b).max())
 
-    def test_diagnostic_mode_adds_shear(self, steelish):
-        mesh = grid_mesh(3, 1)
-        layers = [Layer(steelish, "conforming", "plate")]
-        P = np.zeros(mesh.n_dofs)
-        P[2 * mesh.node_id(2, 1) + 1] = -1.0
-        fixed = [mesh.node_id(0, 0), mesh.node_id(3, 0)]
-        [result] = analyze(mesh, layers, [fixed], P)
-        standard = result.field
-        diag = recover(mesh, layers, result.u, mode="diagnostic")
-        assert standard.sxy is None and standard.exy is None
-        assert diag.sxy is not None and np.abs(diag.sxy).max() > 0
-        # normal components agree between modes
-        assert_allclose(diag.sxx, standard.sxx, rtol=0, atol=0)
-
     def test_max_by_tag(self, steelish):
         mesh = grid_mesh(2, 2)
         soft = IsotropicMaterial(E=10.0, mu=0.0)
@@ -521,7 +507,7 @@ class TestPatchTest:
         assert_allclose(field.eyy, eyy, rtol=1e-9)
 
 
-FIELD_ARRAYS = ("exx", "eyy", "sxx", "syy", "se", "exy", "sxy")
+FIELD_ARRAYS = ("exx", "eyy", "sxx", "syy", "se")
 
 
 def two_bc_model(kind):
@@ -547,25 +533,19 @@ class TestAnalyze:
             assert shared.field.tags == single.field.tags
             for name in FIELD_ARRAYS:
                 got, want = getattr(shared.field, name), getattr(single.field, name)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_stacked_recovery_equals_single_recovery_bitwise(self):
         mesh, layers, _, _ = two_bc_model("incompatible")
         us = np.random.default_rng(5).normal(0.0, 1e-2, (3, mesh.n_dofs))
-        for mode in ("standard", "diagnostic"):
-            fields = recover(mesh, layers, us, mode=mode)
-            assert len(fields) == 3
-            for u, field in zip(us, fields):
-                single = recover(mesh, layers, u, mode=mode)
-                for name in FIELD_ARRAYS:
-                    got, want = getattr(field, name), getattr(single, name)
-                    assert (got is None and want is None) or (
-                        got.tobytes() == want.tobytes()
-                    )
+        fields = recover(mesh, layers, us)
+        assert len(fields) == 3
+        for u, field in zip(us, fields):
+            single = recover(mesh, layers, u)
+            for name in FIELD_ARRAYS:
+                got, want = getattr(field, name), getattr(single, name)
+                assert got.tobytes() == want.tobytes()
 
     def test_K_assembled_once_and_untouched_by_the_solves(self, monkeypatch):
         mesh, layers, fixed_sets, P = two_bc_model("conforming")

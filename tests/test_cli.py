@@ -219,6 +219,29 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"scenario": "warp-drive"})
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("scenario", ["[a]", "{a: 1}"], ids=["list", "mapping"])
+    def test_non_string_scenario_rejected(self, tmp_path, capsys, scenario):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"scenario: {scenario}\n")
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
+        assert "'solve' handles solid/setup1/setup2, got " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda path: path.mkdir(),
+         lambda path: path.write_bytes(b"scenario: solid\n# caf\xe9\n")],
+        ids=["directory", "not-utf8"],
+    )
+    def test_unreadable_config_rejected(self, tmp_path, capsys, make):
+        path = tmp_path / "scenario.yaml"
+        make(path)
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
+        assert f"cannot read config {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_command_for_scenario(self, tmp_path):
         cfg = write_config(tmp_path, SOLID_CONFIG)
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
@@ -315,6 +338,21 @@ class TestConfigValidation:
         out = tmp_path / "o"
         assert run(["solve", "--config", cfg, "--out", out, *dry_run]) == EXIT_CONFIG
         assert "bad honeycomb cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_core_outside_layering_bands_rejected(self, tmp_path, capsys, dry_run):
+        # setup 2 at rho_rel 0.32 derives a core between the two bands
+        honeycomb = {"d_a_mm": 1.0, "rho_rel": 0.32}
+        cfg = write_config(tmp_path, {"scenario": "setup2", "honeycomb": honeycomb})
+        out = tmp_path / "o"
+        assert run(["solve", "--config", cfg, "--out", out, *dry_run]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (
+            "bad plate spec: core thickness 1.5625 mm outside the layering bands "
+            "(0.7, 1.4) and (1.7, 3.6), for which no core layer count is defined"
+        ) in err
+        assert "core_layers" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,25 +1,34 @@
 """Sweep campaigns, convergence study and the Poisson diagram."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from chiralplate import (
     BoundaryCondition,
     ConfigError,
     GeometryError,
     IsotropicMaterial,
+    Layer,
     MaterialError,
+    PlateSpec,
+    analyze,
+    apply_boundary,
+    apply_load,
+    composite_model,
     honeycomb_grid,
     mesh_convergence_study,
-    poisson_diagram,
     run_case,
     run_solid_case,
     run_sweep,
 )
 from chiralplate import assembly, experiments
-from chiralplate.experiments import DA_GRID, RHO_GRID, V_CL
+from chiralplate.experiments import (
+    DA_GRID, DEFAULT_PROBE, FORMLABS_CLEAR, RHO_GRID, V_CL,
+)
 
 CLAMPED = BoundaryCondition.CLAMPED
 SUPPORTED = BoundaryCondition.SUPPORTED
@@ -100,6 +109,34 @@ CAMPAIGNS = {
 def test_evaluate_rejects_bad_probe_or_material(campaign, bad, error):
     with pytest.raises(error):
         campaign(**bad)
+
+
+def _moduli_times(material, c):
+    """The card with every modulus multiplied by ``c``."""
+    if isinstance(material, IsotropicMaterial):
+        return replace(material, E=c * material.E)
+    return replace(material, E1=c * material.E1, E2=c * material.E2, G2=c * material.G2)
+
+
+@pytest.mark.parametrize("algorithm", ["conforming", "incompatible_faces"])
+@pytest.mark.parametrize("setup", [1, 2])
+def test_scaling_every_modulus_keeps_stresses_and_scales_u_inversely(setup, algorithm):
+    spec, _, mesh, layers = composite_model(
+        setup, 1.6, 0.353, algorithm, FORMLABS_CLEAR, PlateSpec()
+    )
+    fixed_sets = [apply_boundary(mesh, bc, spec) for bc in (CLAMPED, SUPPORTED)]
+    P = apply_load(mesh, DEFAULT_PROBE[setup], spec)
+    base = analyze(mesh, layers, fixed_sets, P)
+    for c in (1e-3, 7.0, 1e4):
+        scaled = [Layer(_moduli_times(layer.material, c), layer.kind, layer.tag)
+                  for layer in layers]
+        for want, got in zip(base, analyze(mesh, scaled, fixed_sets, P), strict=True):
+            assert_allclose(c * got.u, want.u, rtol=0, atol=1e-9 * np.abs(want.u).max())
+            for name in ("sxx", "syy", "se"):
+                ref = getattr(want.field, name)
+                assert_allclose(
+                    getattr(got.field, name), ref, rtol=0, atol=1e-9 * np.abs(ref).max()
+                )
 
 
 class TestSweeps:
@@ -228,7 +265,7 @@ class TestConvergenceStudy:
 
 @pytest.fixture(scope="module")
 def diagram_rows():
-    return poisson_diagram()
+    return honeycomb_grid()
 
 
 class TestPoissonDiagram:

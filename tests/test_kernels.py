@@ -336,34 +336,27 @@ class TestArrayRecovery:
     @given(
         repeated_card_models(tags=("core", "face_top", "face_bottom")),
         st.integers(0, 2**32 - 1),
-        st.sampled_from(("standard", "diagnostic")),
     )
-    def test_repeated_cards_match_per_layer_bitwise(self, model, seed, mode):
+    def test_repeated_cards_match_per_layer_bitwise(self, model, seed):
         mesh, layers = model
         u = np.random.default_rng(seed).normal(0.0, 1e-2, mesh.n_dofs)
-        field = recover(mesh, layers, u, mode=mode)
-        ref = recover_per_layer(mesh, layers, u, mode=mode)
+        field = recover(mesh, layers, u)
+        ref = recover_per_layer(mesh, layers, u)
         assert field.tags == ref.tags
-        for name in ("exx", "eyy", "sxx", "syy", "se", "exy", "sxy"):
+        for name in ("exx", "eyy", "sxx", "syy", "se"):
             got, want = getattr(field, name), getattr(ref, name)
-            if want is None:
-                assert got is None
-            else:
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(meshes(), st.data(), st.sampled_from(("standard", "diagnostic")))
-    def test_matches_loop_oracle(self, mesh, data, mode):
+    @given(meshes(), st.data())
+    def test_matches_loop_oracle(self, mesh, data):
         tags = ("core", "face_top", "face_bottom")
         layers = [data.draw(layer_cards(tags)) for _ in range(mesh.n_layers)]
         seed = data.draw(st.integers(0, 2**32 - 1))
         u = np.random.default_rng(seed).normal(0.0, 1e-2, mesh.n_dofs)
-        field = recover(mesh, layers, u, mode=mode)
-        ref = recover_loop(mesh, layers, u, mode=mode)
-        names = ("exx", "eyy", "sxx", "syy", "se")
-        if mode == "diagnostic":
-            names += ("exy", "sxy")
-        for name in names:
+        field = recover(mesh, layers, u)
+        ref = recover_loop(mesh, layers, u)
+        for name in ("exx", "eyy", "sxx", "syy", "se"):
             got, want = getattr(field, name), getattr(ref, name)
             assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         by_tag = field.max_se_by_tag()
