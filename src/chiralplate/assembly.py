@@ -191,20 +191,11 @@ class Mesh:
         """``y[j + 1] - y[j]``, or the first earlier height within tolerance."""
         return self._heights[j]
 
-    def nodes_on_line_x(self, x0: float) -> np.ndarray:
-        """Global ids of all nodes on the vertical line x = x0."""
-        cols = np.where(np.abs(self.x - x0) <= 1e-9)[0]
-        return (cols[:, None] * len(self.y) + np.arange(len(self.y))).ravel()
-
-    def bottom_nodes_at(self, xs) -> np.ndarray:
-        """Global ids of the bottom-edge nodes at the given abscissas."""
-        out = []
-        for x0 in np.atleast_1d(xs):
-            cols = np.where(np.abs(self.x - x0) <= 1e-9)[0]
-            if len(cols) == 0:
-                raise MeshError(f"no node line at x = {x0}")
-            out.extend(cols * len(self.y))
-        return np.array(out, dtype=int)
+    def column_at(self, x0: float) -> int | None:
+        """Index ``i`` of the node line ``x[i]`` within 1e-9 mm of ``x0``, or None."""
+        d = np.abs(self.x - x0)
+        i = int(np.argmin(d))
+        return i if d[i] <= 1e-9 else None
 
 
 def _layer_cards(mesh: Mesh, layers) -> tuple[Layer, ...]:

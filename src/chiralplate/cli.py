@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -100,6 +101,9 @@ _MAX_LAYERS = 32
 # critical-load scaling, and a zero layer count leaves nothing to solve.
 _POSITIVE = {"F_probe", *_LAYER_COUNTS}
 
+# YAML 1.1 reads exponent notation as a number only as in 1.0e+9, not 1e9.
+_EXPONENT = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?)(\d+)")
+
 # The element algorithm: the user's word -> the composite model's name. The
 # user's word is also the element kind of a solid plate.
 _ALGORITHMS = {"conforming": "conforming", "incompatible": "incompatible_faces"}
@@ -115,6 +119,13 @@ _CHOICES = {
 def _check_number(where: str, name: str, value) -> None:
     kind = int if name in _LAYER_COUNTS else (int, float)
     if not isinstance(value, kind) or isinstance(value, bool):
+        exponent = isinstance(value, str) and _EXPONENT.fullmatch(value)
+        if exponent and name not in _LAYER_COUNTS:
+            m, sign, digits = exponent.groups()
+            number = f"{m if '.' in m else m + '.0'}e{sign or '+'}{digits}"
+            raise ConfigError(
+                f"{where} was read as the string {value!r}; {number} is a number"
+            )
         raise ConfigError(f"{where} has wrong type {type(value).__name__}")
     if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int no float holds
         raise ConfigError(f"{where} must be finite, got {value}")
@@ -209,7 +220,10 @@ def _choice(cfg: dict, args, key: str) -> str:
 
 def _prepare_out(args, names: list[str]) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}")
     clashes = [n for n in names if (out / n).exists()]
     if clashes and not args.force:
         raise ConfigError(

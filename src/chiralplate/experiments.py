@@ -8,10 +8,11 @@ densities:
 * setup 2 keeps the solid volume of the core fixed at V_cl = 351 mm^3, so
   the core thickness follows t_cl = V_cl / (rho_rel * a * h).
 
-Each case homogenizes the core and builds the composite mesh. Every
-campaign then calls the one :func:`evaluate`: it solves one probe load and
-scales linearly to the critical force at which the largest equivalent
-stress reaches the material's elastic limit. Core maxima are read from the
+Each case homogenizes the core and builds the composite mesh, whose layer
+tags :func:`_cards` turns into cards, as for every model. Every campaign
+then calls the one :func:`evaluate`: it solves one probe load and scales
+linearly to the critical force at which the largest equivalent stress
+reaches the material's elastic limit. Core maxima are read from the
 homogenized continuum field and are tagged as such in the ledger: they do
 not resolve cell-wall stress concentrations.
 
@@ -24,11 +25,11 @@ ratio estimates along the density grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .assembly import Analysis, Layer, Mesh, analyze
-from .errors import ConfigError, GeometryError, MaterialError
+from .errors import ConfigError, GeometryError, MaterialError, MeshError
 from . import honeycomb as hc
 from .materials import IsotropicMaterial
 from .plates import (
@@ -111,13 +112,12 @@ def composite_model(
         t_cl = V_CL / (rho_rel * spec.a * spec.h)
     else:
         raise GeometryError(f"setup must be 1 or 2, got {setup}")
-    case_spec = PlateSpec(
-        a=spec.a, h=spec.h, t_p=2 * spec.t_fl + t_cl, t_fl=spec.t_fl, t_cl=t_cl,
-        l_1=spec.l_1, x1=spec.x1, x2=spec.x2,
-    )
+    case_spec = replace(spec, t_p=2 * spec.t_fl + t_cl, t_cl=t_cl)
     core = hc.effective_material(hc.geometry_from_cell(d_a, t_sw), material)
-    mesh, layers = build_composite_mesh(case_spec, core, material, algorithm=algorithm)
-    return case_spec, t_sw, mesh, layers
+    mesh, tags = build_composite_mesh(case_spec)
+    if algorithm not in ("conforming", "incompatible_faces"):
+        raise MeshError(f"unknown algorithm {algorithm!r}")
+    return case_spec, t_sw, mesh, _cards(tags, algorithm, material, core)
 
 
 def solid_model(
@@ -129,13 +129,17 @@ def solid_model(
     a plate that is all face means incompatible elements throughout.
     """
     mesh, tags = build_solid_mesh(spec, layers)
-    return mesh, _solid_cards(tags, algorithm, material)
+    return mesh, _cards(tags, algorithm, material)
 
 
-def _solid_cards(tags, algorithm: str, material: IsotropicMaterial) -> list[Layer]:
-    """:func:`solid_model`'s cards: one per tag of a solid mesh."""
+def _cards(tags, algorithm: str, face: IsotropicMaterial, core=None) -> list[Layer]:
+    """The one card builder: ``core`` and conforming elements on a core
+    layer, else ``face`` and the kind ``algorithm`` names."""
     kind = "incompatible" if algorithm == "incompatible_faces" else algorithm
-    return [Layer(material, kind, tag) for tag in tags]
+    return [
+        Layer(core, "conforming", tag) if tag == "core" else Layer(face, kind, tag)
+        for tag in tags
+    ]
 
 
 def evaluate(
@@ -161,8 +165,12 @@ def evaluate(
     results = []
     for analysis in analyze(mesh, layers, fixed_sets, P):
         by_tag = analysis.field.max_se_by_tag()
-        F_crit = F_probe * material.sigma_el / max(by_tag.values())
-        results.append((analysis, by_tag, F_crit))
+        peak = max(by_tag.values())  # 0, inf or NaN where the probe under/overflows
+        if not (peak > 0 and all(s < math.inf for s in by_tag.values())):
+            raise ConfigError(
+                f"probe load {F_probe} N gives no finite stress to scale: {by_tag}"
+            )
+        results.append((analysis, by_tag, F_probe * material.sigma_el / peak))
     return results
 
 
@@ -301,7 +309,7 @@ def mesh_convergence_study(
     for layers in counts:
         mesh, tags = build_solid_mesh(solid_spec, layers, "equal_aspect")
         for kind in kinds:
-            cards = _solid_cards(tags, kind, material)
+            cards = _cards(tags, kind, material)
             results = evaluate(mesh, cards, solid_spec, bcs, F_probe, material)
             for bc, (analysis, by_tag, _) in zip(bcs, results):
                 kept[kind, bc, layers] = len(analysis.free_dofs), by_tag["plate"]

@@ -10,6 +10,8 @@ and trades speed for obviousness:
 * :func:`assemble_dense` sums every element block into a dense ``n x n``
   stiffness in node-major DOF order, and :func:`dense_from_band` unpacks
   the band that ``assemble`` returns into that same dense matrix;
+* :func:`band_matvec` multiplies ``K @ u`` straight from that band, for
+  residuals and reactions on meshes whose dense K would not fit;
 * :func:`assemble_scatter` adds every element block into the band in one
   ``bincount`` through ``Mesh.element_dofs``, in element order;
 * :func:`solve_dense` factors the dense reduced matrix ``K[free, free]``;
@@ -152,6 +154,15 @@ def dense_from_band(mesh: Mesh, band: np.ndarray) -> np.ndarray:
     K = np.zeros((mesh.n_dofs, mesh.n_dofs))
     K[inside] = band[offset[inside], first[inside]]
     return K
+
+
+def band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``K @ u`` from the lower band of K, never forming the matrix."""
+    y = band[0] * u
+    for d in range(1, len(band)):
+        y[d:] += band[d, :-d] * u[:-d]
+        y[:-d] += band[d, :-d] * u[d:]
+    return y
 
 
 def solve_dense(K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -100,6 +100,15 @@ class TestMesh:
                 j_q = j + int(1 + ETA_CORNERS[q]) // 2
                 assert tuple(coords[m]) == (mesh.x[i_q], mesh.y[j_q])
 
+    @pytest.mark.parametrize(
+        "x0, want",
+        [(2.0, 2), (2.0 + 0.9e-9, 2), (2.0 - 0.9e-9, 2), (2.0 + 1.1e-9, None),
+         (0.0, 0), (3.0, 3), (-1e-9, 0), (2.5, None), (7.0, None)],
+    )
+    def test_column_at_within_tolerance(self, x0, want):
+        # the one node-line lookup: the line within 1e-9 mm, else None
+        assert grid_mesh(3, 2).column_at(x0) == want
+
     def test_rejects_uneven_widths(self):
         with pytest.raises(MeshError):
             Mesh([0.0, 1.0, 2.5], [0.0, 1.0], 1.0)
@@ -304,7 +313,7 @@ class TestConstraintsAndSolve:
         # 24 DOFs, 18 free: no load may be truncated or counted over the free DOFs
         mesh = grid_mesh(3, 2)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
-        free = free_dofs(mesh, mesh.nodes_on_line_x(0.0))
+        free = free_dofs(mesh, np.arange(len(mesh.y)))  # node column 0
         with pytest.raises(MeshError, match=r"P must have shape \(24,\)"):
             solve(mesh, K, free, np.ones(shape))
 
@@ -313,7 +322,7 @@ class TestConstraintsAndSolve:
         mesh = grid_mesh(3, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
         K = np.array(assemble(mesh, layers), order=order)
-        fixed = mesh.nodes_on_line_x(0.0)
+        fixed = np.arange(len(mesh.y))  # node column 0
         free = free_dofs(mesh, fixed)
         P = np.random.default_rng(7).normal(0.0, 10.0, mesh.n_dofs)
         K_in, P_in = K.copy(order="K"), P.copy()

@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -264,6 +265,36 @@ class TestConfigValidation:
         out = tmp_path / "o"
         assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["1e9", "1.0e9", "-2.5E3", ".5e1", "7e+2"])
+    def test_exponent_read_as_string_explained(self, tmp_path, capsys, text):
+        # YAML 1.1 reads these as strings; the message names a form it reads
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"scenario: solid\nmaterial: {{E_mpa: {text}}}\n")
+        assert run(["solve", "--config", path, "--dry-run"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"material.E_mpa was read as the string {text!r}" in err
+        number = err.split("; ")[1].removesuffix(" is a number\n")
+        assert yaml.safe_load(number) == float(text)
+
+    @pytest.mark.parametrize(
+        "out", ["afile", "afile/sub"], ids=["existing-file", "under-a-file"]
+    )
+    def test_output_directory_not_creatable(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("")
+        cfg = write_config(tmp_path, SOLID_CONFIG)
+        assert run(["solve", "--config", cfg, "--out", tmp_path / out]) == EXIT_CONFIG
+        assert "cannot create output directory " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("load", ["1.0e+300", "1.0e-310"])
+    def test_probe_load_past_the_float_range_rejected(self, tmp_path, capsys, load):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"scenario: solid\nload: {{F_y_n: {load}}}\n")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
+        assert "probe load " in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--max-rows"])
     @pytest.mark.parametrize("value", ["-5", "0", "two"])

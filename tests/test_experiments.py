@@ -1,6 +1,7 @@
 """Sweep campaigns, convergence study and the Poisson diagram."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,14 @@ CAMPAIGNS = {
 def test_evaluate_rejects_bad_probe_or_material(campaign, bad, error):
     with pytest.raises(error):
         campaign(**bad)
+
+
+@pytest.mark.parametrize("F_probe", [1.0e300, 1.0e-310], ids=["overflow", "underflow"])
+def test_probe_at_the_ends_of_the_float_range_rejected(F_probe):
+    # the stresses overflow to NaN or underflow to 0: no F_crit to scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigError, match=re.escape(f"probe load {F_probe} N")):
+            run_solid_case(CLAMPED, F_probe=F_probe)
 
 
 def _moduli_times(material, c):

@@ -1,0 +1,133 @@
+"""Physical invariants of whole solves: residual, equilibrium and mirror symmetry.
+
+The residual and the reactions come from ``oracles.band_matvec``, which
+multiplies ``K @ u`` straight from the band ``assemble`` returns, so the
+12-layer ladder (8.5k DOFs) needs no dense matrix. Every model is solved
+through :func:`evaluate`, the path the campaigns and the CLI take.
+
+* Residual: ``||(K u - P)[free]|| / ||P|| <= 1e-10``.
+* Equilibrium: the y-entries of ``K u`` at the fixed DOFs (the support
+  reactions) sum to the applied ``F_y`` within ``1e-9 F_y``.
+* Mirror symmetry: the default plate is symmetric about midspan
+  (``l_1 = a/2``, ``x1 + x2 = a``), so ``u_y`` is even and ``u_x`` odd
+  about node line ``nx/2``, and the corner ``se`` of element column ``c``
+  equals that of column ``nx - 1 - c`` with its corners swapped left-right,
+  within 1e-9 of each array's maximum.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from chiralplate import (
+    BoundaryCondition,
+    Layer,
+    PlateSpec,
+    apply_load,
+    assemble,
+    build_solid_mesh,
+    composite_model,
+    evaluate,
+)
+from chiralplate.experiments import DA_GRID, DEFAULT_PROBE, FORMLABS_CLEAR, RHO_GRID
+from oracles import band_matvec, dense_from_band
+
+BCS = (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED)
+ALGORITHMS = ("conforming", "incompatible_faces")
+KINDS = ("conforming", "incompatible")
+SPEC = PlateSpec()
+
+
+def solid_cards(spec, layers, snap, kind):
+    mesh, tags = build_solid_mesh(spec, layers, snap)
+    return mesh, [Layer(FORMLABS_CLEAR, kind, tag) for tag in tags]
+
+
+def balance(mesh, layers, spec, F_y):
+    """Worst residual and equilibrium error of one model over both BCs."""
+    K = assemble(mesh, layers)
+    P = apply_load(mesh, F_y, spec)
+    residual = equilibrium = 0.0
+    for analysis, _, _ in evaluate(mesh, layers, spec, BCS, F_y, FORMLABS_CLEAR):
+        Ku = band_matvec(K, analysis.u)
+        free = analysis.free_dofs
+        fixed = np.setdiff1d(np.arange(mesh.n_dofs), free)
+        residual = max(
+            residual, np.linalg.norm((Ku - P)[free]) / np.linalg.norm(P)
+        )
+        equilibrium = max(equilibrium, abs(Ku[fixed[fixed % 2 == 1]].sum() - F_y) / F_y)
+    return residual, equilibrium
+
+
+@pytest.mark.parametrize(
+    "mesh_of",
+    [
+        lambda: build_solid_mesh(SPEC.solid(), 3, "equal_aspect")[0],
+        lambda: composite_model(2, 1.9, 0.14, "conforming", FORMLABS_CLEAR, SPEC)[2],
+    ],
+    ids=["solid-3-layers", "composite-2-core-layers"],
+)
+def test_band_matvec_is_the_dense_product(mesh_of, rng):
+    mesh = mesh_of()
+    band = rng.normal(size=(2 * len(mesh.y) + 4, mesh.n_dofs))
+    u = rng.normal(size=mesh.n_dofs)
+    want = dense_from_band(mesh, band) @ u
+    assert_allclose(band_matvec(band, u), want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("setup", [1, 2])
+def test_paper_cases_balance(setup, algorithm):
+    # 36 designs x 2 BCs per parameter set: with both sets, the 288 paper cases
+    worst = []
+    for d_a in DA_GRID:
+        for rho in RHO_GRID:
+            spec, _, mesh, layers = composite_model(
+                setup, d_a, rho, algorithm, FORMLABS_CLEAR, SPEC
+            )
+            worst.append((*balance(mesh, layers, spec, DEFAULT_PROBE[setup]), d_a, rho))
+    residual = max(worst, key=lambda w: w[0])
+    equilibrium = max(worst, key=lambda w: w[1])
+    assert residual[0] <= 1e-10, residual
+    assert equilibrium[1] <= 1e-9, equilibrium
+
+
+@pytest.mark.parametrize("layers", range(1, 13))
+def test_refinement_ladder_balances(layers):
+    # the equal-aspect family of the convergence study, at its probe load
+    spec = SPEC.solid()
+    for kind in KINDS:
+        mesh, cards = solid_cards(spec, layers, "equal_aspect", kind)
+        residual, equilibrium = balance(mesh, cards, spec, 60.0)
+        assert residual <= 1e-10, (kind, residual)
+        assert equilibrium <= 1e-9, (kind, equilibrium)
+
+
+def assert_mirror_symmetric(mesh, layers, spec, F_y):
+    for analysis, _, _ in evaluate(mesh, layers, spec, BCS, F_y, FORMLABS_CLEAR):
+        u = analysis.u.reshape(len(mesh.x), len(mesh.y), 2)  # node (i, j), DOF
+        ux, uy = u[..., 0], u[..., 1]
+        assert_allclose(uy, uy[::-1], rtol=0, atol=1e-9 * np.abs(uy).max())
+        assert_allclose(ux, -ux[::-1], rtol=0, atol=1e-9 * np.abs(ux).max())
+        se = analysis.field.se.reshape(mesh.n_layers, mesh.nx, 4)
+        mirrored = se[:, ::-1][..., [1, 0, 3, 2]]
+        assert_allclose(se, mirrored, rtol=0, atol=1e-9 * se.max())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("snap", ["exact", "equal_aspect"])
+@pytest.mark.parametrize("layers", range(1, 7))
+def test_solid_plate_mirror_symmetric(layers, snap, kind):
+    spec = SPEC.solid()
+    mesh, cards = solid_cards(spec, layers, snap, kind)
+    assert_mirror_symmetric(mesh, cards, spec, 30.0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("setup", [1, 2])
+def test_composite_mirror_symmetric(setup, algorithm):
+    for rho in RHO_GRID:
+        spec, _, mesh, layers = composite_model(
+            setup, 1.3, rho, algorithm, FORMLABS_CLEAR, SPEC
+        )
+        assert_mirror_symmetric(mesh, layers, spec, DEFAULT_PROBE[setup])

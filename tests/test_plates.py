@@ -1,7 +1,9 @@
 """Plate mesh builders, boundary conditions and load cases."""
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from chiralplate import (
     composite_model,
     core_layer_count,
 )
-from chiralplate import assembly
-from oracles import dense_from_band
+from chiralplate import assembly, plates
+from oracles import band_matvec, dense_from_band
 
 
 @pytest.fixture
@@ -33,9 +35,17 @@ def spec():
     return PlateSpec()
 
 
-@pytest.fixture
-def core_card():
-    return TransverselyIsotropicMaterial(E1=40.0, mu1=0.0, E2=990.0, mu2=0.35, G2=330.0)
+def test_plates_is_geometry_only():
+    # the card of each layer (material and element kind) is decided in
+    # experiments; plates imports neither materials nor the Layer card
+    tree = ast.parse(Path(plates.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] != "materials", ast.unparse(node)
+            assert "Layer" not in {a.name for a in node.names}, ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[-1] != "materials", ast.unparse(node)
 
 
 class TestPlateSpec:
@@ -101,19 +111,19 @@ class TestSolidMesh:
 
 
 class TestCompositeMesh:
-    def test_setup1_baseline(self, spec, core_card, resin):
-        mesh, layers = build_composite_mesh(spec, core_card, resin)
+    def test_setup1_baseline(self, spec):
+        mesh, tags = build_composite_mesh(spec)
         assert mesh.nx == 36
         assert mesh.a_fe == pytest.approx(1.5)
         assert mesh.n_layers == 3
-        assert [l.tag for l in layers] == ["face_bottom", "core", "face_top"]
+        assert tags == ["face_bottom", "core", "face_top"]
         assert np.any(np.isclose(mesh.x, 27.0))
 
-    def test_thick_core_gets_two_layers(self, core_card, resin):
+    def test_thick_core_gets_two_layers(self):
         spec = PlateSpec(t_p=2 * 0.5 + 3.6, t_fl=0.5, t_cl=3.6)
-        mesh, layers = build_composite_mesh(spec, core_card, resin)
+        mesh, tags = build_composite_mesh(spec)
         assert mesh.n_layers == 4
-        assert [l.tag for l in layers] == ["face_bottom", "core", "core", "face_top"]
+        assert tags == ["face_bottom", "core", "core", "face_top"]
 
     @pytest.mark.parametrize("rho", [0.425, 0.496])
     def test_faces_share_one_card(self, rho):
@@ -133,32 +143,41 @@ class TestCompositeMesh:
         assert core_layer_count(1.41643) == 1
         assert core_layer_count(1.77305) == 2
 
-    def test_out_of_band_needs_override(self, core_card, resin):
+    def test_out_of_band_needs_override(self):
         spec = PlateSpec(t_p=2 * 0.5 + 0.4, t_fl=0.5, t_cl=0.4)
         with pytest.raises(MeshError):
-            build_composite_mesh(spec, core_card, resin)
-        mesh, _ = build_composite_mesh(spec, core_card, resin, core_layers=1)
+            build_composite_mesh(spec)
+        mesh, _ = build_composite_mesh(spec, core_layers=1)
         assert mesh.n_layers == 3
 
-    def test_band_areas(self, core_card, resin):
+    def test_band_areas(self):
         spec = PlateSpec(t_p=2 * 0.5 + 2.0, t_fl=0.5, t_cl=2.0)
-        mesh, layers = build_composite_mesh(spec, core_card, resin)
+        mesh, tags = build_composite_mesh(spec)
         core_area = sum(
             mesh.a_fe * mesh.layer_height(j) * mesh.nx
-            for j, l in enumerate(layers)
-            if l.tag == "core"
+            for j, tag in enumerate(tags)
+            if tag == "core"
         )
         assert core_area == pytest.approx(spec.t_cl * spec.a, rel=1e-12)
         face_area = mesh.a_fe * mesh.layer_height(0) * mesh.nx
         assert face_area == pytest.approx(spec.t_fl * spec.a, rel=1e-12)
 
-    def test_incompatible_faces_algorithm(self, spec, core_card, resin):
-        _, layers = build_composite_mesh(
-            spec, core_card, resin, algorithm="incompatible_faces"
+    def test_incompatible_faces_algorithm(self, resin):
+        _, _, _, layers = composite_model(
+            1, 1.0, 0.353, "incompatible_faces", resin, PlateSpec()
         )
         kinds = {l.tag: l.kind for l in layers}
         assert kinds["face_top"] == kinds["face_bottom"] == "incompatible"
         assert kinds["core"] == "conforming"
+        materials = {l.tag: l.material for l in layers}
+        assert materials["face_top"] == materials["face_bottom"] == resin
+        assert isinstance(materials["core"], TransverselyIsotropicMaterial)
+
+    @pytest.mark.parametrize("algorithm", ["incompatible", "mixed"])
+    def test_unknown_algorithm_rejected(self, resin, algorithm):
+        # an element kind is not a composite algorithm
+        with pytest.raises(MeshError, match="unknown algorithm"):
+            composite_model(1, 1.0, 0.353, algorithm, resin, PlateSpec())
 
 
 class TestBoundaryAndLoad:
@@ -275,15 +294,6 @@ class TestEquilibrium:
         fixed = np.setdiff1d(np.arange(mesh.n_dofs), result.free_dofs)
         assert len(fixed) > 0
         assert reactions[fixed[fixed % 2 == 1]].sum() == pytest.approx(F_y, rel=1e-9)
-
-
-def band_matvec(band, u):
-    """``K @ u`` from the lower band of K, never forming the matrix."""
-    y = band[0] * u
-    for d in range(1, len(band)):
-        y[d:] += band[d, :-d] * u[:-d]
-        y[:-d] += band[d, :-d] * u[d:]
-    return y
 
 
 class TestLargeMesh:
