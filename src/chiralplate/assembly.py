@@ -29,8 +29,8 @@ an element is the same for every element, so with ``K`` viewed as
 ``(bw + 1, len(x), len(y), 2)`` each column corner adds the blocks of all
 elements in one strided slice. Recovery gathers the corner displacements
 as ``u[mesh.element_dofs]`` and applies each card's operator, the four
-corners' strain and stress rows stacked into one matrix, to all layers of
-that card in one matmul.
+corners' stress rows stacked into one matrix, to all layers of that card
+in one matmul.
 
 :func:`solve` holds the fixed DOFs at zero by pinning them in a copy of
 ``K``'s band: their rows, columns and loads are zeroed and their diagonal
@@ -353,8 +353,7 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
     u = np.array(P, dtype=float)
     u[fixed] = 0.0
     col = 2 * len(mesh.y)  # no element couples across a fully fixed column
-    cut = [] if len(free) > mesh.n_dofs - col else (  # too few fixed for a cut
-        np.flatnonzero(fixed.reshape(-1, col).all(axis=1)).tolist())
+    cut = np.flatnonzero(fixed.reshape(-1, col).all(axis=1)).tolist()
     pbsv = _banded_solver()
     for i, j in zip([-1, *cut], [*cut, len(mesh.x)]):
         lo, hi = col * (i + 1), col * j
@@ -473,7 +472,7 @@ def _rigid_mode_error(ab: np.ndarray) -> SolveError:
 
 @dataclass(frozen=True)
 class StressField:
-    """Per-element, per-corner strains and stresses.
+    """Per-element, per-corner normal stresses and their von Mises value.
 
     Arrays are shaped ``(n_elements, 4)`` in local corner order. ``tags``
     holds the tag of each element layer; element ``e`` lies in layer
@@ -481,8 +480,6 @@ class StressField:
     """
 
     mesh: Mesh
-    exx: np.ndarray
-    eyy: np.ndarray
     sxx: np.ndarray
     syy: np.ndarray
     se: np.ndarray
@@ -498,17 +495,17 @@ class StressField:
 
 
 def recover(mesh: Mesh, layers, u: np.ndarray):
-    """Recover nodal strains and stresses at the four element corners.
+    """Recover the normal and von Mises stresses at the four element corners.
 
     ``u`` is the full displacement vector of the mesh under the layer cards
     ``layers``, which gives one :class:`StressField`, or a ``(k, n_dofs)``
     stack of k of them, recovered in one pass into a list of k fields.
-    Rows 0-1 of the strain matrix give the normal strains and the 2x2
-    recovery matrix ``chi[:2, :2]`` (shear eliminated) the normal stresses,
-    which are taken as the principal pair for the equivalent stress. Layers
-    that share a card ``(kind, material, height)`` share one ``(8, 16)``
-    operator, which stacks the four corners' strain rows and their stress
-    rows ``chi[:2, :2] @ B``, so each distinct card is one
+    The 2x2 recovery matrix ``chi[:2, :2]`` (shear eliminated) applied to
+    rows 0-1 of the strain matrix gives the normal stresses, which are
+    taken as the principal pair for the equivalent stress. Layers that
+    share a card ``(kind, material, height)`` share one ``(8, 8)``
+    operator, the stress rows ``chi[:2, :2] @ B[:2]`` of the four corners
+    (sxx of corners 1-4, then syy), so each distinct card is one
     :func:`strain_displacement_full` call, one gather of its elements'
     corner displacements through ``mesh.element_dofs`` and one matmul.
     """
@@ -518,21 +515,21 @@ def recover(mesh: Mesh, layers, u: np.ndarray):
     layers = _layer_cards(mesh, layers)
     us = u.reshape(-1, mesh.n_dofs)
     layer_dofs = mesh.element_dofs.reshape(mesh.n_layers, mesh.nx, 8)
-    # Per element: exx, eyy, sxx, syy, four corners each
-    out = np.empty((len(us), mesh.n_layers, mesh.nx, 16))
+    # Per element: sxx, syy, four corners each
+    out = np.empty((len(us), mesh.n_layers, mesh.nx, 8))
 
     for kind, g, chi, mu, js in _card_groups(mesh, layers):
         B3 = strain_displacement_full(kind, g, XI_CORNERS, ETA_CORNERS, mu)
-        rows = [B3[:, 0], B3[:, 1], *np.swapaxes(chi[:2, :2] @ B3[:, :2], 0, 1)]
-        # C-ordered (8, 16): the matmul runs ~2x faster than on a .T view
+        rows = np.swapaxes(chi[:2, :2] @ B3[:, :2], 0, 1)  # (sxx, syy) x corner
+        # C-ordered (8, 8): the matmul runs ~2x faster than on a .T view
         op = np.concatenate([r.T for r in rows], axis=1)
         out[:, js] = np.take(us, layer_dofs[js], axis=1) @ op  # u[element_dofs]
 
     tags = tuple(layer.tag for layer in layers)
     fields = []
-    for q in out.reshape(len(us), mesh.n_elements, 4, 4).transpose(0, 2, 1, 3):
-        # q[i] is quantity i of every corner, an (n_elements, 4) view
-        fields.append(StressField(mesh, *q, von_mises_plane(q[2], q[3]), tags))
+    for sxx, syy in out.reshape(len(us), mesh.n_elements, 2, 4).transpose(0, 2, 1, 3):
+        # (n_elements, 4) views of every corner's sxx and syy
+        fields.append(StressField(mesh, sxx, syy, von_mises_plane(sxx, syy), tags))
     return fields[0] if u.ndim == 1 else fields
 
 

@@ -139,9 +139,8 @@ def strain_displacement_full(
     Rows give ``(eps_xx, eps_yy, eps_xy)``. ``xi`` and ``eta`` broadcast
     against each other: scalars give one ``(3, 8)`` matrix, the four corner
     coordinates a ``(4, 3, 8)`` stack. The corner stress recovery stacks
-    rows 0-1 and their stress rows ``chi[:2, :2] @ B[:2]`` into one
-    operator per layer card; the quadrature oracle integrates all three
-    rows.
+    the stress rows ``chi[:2, :2] @ B[:2]`` of rows 0-1 into one operator
+    per layer card; the quadrature oracle integrates all three rows.
     ``kind`` is ``"conforming"`` or ``"incompatible"``. The incompatible
     normal rows add coupling terms, which carry a factor ``mu`` and vanish
     for ``mu = 0``, and its added modes cancel the bilinear variation of the

@@ -102,15 +102,15 @@ def geometry_from_cell(d_a: float, t_sw: float) -> TetrachiralGeometry:
     Parameters
     ----------
     d_a : float
-        Mean cylinder diameter [mm], positive.
+        Mean cylinder diameter [mm], positive and finite.
     t_sw : float
-        Wall thickness [mm]; must satisfy ``0 < t_sw < d_a`` so that
-        ``beta = t_sw / r`` stays below 1.
+        Wall thickness [mm], positive and finite; must satisfy
+        ``t_sw < d_a`` so that ``beta = t_sw / r`` stays below 1.
     """
-    if not d_a > 0:
-        raise GeometryError(f"cylinder diameter must be positive, got {d_a}")
-    if not t_sw > 0:
-        raise GeometryError(f"wall thickness must be positive, got {t_sw}")
+    if not 0 < d_a < math.inf:
+        raise GeometryError(f"cylinder diameter must be positive and finite, got {d_a}")
+    if not 0 < t_sw < math.inf:
+        raise GeometryError(f"wall thickness must be positive and finite, got {t_sw}")
     L_h = PITCH_RATIO * d_a
     l = _rib_length(d_a)
     theta = math.atan2(d_a, l)

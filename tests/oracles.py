@@ -174,9 +174,13 @@ def solve_dense(K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def recover_loop(mesh: Mesh, layers, u: np.ndarray):
-    """Corner strains and stresses, one element and one corner at a time."""
+    """Corner stresses, one element and one corner at a time.
+
+    Each corner's normal strains ``B[:2] @ v`` are formed first and then
+    multiplied by the 2x2 block ``chi[:2, :2]``, the textbook order.
+    """
     n_el = mesh.n_elements
-    exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
+    sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(3))
     for j, layer in enumerate(layers):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
         mat = layer.material
@@ -193,28 +197,26 @@ def recover_loop(mesh: Mesh, layers, u: np.ndarray):
             for q in range(4):
                 xi, eta = XI_CORNERS[q], ETA_CORNERS[q]
                 B = strain_displacement_full(layer.kind, g, xi, eta, mu)
-                eps = B[:2] @ v
-                sig = chi2 @ eps
-                exx[e, q], eyy[e, q] = eps
+                sig = chi2 @ (B[:2] @ v)
                 sxx[e, q], syy[e, q] = sig
                 se[e, q] = von_mises_plane(sig[0], sig[1])
     return StressField(
-        mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
+        mesh=mesh, sxx=sxx, syy=syy, se=se,
         tags=tuple(layer.tag for layer in layers),
     )
 
 
 def recover_per_layer(mesh: Mesh, layers, u: np.ndarray):
-    """Corner strains and stresses, one layer at a time.
+    """Corner stresses, one layer at a time.
 
     Each layer is one strain-matrix call over its four corners, one gather
     through ``mesh.element_dofs`` and one matmul with the operator
-    ``recover`` builds per card, its strain rows and their stress rows
-    stacked in the same order, so each element's values come out to the
-    same bits.
+    ``recover`` builds per card, the stress rows of the four corners
+    stacked in the same order (sxx of corners 1-4, then syy), so each
+    element's values come out to the same bits.
     """
     n_el = mesh.n_elements
-    exx, eyy, sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(5))
+    sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(3))
     U = u[mesh.element_dofs]
     for j, layer in enumerate(layers):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
@@ -222,14 +224,13 @@ def recover_per_layer(mesh: Mesh, layers, u: np.ndarray):
         mu = layer.material.mu if layer.kind == "incompatible" else 0.0
         B3 = strain_displacement_full(layer.kind, g, XI_CORNERS, ETA_CORNERS, mu)
         sig_rows = np.swapaxes(chi[:2, :2] @ B3[:, :2], 0, 1)
-        parts = [B3[:, 0], B3[:, 1], sig_rows[0], sig_rows[1]]
         rows = slice(j * mesh.nx, (j + 1) * mesh.nx)
-        values = U[rows] @ np.concatenate([r.T for r in parts], axis=1)
-        q = values.reshape(mesh.nx, -1, 4)  # (element, quantity, corner)
-        exx[rows], eyy[rows], sxx[rows], syy[rows] = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+        values = U[rows] @ np.concatenate([r.T for r in sig_rows], axis=1)
+        q = values.reshape(mesh.nx, 2, 4)  # (element, quantity, corner)
+        sxx[rows], syy[rows] = q[:, 0], q[:, 1]
         se[rows] = von_mises_plane(sxx[rows], syy[rows])
     return StressField(
-        mesh=mesh, exx=exx, eyy=eyy, sxx=sxx, syy=syy, se=se,
+        mesh=mesh, sxx=sxx, syy=syy, se=se,
         tags=tuple(layer.tag for layer in layers),
     )
 

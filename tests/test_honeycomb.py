@@ -71,6 +71,14 @@ class TestGeometry:
         with pytest.raises(GeometryError):
             geometry_from_cell(d_a, t_sw)
 
+    @pytest.mark.parametrize(
+        "d_a,t_sw",
+        [(math.inf, 0.1), (1.0, math.inf), (math.nan, 0.1), (1.0, math.nan)],
+    )
+    def test_rejects_non_finite(self, d_a, t_sw):
+        with pytest.raises(GeometryError, match="must be positive and finite"):
+            geometry_from_cell(d_a, t_sw)
+
     def test_rejects_walls_too_thick(self):
         with pytest.raises(GeometryError):
             geometry_from_cell(1.0, 1.0)  # beta = 1
@@ -145,6 +153,8 @@ class TestInversion:
             wall_thickness_for_density(1.0, 0.0)
         with pytest.raises(GeometryError):
             wall_thickness_for_density(1.0, 1.2)
+        with pytest.raises(GeometryError, match="must be positive and finite"):
+            wall_thickness_for_density(math.inf, 0.353)
 
 
 class TestEffectiveModuli:

@@ -12,11 +12,14 @@ through :func:`evaluate`, the path the campaigns and the CLI take.
   (``l_1 = a/2``, ``x1 + x2 = a``), so ``u_y`` is even and ``u_x`` odd
   about node line ``nx/2``, and the corner ``se`` of element column ``c``
   equals that of column ``nx - 1 - c`` with its corners swapped left-right,
-  within 1e-9 of each array's maximum.
+  within 1e-9 of each array's maximum. Hypothesis also draws other
+  symmetric plates, solid and composite, with their supports on node lines.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralplate import (
@@ -29,7 +32,14 @@ from chiralplate import (
     composite_model,
     evaluate,
 )
-from chiralplate.experiments import DA_GRID, DEFAULT_PROBE, FORMLABS_CLEAR, RHO_GRID
+from chiralplate.experiments import (
+    DA_GRID,
+    DEFAULT_PROBE,
+    FORMLABS_CLEAR,
+    RHO_GRID,
+    V_CL,
+)
+from chiralplate.plates import COMPOSITE_NX
 from oracles import band_matvec, dense_from_band
 
 BCS = (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED)
@@ -131,3 +141,74 @@ def test_composite_mirror_symmetric(setup, algorithm):
             setup, 1.3, rho, algorithm, FORMLABS_CLEAR, SPEC
         )
         assert_mirror_symmetric(mesh, layers, spec, DEFAULT_PROBE[setup])
+
+
+@st.composite
+def mirror_solids(draw):
+    """A solid plate symmetric about midspan and its layer count.
+
+    Its span is ``nx`` squares of side ``t_p / layers``, with
+    ``x1 = k a / nx`` and ``x2 = a - x1``. Both snaps put node lines on the
+    supports: ``"equal_aspect"`` meshes the ``nx`` drawn, ``"exact"`` a
+    common multiple of the denominators of ``k / nx`` and ``1 / 2``, which
+    it reads off ``x1 / a`` and ``l_1 / a`` exactly because ``t_p`` is a
+    whole number of quarter millimetres. ``l_1 = a / 2`` falls on a node
+    line, or midway between two for an odd equal-aspect ``nx``;
+    ``k < (nx - 1) / 2`` keeps those two off the clamp lines, which would
+    take the whole load.
+    """
+    layers = draw(st.integers(1, 4))
+    t_p = draw(st.integers(4, 16)) / 4
+    nx = draw(st.integers(4, 40))
+    k = draw(st.integers(1, (nx - 2) // 2))
+    a = nx * t_p / layers
+    x1 = k * a / nx
+    spec = PlateSpec(
+        a=a, h=draw(st.floats(5.0, 20.0)), t_p=t_p, t_fl=None, t_cl=None,
+        l_1=a / 2, x1=x1, x2=a - x1,
+    )
+    return spec, layers
+
+
+@st.composite
+def mirror_composites(draw, setup):
+    """A composite spec symmetric about midspan, a cell and a density.
+
+    The supports sit on node lines ``k`` and ``36 - k`` of the composite
+    mesh and the load on line 18. The core thickness is drawn inside a
+    layering band, 0.05 mm clear of its edges; setup 2 derives it from the
+    depth, so there the depth is the one that gives the drawn thickness.
+    """
+    a = draw(st.floats(20.0, 100.0))
+    x1 = draw(st.integers(1, COMPOSITE_NX // 2 - 1)) * a / COMPOSITE_NX
+    t_fl = draw(st.floats(0.3, 1.0))
+    t_cl = draw(st.floats(0.75, 1.35) | st.floats(1.75, 3.55))
+    rho = draw(st.floats(0.14, 0.709))
+    h = V_CL / (rho * a * t_cl) if setup == 2 else draw(st.floats(5.0, 20.0))
+    spec = PlateSpec(
+        a=a, h=h, t_p=2 * t_fl + t_cl, t_fl=t_fl, t_cl=t_cl,
+        l_1=a / 2, x1=x1, x2=a - x1,
+    )
+    return spec, draw(st.floats(1.0, 1.9)), rho
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("snap", ["exact", "equal_aspect"])
+@settings(max_examples=50, deadline=None)
+@given(drawn=mirror_solids())
+def test_drawn_solid_plates_mirror_symmetric(snap, kind, drawn):
+    spec, layers = drawn
+    mesh, cards = solid_cards(spec, layers, snap, kind)
+    assert_mirror_symmetric(mesh, cards, spec, 30.0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("setup", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_drawn_composites_mirror_symmetric(setup, algorithm, data):
+    spec, d_a, rho = data.draw(mirror_composites(setup))
+    case_spec, _, mesh, layers = composite_model(
+        setup, d_a, rho, algorithm, FORMLABS_CLEAR, spec
+    )
+    assert_mirror_symmetric(mesh, layers, case_spec, DEFAULT_PROBE[setup])
