@@ -49,7 +49,6 @@ from .assembly import (
     StressField,
     analyze,
     assemble,
-    free_dofs,
     recover,
     solve,
 )

@@ -2,9 +2,9 @@
 
 :func:`analyze` runs the whole linear pipeline for one load under one or
 more boundary conditions: :func:`assemble` the global stiffness once, then
-per fixed-node set fix the DOFs outside :func:`free_dofs` and :func:`solve`
-for the displacements, and :func:`recover` the corner stresses of all
-solutions in one pass. Each step is a pure function of its inputs.
+per set of fixed DOF ids :func:`solve` for the displacements, and
+:func:`recover` the corner stresses of all solutions in one pass. Each
+step is a pure function of its inputs.
 
 The mesh is a structured grid of axis-aligned rectangles grouped into
 horizontal layers; every element of a layer shares the same height and
@@ -32,7 +32,8 @@ as ``u[mesh.element_dofs]`` and applies each card's operator, the four
 corners' stress rows stacked into one matrix, to all layers of that card
 in one matmul.
 
-:func:`solve` holds the fixed DOFs at zero by pinning them in a copy of
+:func:`solve` holds the fixed DOFs, a sorted array of DOF ids (``2 n`` and
+``2 n + 1`` for node ``n``), at zero by pinning them in a copy of
 ``K``'s band: their rows, columns and loads are zeroed and their diagonal
 set to a positive ``scale``, so the matrix stays symmetric positive
 definite once enough DOFs are fixed and the solve returns the full
@@ -84,7 +85,6 @@ __all__ = [
     "Analysis",
     "analyze",
     "assemble",
-    "free_dofs",
     "solve",
     "recover",
 ]
@@ -296,48 +296,22 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
     return K
 
 
-def free_dofs(mesh: Mesh, fixed_nodes) -> np.ndarray:
-    """Sorted DOFs left free once both DOFs of ``fixed_nodes`` are fixed.
-
-    ``fixed_nodes`` is one 1-D sequence of integer node ids; anything else
-    (floats, a boolean node mask), or a node id outside ``[0, n_nodes)``,
-    raises :class:`ConstraintError`.
-    """
-    fixed_nodes = np.asarray(fixed_nodes)
-    if fixed_nodes.ndim != 1:
-        raise ConstraintError("fixed nodes must be a 1-D sequence of node ids")
-    if fixed_nodes.size == 0:
-        raise ConstraintError("no nodes to fix; the system would be singular")
-    if fixed_nodes.dtype.kind not in "iu":
-        raise ConstraintError(
-            f"fixed node ids must be integers, got dtype {fixed_nodes.dtype}"
-        )
-    if fixed_nodes.min() < 0 or fixed_nodes.max() >= mesh.n_nodes:
-        raise ConstraintError(
-            f"fixed node ids must lie in [0, {mesh.n_nodes}), got "
-            f"{fixed_nodes.min()}..{fixed_nodes.max()}"
-        )
-    free = np.ones(mesh.n_nodes, dtype=bool)
-    free[fixed_nodes] = False
-    if not free.any():
-        raise ConstraintError("every node fixed; nothing left to solve")
-    return np.flatnonzero(np.repeat(free, 2))
-
-
-def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Direct symmetric solve with the DOFs outside ``free`` held at zero.
+def solve(mesh: Mesh, K: np.ndarray, fixed_dofs, P: np.ndarray) -> np.ndarray:
+    """Direct symmetric solve with the DOFs ``fixed_dofs`` held at zero.
 
     ``K`` is the band :func:`assemble` returns for ``mesh`` and ``P`` the
     full load vector; any other shape raises :class:`MeshError`. Neither is
-    modified. Factors and solves ``K``'s band with the fixed DOFs pinned
-    (:func:`_pinned_band`) in one ``dpbsv`` call per segment and returns
-    the full ``u``, ``+0.0`` at each fixed DOF. Only the loaded segments
-    between fully fixed node columns are solved (see the module docstring);
-    with no such column, the whole band, even under zero load. A singular
-    or indefinite stiffness over the free DOFs (not enough constraints), or
-    one whose smallest pivot is below 1e-10 of its largest diagonal entry,
-    raises :class:`SolveError` naming the number of near-zero or negative
-    eigenvalues.
+    modified. ``fixed_dofs`` is one strictly increasing 1-D sequence of
+    integer DOF ids in ``[0, n_dofs)``, neither empty nor all of them;
+    anything else raises :class:`ConstraintError`. Factors and solves ``K``'s
+    band with the fixed DOFs pinned (:func:`_pinned_band`) in one ``dpbsv``
+    call per segment and returns the full ``u``, ``+0.0`` at each fixed DOF.
+    Only the loaded segments between fully fixed node columns are solved
+    (see the module docstring); with no such column, the whole band, even
+    under zero load. A singular or indefinite stiffness over the free DOFs
+    (not enough constraints), or one whose smallest pivot is below 1e-10 of
+    its largest diagonal entry, raises :class:`SolveError` naming the number
+    of near-zero or negative eigenvalues.
     """
     bw_K = 2 * len(mesh.y) + 3
     if np.shape(K) != (bw_K + 1, mesh.n_dofs):
@@ -347,8 +321,19 @@ def solve(mesh: Mesh, K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndar
         )
     if np.shape(P) != (mesh.n_dofs,):
         raise MeshError(f"P must have shape ({mesh.n_dofs},), got {np.shape(P)}")
-    fixed = np.ones(mesh.n_dofs, dtype=bool)
-    fixed[free] = False
+    ids = np.asarray(fixed_dofs)
+    if ids.ndim != 1:
+        raise ConstraintError("fixed DOFs must be a 1-D sequence of DOF ids")
+    if ids.dtype.kind not in "iu":
+        raise ConstraintError(f"fixed DOF ids must be integers, got dtype {ids.dtype}")
+    if not 0 < ids.size < mesh.n_dofs:
+        raise ConstraintError(f"fix some but not all {mesh.n_dofs} DOFs, got {ids.size}")
+    if not (0 <= ids[0] and ids[-1] < mesh.n_dofs and np.all(ids[1:] > ids[:-1])):
+        raise ConstraintError(
+            f"fixed DOF ids must lie in [0, {mesh.n_dofs}) and increase strictly"
+        )
+    fixed = np.zeros(mesh.n_dofs, dtype=bool)
+    fixed[ids] = True
     scale = max(np.max(K[0, ~fixed]), 1.0)
     u = np.array(P, dtype=float)
     u[fixed] = 0.0
@@ -526,18 +511,18 @@ def recover(mesh: Mesh, layers, u: np.ndarray):
         out[:, js] = np.take(us, layer_dofs[js], axis=1) @ op  # u[element_dofs]
 
     tags = tuple(layer.tag for layer in layers)
-    fields = []
-    for sxx, syy in out.reshape(len(us), mesh.n_elements, 2, 4).transpose(0, 2, 1, 3):
-        # (n_elements, 4) views of every corner's sxx and syy
-        fields.append(StressField(mesh, sxx, syy, von_mises_plane(sxx, syy), tags))
+    # (k, n_elements, 4) views of every corner's sxx and syy
+    sxx, syy = out.reshape(len(us), mesh.n_elements, 2, 4).transpose(2, 0, 1, 3)
+    se = von_mises_plane(sxx, syy)
+    fields = [StressField(mesh, *f, tags) for f in zip(sxx, syy, se)]
     return fields[0] if u.ndim == 1 else fields
 
 
 @dataclass(frozen=True)
 class Analysis:
-    """One linear analysis: free DOFs, full displacements and stresses."""
+    """One linear analysis: fixed DOFs, full displacements and stresses."""
 
-    free_dofs: np.ndarray
+    fixed_dofs: np.ndarray
     u: np.ndarray
     field: StressField
 
@@ -546,25 +531,25 @@ def analyze(mesh: Mesh, layers, fixed_sets, P: np.ndarray) -> list[Analysis]:
     """Assemble once, then constrain, solve and recover per boundary condition.
 
     ``layers`` is the sequence of layer cards, ``fixed_sets`` a sequence of
-    fixed-node sets (each the nodes whose two DOFs are fixed) and ``P`` the
-    full load vector. ``K`` does not depend on the constraints, so it is
+    fixed-DOF sets (each the DOF ids :func:`solve` holds at zero) and ``P``
+    the full load vector. ``K`` does not depend on the constraints, so it is
     assembled once and solved against each set; the solutions are recovered
     in one pass. Returns one :class:`Analysis` per set, in order.
     """
-    frees = [free_dofs(mesh, fixed) for fixed in fixed_sets]
-    if not frees:
-        raise ConstraintError("no fixed-node sets to analyze")
+    fixed_sets = [np.asarray(fixed) for fixed in fixed_sets]
+    if not fixed_sets:
+        raise ConstraintError("no fixed-DOF sets to analyze")
     t0 = time.perf_counter()
     K = assemble(mesh, layers)
     t1 = time.perf_counter()
-    us = np.array([solve(mesh, K, free, P) for free in frees])
+    us = np.array([solve(mesh, K, fixed, P) for fixed in fixed_sets])
     band_rows = len(K)
     del K  # free the band before recovery allocates its arrays
     t2 = time.perf_counter()
     fields = recover(mesh, layers, us)
     _log.debug(
         "analyze: %d DOFs, %d band rows, %d fixed sets; assemble %.3f ms, "
-        "solve %.3f ms, recover %.3f ms", mesh.n_dofs, band_rows, len(frees),
+        "solve %.3f ms, recover %.3f ms", mesh.n_dofs, band_rows, len(fixed_sets),
         1e3 * (t1 - t0), 1e3 * (t2 - t1), 1e3 * (time.perf_counter() - t2),
     )
-    return [Analysis(free, u, field) for free, u, field in zip(frees, us, fields)]
+    return [Analysis(*args) for args in zip(fixed_sets, us, fields)]

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .assembly import Analysis, Layer, Mesh, analyze
 from .errors import ConfigError, GeometryError, MaterialError, MeshError
 from . import honeycomb as hc
@@ -154,7 +156,9 @@ def evaluate(
     reaches ``material.sigma_el`` is F_crit = F_probe * sigma_el / sigma_max.
     Every boundary condition in ``bcs`` is solved on the one stiffness
     :func:`analyze` assembles. Returns, per boundary condition in order, the
-    analysis, the maximum equivalent stress per layer tag and F_crit.
+    analysis, the maximum equivalent stress per layer tag and F_crit. A load
+    on fixed DOFs only, a peak stress that is not a normal float or an
+    F_crit that overflows raises :class:`ConfigError`.
     """
     if not 0 < F_probe < math.inf:
         raise ConfigError(f"probe load must be positive and finite, got {F_probe}")
@@ -162,15 +166,21 @@ def evaluate(
         raise MaterialError("critical-load scaling needs the material's sigma_el")
     P = apply_load(mesh, F_probe, spec)
     fixed_sets = [apply_boundary(mesh, bc, spec) for bc in bcs]
+    for bc, fixed in zip(bcs, fixed_sets):
+        if not np.delete(P, fixed).any():
+            raise ConfigError(f"probe load at l_1 = {spec.l_1} mm acts on no free "
+                              f"DOF: {bc.value} fixes DOFs {fixed.tolist()}")
     results = []
     for analysis in analyze(mesh, layers, fixed_sets, P):
         by_tag = analysis.field.max_se_by_tag()
-        peak = max(by_tag.values())  # 0, inf or NaN where the probe under/overflows
-        if not (peak > 0 and all(s < math.inf for s in by_tag.values())):
-            raise ConfigError(
-                f"probe load {F_probe} N gives no finite stress to scale: {by_tag}"
-            )
-        results.append((analysis, by_tag, F_probe * material.sigma_el / peak))
+        peak = max(by_tag.values())
+        # a subnormal peak has lost digits and F_probe * sigma_el may overflow
+        ok = peak >= np.finfo(float).tiny and all(s < math.inf for s in by_tag.values())
+        F_crit = F_probe * material.sigma_el / peak if ok else math.nan
+        if not F_crit < math.inf:
+            raise ConfigError(f"probe load {F_probe} N gives no stress to scale "
+                              f"within the float range: {by_tag}")
+        results.append((analysis, by_tag, F_crit))
     return results
 
 
@@ -312,7 +322,8 @@ def mesh_convergence_study(
             cards = _cards(tags, kind, material)
             results = evaluate(mesh, cards, solid_spec, bcs, F_probe, material)
             for bc, (analysis, by_tag, _) in zip(bcs, results):
-                kept[kind, bc, layers] = len(analysis.free_dofs), by_tag["plate"]
+                dofs = mesh.n_dofs - len(analysis.fixed_dofs)
+                kept[kind, bc, layers] = dofs, by_tag["plate"]
             del results, analysis  # only (dofs, sigma_max) outlives a model
     order = [(kind, bc, n) for kind in kinds for bc in bcs for n in counts]
     return [ConvergenceRow(kind, bc.value, n, *kept[kind, bc, n]) for kind, bc, n in order]

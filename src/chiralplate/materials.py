@@ -183,7 +183,10 @@ def von_mises_plane(s1, s2):
 
     ``sqrt(s1^2 + s2^2 - s1*s2)``; symmetric in its arguments and equal to
     ``|s|`` for equal-biaxial or uniaxial states. Scalars give a float;
-    arrays are evaluated elementwise.
+    arrays are evaluated elementwise. Scaling by the power of two of
+    ``max(|s1|, |s2|)`` keeps the squares from over- and underflowing.
     """
-    se = np.sqrt(s1 * s1 + s2 * s2 - s1 * s2)
+    _, e = np.frexp(np.maximum(np.abs(s1), np.abs(s2)))
+    t1, t2 = np.ldexp(s1, -e), np.ldexp(s2, -e)
+    se = np.ldexp(np.sqrt(t1 * t1 + t2 * t2 - t1 * t2), e)
     return float(se) if np.ndim(se) == 0 else se

@@ -5,7 +5,7 @@ layer, and :mod:`chiralplate.experiments` gives each layer its card.
 
 The analysis domain is the plate's longitudinal side face: span ``a`` along
 x, thickness ``t_p`` along y, width ``h`` as the out-of-plane depth. Two
-boundary conditions are supported:
+boundary conditions, each a set of fixed DOF ids, are supported:
 
 * clamped: both DOFs of every node on the vertical lines ``x = x1`` and
   ``x = x2`` are fixed, leaving the overhangs beyond the clamps meshed but
@@ -206,11 +206,12 @@ def build_composite_mesh(
 
 
 def apply_boundary(mesh: Mesh, bc: BoundaryCondition, spec: PlateSpec) -> np.ndarray:
-    """Fixed node set for the given boundary condition, sorted and unique."""
-    if bc is BoundaryCondition.CLAMPED:  # every node of both lines
-        rows, line = np.arange(len(mesh.y)), "clamp line"
-    elif bc is BoundaryCondition.SUPPORTED:  # the bottom node of each line
-        rows, line = np.arange(1), "support line"
+    """Fixed DOF ids of ``bc``, strictly increasing: ``2 n`` and ``2 n + 1``
+    of each node ``n`` it fixes; a node line's DOFs are consecutive."""
+    if bc is BoundaryCondition.CLAMPED:  # every DOF of both lines
+        dofs, line = np.arange(2 * len(mesh.y)), "clamp line"
+    elif bc is BoundaryCondition.SUPPORTED:  # both DOFs of each bottom node
+        dofs, line = np.arange(2), "support line"
     else:
         raise MeshError(f"unknown boundary condition {bc!r}")
     cols = []
@@ -218,7 +219,7 @@ def apply_boundary(mesh: Mesh, bc: BoundaryCondition, spec: PlateSpec) -> np.nda
         if (i := mesh.column_at(x0)) is None:
             raise MeshError(f"{line} x = {x0} does not coincide with a node line")
         cols.append(i)
-    return np.add.outer(np.array(cols) * len(mesh.y), rows).ravel()
+    return np.add.outer(np.array(cols) * 2 * len(mesh.y), dofs).ravel()
 
 
 def apply_load(mesh: Mesh, F_y: float, spec: PlateSpec) -> np.ndarray:

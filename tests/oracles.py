@@ -14,7 +14,9 @@ and trades speed for obviousness:
   residuals and reactions on meshes whose dense K would not fit;
 * :func:`assemble_scatter` adds every element block into the band in one
   ``bincount`` through ``Mesh.element_dofs``, in element order;
-* :func:`solve_dense` factors the dense reduced matrix ``K[free, free]``;
+* :func:`node_dofs` lists the DOF ids of whole nodes, one node at a time,
+  and :func:`solve_dense` factors the dense reduced matrix
+  ``K[free, free]`` over the DOFs a fixed-DOF set leaves free;
 * :func:`recover_loop` recovers the corner stresses element by element and
   corner by corner with scalar von Mises evaluations, and
   :func:`recover_per_layer` layer by layer, with the per-card operator
@@ -165,8 +167,16 @@ def band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_dense(K: np.ndarray, free: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Dense Cholesky solve of ``K[free, free] u_f = P[free]``; full u."""
+def node_dofs(nodes) -> np.ndarray:
+    """The fixed DOF ids of whole nodes: ``2 n`` and ``2 n + 1`` of each
+    node ``n``, sorted."""
+    return np.array(sorted(2 * n + c for n in nodes for c in (0, 1)), dtype=int)
+
+
+def solve_dense(K: np.ndarray, fixed: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Dense Cholesky solve of ``K[free, free] u_f = P[free]``, ``free`` the
+    DOFs outside ``fixed``; full u."""
+    free = np.delete(np.arange(len(K)), fixed)
     u = np.zeros(len(K))
     factor = cho_factor(K[np.ix_(free, free)])
     u[free] = cho_solve(factor, P[free])

@@ -32,7 +32,6 @@ from chiralplate import (
     build_solid_mesh,
     composite_model,
     element_stiffness,
-    free_dofs,
     plane_strain_matrix,
     recover,
     solid_model,
@@ -46,6 +45,7 @@ from oracles import (
     dense_from_band,
     element_nodes,
     expanded_stiffness,
+    node_dofs,
     solve_dense,
 )
 
@@ -257,28 +257,61 @@ class TestAssemble:
         assert np.sum(np.abs(eig) < 1e-10 * eig.max()) == 3
 
 
+def solve_single_element(fixed):
+    """``solve`` on one unit element under ``fixed`` and a unit load."""
+    mesh = single_element_mesh()
+    K = assemble(mesh, [Layer(FORMLABS_CLEAR, "conforming", "plate")])
+    return solve(mesh, K, fixed, np.ones(mesh.n_dofs))
+
+
 class TestConstraintsAndSolve:
     def test_fix_everything_rejected(self):
-        mesh = single_element_mesh()
-        with pytest.raises(ConstraintError):
-            free_dofs(mesh, [0, 1, 2, 3])
-        with pytest.raises(ConstraintError):
-            free_dofs(mesh, [])
+        for fixed in (np.arange(8), np.arange(0)):
+            with pytest.raises(ConstraintError, match="fix some but not all 8 DOFs"):
+                solve_single_element(fixed)
+        with pytest.raises(ConstraintError):  # an empty list has no int dtype
+            solve_single_element([])
 
-    @pytest.mark.parametrize("fixed", [[0, 999], [-1]], ids=["past-end", "negative"])
+    @pytest.mark.parametrize("fixed", [[0, 999], [-1], [0, 8]],
+                             ids=["past-end", "negative", "one-past-end"])
     def test_node_outside_mesh_rejected(self, fixed):
-        # neither may be dropped or wrapped round to a real node
+        # none may be dropped or wrapped round to a real DOF
         with pytest.raises(ConstraintError, match="must lie in"):
-            free_dofs(single_element_mesh(), fixed)
+            solve_single_element(fixed)
 
     @pytest.mark.parametrize(
         "fixed", [[0.9, 3.2], [True, False, False, False]], ids=["float", "mask"]
     )
     def test_non_integer_node_ids_rejected(self, fixed):
-        # neither may be read as node ids: not truncated to nodes 0 and 3,
-        # nor a node mask taken as the ids 1 and 0
+        # neither may be read as DOF ids: not truncated to DOFs 0 and 3,
+        # nor a DOF mask taken as the ids 1 and 0
         with pytest.raises(ConstraintError, match="must be integers"):
-            free_dofs(single_element_mesh(), fixed)
+            solve_single_element(fixed)
+
+    @pytest.mark.parametrize("fixed", [[1, 0, 2, 3], [0, 1, 1, 2, 3]],
+                             ids=["unsorted", "repeated"])
+    def test_dof_ids_not_increasing_rejected(self, fixed):
+        # the fixed count len(fixed) must be exact, whatever the order
+        with pytest.raises(ConstraintError, match="increase strictly"):
+            solve_single_element(fixed)
+
+    def test_nested_dof_ids_rejected(self):
+        with pytest.raises(ConstraintError, match="1-D sequence"):
+            solve_single_element([[0, 1], [2, 3]])
+
+    def test_single_dofs_fixed(self):
+        # a pin at node (0, 0) and a roller at (1, 0): only its y DOF fixed
+        mesh = single_element_mesh()
+        K = assemble(mesh, [Layer(FORMLABS_CLEAR, "conforming", "plate")])
+        P = np.zeros(mesh.n_dofs)
+        P[2 * mesh.node_id(1, 1) + 1] = -1.0
+        roller = 2 * mesh.node_id(1, 0)
+        fixed = np.array([0, 1, roller + 1])
+        u = solve(mesh, K, fixed, P)
+        u_ref = solve_dense(dense_from_band(mesh, K), fixed, P)
+        assert_allclose(u, u_ref, rtol=1e-12, atol=0)
+        assert np.all(u[fixed] == 0.0)
+        assert u[roller] != 0.0
 
     def test_reduced_matrix_positive_definite(self, steelish):
         mesh = single_element_mesh()
@@ -286,18 +319,19 @@ class TestConstraintsAndSolve:
             mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")])
         )
         # bottom edge: 4 DOFs > 3 rigid modes
-        free = free_dofs(mesh, [mesh.node_id(0, 0), mesh.node_id(1, 0)])
+        fixed = node_dofs([mesh.node_id(0, 0), mesh.node_id(1, 0)])
+        free = np.delete(np.arange(mesh.n_dofs), fixed)
         eig = np.linalg.eigvalsh(K[np.ix_(free, free)])
         assert eig.min() > 0
 
     def test_underconstrained_reports_rigid_modes(self, steelish):
         mesh = single_element_mesh()
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        free = free_dofs(mesh, [0])  # rotation about node 0 remains
+        fixed = node_dofs([0])  # rotation about node 0 remains
         P = np.zeros(mesh.n_dofs)
         P[2 * mesh.node_id(0, 1) + 1] = 1.0
         with pytest.raises(SolveError) as err:
-            solve(mesh, K, free, P)
+            solve(mesh, K, fixed, P)
         assert err.value.rigid_modes >= 1
 
     def test_dense_K_rejected(self, steelish):
@@ -306,33 +340,33 @@ class TestConstraintsAndSolve:
         K = dense_from_band(mesh, assemble(mesh, layers))
         left_edge = [mesh.node_id(0, 0), mesh.node_id(0, 1)]
         with pytest.raises(MeshError, match="band"):
-            solve(mesh, K, free_dofs(mesh, left_edge), np.ones(mesh.n_dofs))
+            solve(mesh, K, node_dofs(left_edge), np.ones(mesh.n_dofs))
 
     @pytest.mark.parametrize("shape", [(31,), (23,), (24, 2)], ids=["31", "23", "24x2"])
     def test_wrong_load_shape_rejected(self, steelish, shape):
         # 24 DOFs, 18 free: no load may be truncated or counted over the free DOFs
         mesh = grid_mesh(3, 2)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
-        free = free_dofs(mesh, np.arange(len(mesh.y)))  # node column 0
+        fixed = node_dofs(range(len(mesh.y)))  # node column 0
         with pytest.raises(MeshError, match=r"P must have shape \(24,\)"):
-            solve(mesh, K, free, np.ones(shape))
+            solve(mesh, K, fixed, np.ones(shape))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_inputs_untouched_and_fixed_dofs_plus_zero(self, steelish, order):
         mesh = grid_mesh(3, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
         K = np.array(assemble(mesh, layers), order=order)
-        fixed = np.arange(len(mesh.y))  # node column 0
-        free = free_dofs(mesh, fixed)
+        fixed = node_dofs(range(len(mesh.y)))  # node column 0
         P = np.random.default_rng(7).normal(0.0, 10.0, mesh.n_dofs)
-        K_in, P_in = K.copy(order="K"), P.copy()
-        u = solve(mesh, K, free, P)
+        K_in, P_in, fixed_in = K.copy(order="K"), P.copy(), fixed.copy()
+        u = solve(mesh, K, fixed, P)
         assert K.tobytes(order="A") == K_in.tobytes(order="A")
         assert P.tobytes() == P_in.tobytes()
-        u_fixed = np.delete(u, free)
-        assert len(u_fixed) == 2 * len(fixed)
+        assert fixed.tobytes() == fixed_in.tobytes()
+        u_fixed = u[fixed]
+        assert len(u_fixed) == 2 * len(mesh.y)
         assert np.all(u_fixed == 0.0) and not np.signbit(u_fixed).any()
-        assert np.all(u[free] != 0.0)
+        assert np.all(np.delete(u, fixed) != 0.0)
 
     def test_clamped_plate_factors_the_span_only(self, monkeypatch):
         # the overhangs beyond the clamp lines are unloaded and held by a
@@ -340,7 +374,7 @@ class TestConstraintsAndSolve:
         spec = PlateSpec().solid()
         mesh, layers = solid_model(spec, 4, "conforming", FORMLABS_CLEAR)
         K = assemble(mesh, layers)
-        free = free_dofs(mesh, apply_boundary(mesh, BoundaryCondition.CLAMPED, spec))
+        fixed = apply_boundary(mesh, BoundaryCondition.CLAMPED, spec)
         P = apply_load(mesh, 30.0, spec)
         pbsv = assembly._banded_solver()
         widths = []
@@ -348,8 +382,8 @@ class TestConstraintsAndSolve:
             assembly, "_banded_solver",
             lambda: lambda ab, b: widths.append(ab.shape[1]) or pbsv(ab, b),
         )
-        u = solve(mesh, K, free, P)
-        u_ref = solve_dense(dense_from_band(mesh, K), free, P)
+        u = solve(mesh, K, fixed, P)
+        u_ref = solve_dense(dense_from_band(mesh, K), fixed, P)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
         span = (mesh.x > spec.x1 + 1e-9) & (mesh.x < spec.x2 - 1e-9)
         assert widths == [2 * len(mesh.y) * span.sum()]
@@ -364,38 +398,39 @@ class TestConstraintsAndSolve:
         mesh = grid_mesh(3, 2)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")] * 2)
         with pytest.raises(SolveError) as err:
-            solve(mesh, K, free_dofs(mesh, [0]), np.zeros(mesh.n_dofs))
+            solve(mesh, K, node_dofs([0]), np.zeros(mesh.n_dofs))
         assert err.value.rigid_modes == 1
 
     def test_zero_load_zero_displacement(self, steelish):
         mesh = grid_mesh(3, 1)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
         left_edge = [mesh.node_id(0, 0), mesh.node_id(0, 1)]
-        u = solve(mesh, K, free_dofs(mesh, left_edge), np.zeros(mesh.n_dofs))
+        u = solve(mesh, K, node_dofs(left_edge), np.zeros(mesh.n_dofs))
         assert_allclose(u, 0.0, atol=0)
 
     def test_against_dense_oracle_and_linearity(self, steelish):
         mesh = single_element_mesh()
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
         bottom = [mesh.node_id(0, 0), mesh.node_id(1, 0)]
-        keep = free_dofs(mesh, bottom)
+        fixed = node_dofs(bottom)
+        keep = np.delete(np.arange(mesh.n_dofs), fixed)
         P = np.zeros(mesh.n_dofs)
         P[2 * mesh.node_id(1, 1) + 1] = -1.0  # unit downward load at a top node
-        u = solve(mesh, K, keep, P)
+        u = solve(mesh, K, fixed, P)
         K_dense = dense_from_band(mesh, K)
         u_oracle = np.linalg.solve(K_dense[np.ix_(keep, keep)], P[keep])
         assert_allclose(u[keep], u_oracle, rtol=1e-12)
         assert_allclose(u[[2 * m + c for m in bottom for c in (0, 1)]], 0.0, atol=0)
-        assert_allclose(solve(mesh, K, keep, 2 * P), 2 * u, rtol=1e-12)
+        assert_allclose(solve(mesh, K, fixed, 2 * P), 2 * u, rtol=1e-12)
 
     def test_residual_small(self, steelish):
         mesh = grid_mesh(6, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
         P = np.zeros(mesh.n_dofs)
         P[2 * mesh.node_id(3, 2) + 1] = -5.0
-        fixed = [mesh.node_id(0, 0), mesh.node_id(6, 0)]
+        fixed = node_dofs([mesh.node_id(0, 0), mesh.node_id(6, 0)])
         [result] = analyze(mesh, layers, [fixed], P)
-        free = result.free_dofs
+        free = np.delete(np.arange(mesh.n_dofs), result.fixed_dofs)
         K_a = dense_from_band(mesh, assemble(mesh, layers))[np.ix_(free, free)]
         res = K_a @ result.u[free] - P[free]
         assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(P[free])
@@ -410,7 +445,7 @@ class TestRecovery:
     def test_zero_displacement_zero_stress(self, steelish):
         mesh = grid_mesh(2, 1)
         layers = [Layer(steelish, "conforming", "plate")]
-        bottom_corners = [mesh.node_id(0, 0), mesh.node_id(2, 0)]
+        bottom_corners = node_dofs([mesh.node_id(0, 0), mesh.node_id(2, 0)])
         [result] = analyze(mesh, layers, [bottom_corners], np.zeros(mesh.n_dofs))
         field = result.field
         assert_allclose(field.se, 0.0, atol=0)
@@ -443,13 +478,13 @@ class TestRecovery:
         ]
         P[rng.choice(above_bottom, 5)] = rng.normal(0, 3, 5)
         layers = [Layer(steelish, "conforming", "plate")] * 2
-        bottom_corners = [mesh.node_id(0, 0), mesh.node_id(5, 0)]
+        bottom_corners = node_dofs([mesh.node_id(0, 0), mesh.node_id(5, 0)])
         assert analyze(mesh, layers, [bottom_corners], P)[0].field.se.min() >= 0.0
 
     def test_superposition_componentwise(self, steelish):
         mesh = grid_mesh(4, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
-        fixed = [mesh.node_id(0, 0), mesh.node_id(4, 0)]
+        fixed = node_dofs([mesh.node_id(0, 0), mesh.node_id(4, 0)])
 
         def run(*loads):
             P = np.zeros(mesh.n_dofs)
@@ -475,7 +510,7 @@ class TestRecovery:
         ]
         P = np.zeros(mesh.n_dofs)
         P[2 * mesh.node_id(1, 2) + 1] = -1.0
-        bottom_corners = [mesh.node_id(0, 0), mesh.node_id(2, 0)]
+        bottom_corners = node_dofs([mesh.node_id(0, 0), mesh.node_id(2, 0)])
         [result] = analyze(mesh, layers, [bottom_corners], P)
         by_tag = result.field.max_se_by_tag()
         assert set(by_tag) == {"bottom", "top"}
@@ -520,7 +555,7 @@ FIELD_ARRAYS = ("sxx", "syy", "se")
 
 def two_bc_model(kind):
     """A 3-layer solid model (two raw layer heights, one card), its clamped
-    and supported fixed-node sets and a midspan probe load."""
+    and supported fixed-DOF sets and a midspan probe load."""
     spec = PlateSpec().solid()
     mesh, tags = build_solid_mesh(spec, 3, "equal_aspect")
     layers = [Layer(FORMLABS_CLEAR, kind, tag) for tag in tags]
@@ -537,7 +572,7 @@ class TestAnalyze:
         for fixed, shared in zip(fixed_sets, both):
             [single] = analyze(mesh, layers, [fixed], P)
             assert shared.u.tobytes() == single.u.tobytes()
-            assert shared.free_dofs.tobytes() == single.free_dofs.tobytes()
+            assert shared.fixed_dofs.tobytes() == single.fixed_dofs.tobytes()
             assert shared.field.tags == single.field.tags
             for name in FIELD_ARRAYS:
                 got, want = getattr(shared.field, name), getattr(single.field, name)
@@ -572,11 +607,11 @@ class TestAnalyze:
         mesh = grid_mesh(3, 1)
         layers = [Layer(steelish, "conforming", "plate")]
         P = np.zeros(mesh.n_dofs)
-        with pytest.raises(ConstraintError, match="no fixed-node sets"):
+        with pytest.raises(ConstraintError, match="no fixed-DOF sets"):
             analyze(mesh, layers, [], P)
-        # one flat node list is not a sequence of sets
+        # one flat DOF list is not a sequence of sets
         with pytest.raises(ConstraintError, match="1-D sequence"):
-            analyze(mesh, layers, [mesh.node_id(0, 0), mesh.node_id(3, 0)], P)
+            analyze(mesh, layers, list(node_dofs([0, mesh.node_id(3, 0)])), P)
 
     def test_debug_record_per_call(self, caplog):
         mesh, layers, fixed_sets, P = two_bc_model("conforming")

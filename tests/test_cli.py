@@ -286,7 +286,7 @@ class TestConfigValidation:
         assert run(["solve", "--config", cfg, "--out", tmp_path / out]) == EXIT_CONFIG
         assert "cannot create output directory " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("load", ["1.0e+300", "1.0e-310"])
+    @pytest.mark.parametrize("load", ["1.0e+307", "1.0e-310"])
     def test_probe_load_past_the_float_range_rejected(self, tmp_path, capsys, load):
         path = tmp_path / "scenario.yaml"
         path.write_text(f"scenario: solid\nload: {{F_y_n: {load}}}\n")
@@ -295,6 +295,36 @@ class TestConfigValidation:
             assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
         assert "probe load " in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("load", ["1.0e+300", "1.0e-300"])
+    def test_probe_load_far_from_one_solved(self, tmp_path, load):
+        # the von Mises stress is scaled before it is squared, so F_crit
+        # comes out as at the default load of 30 N
+        path = tmp_path / "far.yaml"
+        path.write_text(f"scenario: solid\nload: {{F_y_n: {load}}}\n")
+        default = write_config(tmp_path, SOLID_CONFIG, "default.yaml")
+        crit = {}
+        for name, cfg in (("far", path), ("default", default)):
+            out = tmp_path / name
+            assert run(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+            summary = (out / "summary.csv").read_text().splitlines()
+            crit[name] = float(dict(line.split(",") for line in summary[1:])["F_crit_n"])
+        assert crit["far"] == pytest.approx(crit["default"], rel=1e-12)
+
+    def test_load_on_fixed_dofs_only_rejected(self, tmp_path, capsys):
+        # 3 square elements: l_1 = 1.5 mm splits the load between the top
+        # nodes at x = 1 and x = 2 mm, both on the clamp lines
+        plate = {"a_mm": 3.0, "t_p_mm": 1.0, "x1_mm": 1.0, "x2_mm": 2.0, "l1_mm": 1.5}
+        data = {"scenario": "convergence", "plate": plate,
+                "convergence": {"max_layers": 1}}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert run(["convergence", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert (
+            "probe load at l_1 = 1.5 mm acts on no free DOF: clamped fixes DOFs "
+            "[4, 5, 6, 7, 8, 9, 10, 11]"
+        ) in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--max-rows"])
     @pytest.mark.parametrize("value", ["-5", "0", "two"])

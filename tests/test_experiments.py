@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -112,12 +113,39 @@ def test_evaluate_rejects_bad_probe_or_material(campaign, bad, error):
         campaign(**bad)
 
 
-@pytest.mark.parametrize("F_probe", [1.0e300, 1.0e-310], ids=["overflow", "underflow"])
+@pytest.mark.parametrize(
+    "F_probe", [1.0e307, 1.0e-310, 6.0e306, 1.0e-320],
+    ids=["overflow", "underflow", "F_crit-overflow", "zero-stress"],
+)
 def test_probe_at_the_ends_of_the_float_range_rejected(F_probe):
-    # the stresses overflow to NaN or underflow to 0: no F_crit to scale
+    # the stresses overflow to NaN; or their peak is subnormal (digits lost)
+    # or 0; or the peak is finite but F_probe * sigma_el overflows: no
+    # F_crit to trust
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConfigError, match=re.escape(f"probe load {F_probe} N")):
             run_solid_case(CLAMPED, F_probe=F_probe)
+
+
+EXTREME_LOAD_CASES = {
+    **{f"solid-{bc.value}": (run_solid_case, (bc,)) for bc in (CLAMPED, SUPPORTED)},
+    **{
+        f"setup2-{algorithm}-{bc.value}": (run_case, (2, 1.6, 0.353, bc, algorithm))
+        for algorithm in ("conforming", "incompatible_faces")
+        for bc in (CLAMPED, SUPPORTED)
+    },
+}
+
+
+@pytest.mark.parametrize("F_probe", [1.0e-300, 1.0e300])
+@pytest.mark.parametrize("case", EXTREME_LOAD_CASES.values(), ids=EXTREME_LOAD_CASES)
+def test_extreme_probe_scales_to_the_default_F_crit(case, F_probe):
+    # the model is linear and the von Mises stress is scaled before it is
+    # squared, so no stress under- or overflows and numpy warns of nothing
+    campaign, args = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = campaign(*args, F_probe=F_probe).F_crit
+    assert got == pytest.approx(campaign(*args).F_crit, rel=1e-12)
 
 
 def _moduli_times(material, c):

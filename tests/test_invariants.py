@@ -8,6 +8,12 @@ through :func:`evaluate`, the path the campaigns and the CLI take.
 * Residual: ``||(K u - P)[free]|| / ||P|| <= 1e-10``.
 * Equilibrium: the y-entries of ``K u`` at the fixed DOFs (the support
   reactions) sum to the applied ``F_y`` within ``1e-9 F_y``.
+* Energy: the strain energy ``u.K u`` equals the work ``P.u`` within
+  ``1e-10 P.u``.
+* Pin and roller: the supported set without the x DOF at ``x2`` is
+  statically determinate, so the x reaction at ``x1`` vanishes and each
+  support carries ``F_y / 2``; the pinned set instead ties the supports
+  together with a horizontal force of about ``2.7 F_y``.
 * Mirror symmetry: the default plate is symmetric about midspan
   (``l_1 = a/2``, ``x1 + x2 = a``), so ``u_y`` is even and ``u_x`` odd
   about node line ``nx/2``, and the corner ``se`` of element column ``c``
@@ -26,6 +32,8 @@ from chiralplate import (
     BoundaryCondition,
     Layer,
     PlateSpec,
+    analyze,
+    apply_boundary,
     apply_load,
     assemble,
     build_solid_mesh,
@@ -54,19 +62,19 @@ def solid_cards(spec, layers, snap, kind):
 
 
 def balance(mesh, layers, spec, F_y):
-    """Worst residual and equilibrium error of one model over both BCs."""
+    """Worst residual, equilibrium and energy error of one model over both BCs."""
     K = assemble(mesh, layers)
     P = apply_load(mesh, F_y, spec)
-    residual = equilibrium = 0.0
+    residual = equilibrium = energy = 0.0
     for analysis, _, _ in evaluate(mesh, layers, spec, BCS, F_y, FORMLABS_CLEAR):
-        Ku = band_matvec(K, analysis.u)
-        free = analysis.free_dofs
-        fixed = np.setdiff1d(np.arange(mesh.n_dofs), free)
+        u, fixed = analysis.u, analysis.fixed_dofs
+        Ku = band_matvec(K, u)
         residual = max(
-            residual, np.linalg.norm((Ku - P)[free]) / np.linalg.norm(P)
+            residual, np.linalg.norm(np.delete(Ku - P, fixed)) / np.linalg.norm(P)
         )
         equilibrium = max(equilibrium, abs(Ku[fixed[fixed % 2 == 1]].sum() - F_y) / F_y)
-    return residual, equilibrium
+        energy = max(energy, abs(u @ Ku - P @ u) / (P @ u))
+    return residual, equilibrium, energy
 
 
 @pytest.mark.parametrize(
@@ -98,8 +106,10 @@ def test_paper_cases_balance(setup, algorithm):
             worst.append((*balance(mesh, layers, spec, DEFAULT_PROBE[setup]), d_a, rho))
     residual = max(worst, key=lambda w: w[0])
     equilibrium = max(worst, key=lambda w: w[1])
+    energy = max(worst, key=lambda w: w[2])
     assert residual[0] <= 1e-10, residual
     assert equilibrium[1] <= 1e-9, equilibrium
+    assert energy[2] <= 1e-10, energy
 
 
 @pytest.mark.parametrize("layers", range(1, 13))
@@ -108,9 +118,42 @@ def test_refinement_ladder_balances(layers):
     spec = SPEC.solid()
     for kind in KINDS:
         mesh, cards = solid_cards(spec, layers, "equal_aspect", kind)
-        residual, equilibrium = balance(mesh, cards, spec, 60.0)
+        residual, equilibrium, energy = balance(mesh, cards, spec, 60.0)
         assert residual <= 1e-10, (kind, residual)
         assert equilibrium <= 1e-9, (kind, equilibrium)
+        assert energy <= 1e-10, (kind, energy)
+
+
+def support_reactions(layers, kind):
+    """Reactions ``K u - P`` of a solid plate under 60 N, its pinned and its
+    pin-roller fixed sets, and the x DOFs of its two supports."""
+    spec = SPEC.solid()
+    mesh, cards = solid_cards(spec, layers, "exact", kind)
+    pinned = apply_boundary(mesh, BoundaryCondition.SUPPORTED, spec)
+    x1, x2 = (2 * mesh.node_id(mesh.column_at(x0), 0) for x0 in (spec.x1, spec.x2))
+    roller = pinned[pinned != x2]  # the pin at x1 keeps both DOFs
+    P = apply_load(mesh, 60.0, spec)
+    K = assemble(mesh, cards)
+    analyses = analyze(mesh, cards, [pinned, roller], P)
+    return *(band_matvec(K, a.u) - P for a in analyses), x1, x2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("layers", range(1, 9))
+def test_pin_roller_is_statically_determinate(layers, kind):
+    _, reactions, x1, x2 = support_reactions(layers, kind)
+    assert abs(reactions[x1]) <= 1e-9 * 60.0
+    assert_allclose(reactions[[x1 + 1, x2 + 1]], [30.0, 30.0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("layers", [2, 4, 8])
+def test_pinned_supports_carry_a_tie_force(layers):
+    # with both supports pinned the bending plate pulls on them: a
+    # horizontal tie force of ~2.7 F_y, which a simple support (a roller)
+    # would not carry
+    reactions, _, x1, x2 = support_reactions(layers, "conforming")
+    assert 160.0 <= reactions[x1] <= 165.0
+    assert reactions[x2] == pytest.approx(-reactions[x1], rel=1e-9)
 
 
 def assert_mirror_symmetric(mesh, layers, spec, F_y):

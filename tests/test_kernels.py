@@ -1,12 +1,13 @@
 """Assembly, banded solve and array recovery against the reference oracles.
 
-Hypothesis draws structured meshes (wide, tall and single-row), fixed node
-sets (some with whole node columns, which split the band, and loads zeroed
-on some columns), conforming and incompatible layers, and isotropic and transversely
-isotropic cards. The oracles in ``oracles.py`` are the dense Cholesky solve
-of ``K[free, free]``, the element-by-element, corner-by-corner recovery,
-and the one-scatter assembly and per-layer recovery, which ``assemble`` and
-``recover`` must match to the last bit when layers repeat a card.
+Hypothesis draws structured meshes (wide, tall and single-row), fixed DOF
+sets (whole nodes and single DOFs, some with whole node columns, which split
+the band, and loads zeroed on some columns), conforming and incompatible
+layers, and isotropic and transversely isotropic cards. The oracles in
+``oracles.py`` are the dense Cholesky solve of ``K[free, free]``, the
+element-by-element, corner-by-corner recovery, and the one-scatter assembly
+and per-layer recovery, which ``assemble`` and ``recover`` must match to the
+last bit when layers repeat a card.
 The same draws run through ``analyze`` to check physical invariants that
 need no oracle: Maxwell-Betti reciprocity, positive work and linearity in
 the load. The solve checks run on both LAPACK routes, numpy's bundled
@@ -33,7 +34,6 @@ from chiralplate import (
     apply_load,
     assemble,
     composite_model,
-    free_dofs,
     recover,
     solve,
 )
@@ -41,6 +41,7 @@ from chiralplate import assembly
 from oracles import (
     assemble_scatter,
     dense_from_band,
+    node_dofs,
     recover_loop,
     recover_per_layer,
     solve_dense,
@@ -107,13 +108,14 @@ def repeated_card_models(draw, tags=("plate",)):
 
 @st.composite
 def systems(draw):
-    """A mesh, its layer cards, >= 2 fixed nodes (no rigid mode left) and P."""
+    """A mesh, its layer cards, fixed DOFs and P: both DOFs of >= 2 nodes (no
+    rigid mode left) and some single DOFs, leaving some DOF free."""
     mesh = draw(meshes())
     layers = [draw(layer_cards()) for _ in range(mesh.n_layers)]
-    fixed = draw(
-        st.lists(st.integers(0, mesh.n_nodes - 1), min_size=2, unique=True)
-        .filter(lambda nodes: len(nodes) < mesh.n_nodes)
-    )
+    nodes = draw(st.lists(st.integers(0, mesh.n_nodes - 1), min_size=2, unique=True))
+    singles = draw(st.lists(st.integers(0, mesh.n_dofs - 1), max_size=4))
+    fixed = np.union1d(node_dofs(nodes), np.array(singles, dtype=int))
+    assume(len(fixed) < mesh.n_dofs)
     seed = draw(st.integers(0, 2**32 - 1))
     P = np.random.default_rng(seed).normal(0.0, 10.0, mesh.n_dofs)
     return mesh, layers, fixed, P
@@ -127,23 +129,24 @@ def split_systems(draw):
     mesh, layers, fixed, P = draw(systems())
     columns = st.lists(st.integers(0, len(mesh.x) - 1), unique=True)
     ny = len(mesh.y)
-    fixed = sorted({*fixed, *(i * ny + j for i in draw(columns) for j in range(ny))})
-    assume(len(fixed) < mesh.n_nodes)
+    whole = node_dofs(i * ny + j for i in draw(columns) for j in range(ny))
+    fixed = np.union1d(fixed, whole)
+    assume(len(fixed) < mesh.n_dofs)
     P = P.reshape(len(mesh.x), 2 * ny).copy()
     P[draw(columns)] = 0.0
     return mesh, layers, fixed, P.ravel()
 
 
-def split_segments(mesh, free, P):
+def split_segments(mesh, fixed, P):
     """The band segments a solve works on, as ``(loaded, unloaded)`` lists of
     DOF ranges. A node column whose DOFs are all fixed cuts the band; the
     segments are the nonempty ranges between cuts, loaded when ``P`` is
     nonzero on a free DOF of theirs. With no cut, the whole band is one
     segment, counted as loaded whatever ``P``."""
     col = 2 * len(mesh.y)
-    load = np.zeros(mesh.n_dofs)
-    load[free] = P[free]
-    fixed_columns = np.isin(np.arange(mesh.n_dofs), free, invert=True).reshape(-1, col)
+    load = P.copy()
+    load[fixed] = 0.0
+    fixed_columns = np.isin(np.arange(mesh.n_dofs), fixed).reshape(-1, col)
     cut = np.flatnonzero(fixed_columns.all(axis=1)).tolist()
     if not cut:
         return [(0, mesh.n_dofs)], []
@@ -163,14 +166,13 @@ def _solve_properties():
     def test_matches_dense_oracle(self, system):
         mesh, layers, fixed, P = system
         K = assemble(mesh, layers)
-        free = free_dofs(mesh, fixed)
-        u = solve(mesh, K, free, P)
-        u_ref = solve_dense(dense_from_band(mesh, K), free, P)
+        u = solve(mesh, K, fixed, P)
+        u_ref = solve_dense(dense_from_band(mesh, K), fixed, P)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
-        assert_allclose(np.delete(u, free), 0.0, atol=0)
-        assert not np.signbit(np.delete(u, free)).any()
+        assert_allclose(u[fixed], 0.0, atol=0)
+        assert not np.signbit(u[fixed]).any()
         # a segment left unsolved keeps u = +0.0
-        for lo, hi in split_segments(mesh, free, P)[1]:
+        for lo, hi in split_segments(mesh, fixed, P)[1]:
             assert np.all(u[lo:hi] == 0.0) and not np.signbit(u[lo:hi]).any()
 
     @settings(max_examples=60, deadline=None)
@@ -185,7 +187,7 @@ def _solve_properties():
         node = data.draw(st.integers(0, mesh.n_nodes - 1))
         K = assemble(mesh, layers)
         with pytest.raises(SolveError) as err:
-            solve(mesh, K, free_dofs(mesh, [node]), np.ones(mesh.n_dofs))
+            solve(mesh, K, node_dofs([node]), np.ones(mesh.n_dofs))
         assert err.value.rigid_modes >= 1
 
     return test_matches_dense_oracle, test_under_constrained_reports_rigid_modes
@@ -197,7 +199,6 @@ class TestConstrainedBand:
     def test_is_the_pinned_band_of_K(self, system):
         mesh, layers, fixed, P = system
         K = assemble(mesh, layers)
-        free = free_dofs(mesh, fixed)
         pbsv = assembly._banded_solver()
         factored = []
 
@@ -207,16 +208,15 @@ class TestConstrainedBand:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "_banded_solver", lambda: recording_pbsv)
-            solve(mesh, K, free, P)
+            solve(mesh, K, fixed, P)
         K_pinned = dense_from_band(mesh, K)
-        pinned = np.setdiff1d(np.arange(mesh.n_dofs), free)
-        scale = max(np.diagonal(K_pinned)[free].max(), 1.0)
-        K_pinned[pinned] = 0.0
-        K_pinned[:, pinned] = 0.0
-        K_pinned[pinned, pinned] = scale
+        scale = max(np.delete(np.diagonal(K_pinned), fixed).max(), 1.0)
+        K_pinned[fixed] = 0.0
+        K_pinned[:, fixed] = 0.0
+        K_pinned[fixed, fixed] = scale
         # solve must factor exactly the loaded segments, in order, so every
         # segment it skips is one that carries no load
-        loaded, _ = split_segments(mesh, free, P)
+        loaded, _ = split_segments(mesh, fixed, P)
         assert len(factored) == len(loaded)
         for (f_contiguous, ab), (lo, hi) in zip(factored, loaded):
             ref = np.zeros((len(K), hi - lo))
@@ -237,10 +237,10 @@ class TestBandedSolve:
         card = IsotropicMaterial(E=1000.0, mu=0.3)
         layers = [Layer(card, "conforming", "plate")] * ny
         K = assemble(mesh, layers)
-        free = free_dofs(mesh, [0, mesh.n_nodes - 1])
+        fixed = node_dofs([0, mesh.n_nodes - 1])
         P = np.linspace(-1.0, 1.0, mesh.n_dofs)
-        u_ref = solve_dense(dense_from_band(mesh, K), free, P)
-        u = solve(mesh, K, free, P)
+        u_ref = solve_dense(dense_from_band(mesh, K), fixed, P)
+        u = solve(mesh, K, fixed, P)
         assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
 
     @pytest.mark.parametrize("nx, ny", [(1, 1), (4, 3), (6, 2)])
@@ -250,7 +250,7 @@ class TestBandedSolve:
         card = IsotropicMaterial(E=1000.0, mu=0.3)
         K = assemble(mesh, [Layer(card, "conforming", "plate")] * ny)
         with pytest.raises(SolveError) as err:
-            solve(mesh, K, free_dofs(mesh, [0]), np.ones(mesh.n_dofs))
+            solve(mesh, K, node_dofs([0]), np.ones(mesh.n_dofs))
         assert err.value.rigid_modes == 1
 
     @pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
@@ -276,7 +276,7 @@ class TestBandedSolve:
         card = IsotropicMaterial(E=1e3, mu=0.3)
         K = assemble(mesh, [Layer(card, "conforming", "plate")])
         with pytest.raises(ValueError, match=message):
-            solve(mesh, K, free_dofs(mesh, [0, 3]), np.ones(mesh.n_dofs))
+            solve(mesh, K, node_dofs([0, 3]), np.ones(mesh.n_dofs))
 
 
 @pytest.mark.usefixtures("scipy_lapack")
@@ -307,7 +307,7 @@ class TestLapackRoutesAgree:
     def test_random_systems_bitwise(self, system):
         mesh, layers, fixed, P = system
         K = assemble(mesh, layers)
-        u, u_scipy = _on_both_routes(mesh, K, free_dofs(mesh, fixed), P)
+        u, u_scipy = _on_both_routes(mesh, K, fixed, P)
         assert np.array_equal(u, u_scipy)
 
     @pytest.mark.parametrize("setup", [1, 2])
@@ -317,8 +317,8 @@ class TestLapackRoutesAgree:
             setup, 1.3, 0.353, "incompatible_faces", FORMLABS_CLEAR, PlateSpec()
         )
         P = apply_load(mesh, 30.0, spec)
-        free = free_dofs(mesh, apply_boundary(mesh, bc, spec))
-        u, u_scipy = _on_both_routes(mesh, assemble(mesh, layers), free, P)
+        fixed = apply_boundary(mesh, bc, spec)
+        u, u_scipy = _on_both_routes(mesh, assemble(mesh, layers), fixed, P)
         assert np.array_equal(u, u_scipy)
 
 
@@ -385,7 +385,7 @@ class TestPhysicsInvariants:
     def test_work_of_a_load_is_positive(self, system):
         mesh, layers, fixed, P = system
         [result] = analyze(mesh, layers, [fixed], P)
-        assert np.any(P[result.free_dofs] != 0)
+        assert np.delete(P, result.fixed_dofs).any()
         assert result.u @ P > 0
 
     @settings(max_examples=100, deadline=None)

@@ -6,6 +6,7 @@ plane-strain compliance matrix, an independent route to the same entries.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,26 @@ class TestVonMises:
         assert von_mises_3d(10.0, 5.0, -5.0) == pytest.approx(
             13.2287565553229530, rel=1e-14
         )
+
+    def test_scaling_changes_no_bit_of_the_plain_formula(self, rng):
+        # dividing by a power of two is exact while the squares stay normal
+        s1, s2 = rng.choice([-1.0, 1.0], (2, 10**5)) * 10.0 ** rng.uniform(
+            -12, 3, (2, 10**5)
+        )
+        plain = np.sqrt(s1 * s1 + s2 * s2 - s1 * s2)
+        assert von_mises_plane(s1, s2).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("s", [5e-324, 1e-300, 1e300, 1e308])
+    def test_squares_neither_underflow_nor_overflow(self, s):
+        # the plain formula gives 0 or inf here, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert von_mises_plane(s, 0.0) == s
+            assert von_mises_plane(0.0, -s) == s
+            if s > 1e-300:
+                assert von_mises_plane(s, -s) == pytest.approx(
+                    math.sqrt(3.0) * s, rel=1e-15
+                )
 
     @given(s=st.floats(min_value=-1e6, max_value=1e6))
     def test_equibiaxial_is_abs(self, s):

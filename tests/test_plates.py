@@ -27,7 +27,7 @@ from chiralplate import (
     core_layer_count,
 )
 from chiralplate import assembly, plates
-from oracles import band_matvec, dense_from_band
+from oracles import band_matvec, dense_from_band, node_dofs
 
 
 @pytest.fixture
@@ -184,15 +184,20 @@ class TestBoundaryAndLoad:
     def test_clamped_node_count(self, spec, resin):
         mesh, _ = build_solid_mesh(spec.solid(), 2)
         fixed = apply_boundary(mesh, BoundaryCondition.CLAMPED, spec)
-        assert len(fixed) == 2 * (2 + 1)  # two columns x (layers+1) nodes
-        coords = mesh.node_coords()[fixed]
+        nodes = np.unique(fixed // 2)
+        # both DOFs of each fixed node, strictly increasing
+        assert fixed.tolist() == node_dofs(nodes).tolist()
+        assert len(nodes) == 2 * (2 + 1)  # two columns x (layers+1) nodes
+        coords = mesh.node_coords()[nodes]
         assert set(np.round(coords[:, 0], 9)) == {12.0, 42.0}
 
     def test_supported_fixes_two_bottom_nodes(self, spec, resin):
         mesh, _ = build_solid_mesh(spec.solid(), 3)
         fixed = apply_boundary(mesh, BoundaryCondition.SUPPORTED, spec)
-        assert len(fixed) == 2
-        coords = mesh.node_coords()[fixed]
+        nodes = np.unique(fixed // 2)
+        assert fixed.tolist() == node_dofs(nodes).tolist()
+        assert len(nodes) == 2
+        coords = mesh.node_coords()[nodes]
         assert_allclose(coords[:, 1], 0.0)
 
     def test_unknown_bc_rejected(self, spec):
@@ -291,7 +296,7 @@ class TestEquilibrium:
         P = apply_load(mesh, F_y, case_spec)
         [result] = analyze(mesh, layers, [apply_boundary(mesh, bc, case_spec)], P)
         reactions = dense_from_band(mesh, assemble(mesh, layers)) @ result.u - P
-        fixed = np.setdiff1d(np.arange(mesh.n_dofs), result.free_dofs)
+        fixed = result.fixed_dofs
         assert len(fixed) > 0
         assert reactions[fixed[fixed % 2 == 1]].sum() == pytest.approx(F_y, rel=1e-9)
 
@@ -306,12 +311,11 @@ class TestLargeMesh:
         start = time.perf_counter()
         K = assemble(mesh, layers)
         P = apply_load(mesh, F_y, solid)
-        nodes = apply_boundary(mesh, BoundaryCondition.CLAMPED, solid)
-        [result] = analyze(mesh, layers, [nodes], P)
+        fixed = apply_boundary(mesh, BoundaryCondition.CLAMPED, solid)
+        [result] = analyze(mesh, layers, [fixed], P)
         elapsed = time.perf_counter() - start
         assert mesh.n_dofs > 14_000
         assert K.nbytes == (2 * len(mesh.y) + 4) * mesh.n_dofs * 8
         reactions = band_matvec(K, result.u) - P
-        fixed = np.setdiff1d(np.arange(mesh.n_dofs), result.free_dofs)
         assert reactions[fixed[fixed % 2 == 1]].sum() == pytest.approx(F_y, rel=1e-9)
         assert elapsed < 1.0
