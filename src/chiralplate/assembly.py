@@ -33,22 +33,24 @@ corners' stress rows stacked into one matrix, to all layers of that card
 in one matmul.
 
 :func:`solve` holds the fixed DOFs, a sorted array of DOF ids (``2 n`` and
-``2 n + 1`` for node ``n``), at zero by pinning them in a copy of
-``K``'s band: their rows, columns and loads are zeroed and their diagonal
-set to a positive ``scale``, so the matrix stays symmetric positive
-definite once enough DOFs are fixed and the solve returns the full
-displacement vector, zero at the fixed DOFs. A node column whose DOFs are
-all fixed (a clamp line) cuts the band into independent segments, and only
-those that carry load are factored. An unloaded one borders a fixed
-column, so its stiffness is positive definite and its ``u`` exactly
-``+0.0``: a clamped plate factors its span, not its overhangs. Each
-loaded segment is factored and solved by banded Cholesky in one call of
-LAPACK's ``dpbsv``. It comes from the ILP64 OpenBLAS that numpy's wheels
-bundle (``scipy-openblas``), called through ctypes and found on the first
-solve, so solving imports no scipy. Where numpy has no such library
-(conda/MKL or system-BLAS builds, older wheels) the same routine comes from
-``scipy.linalg.lapack``. A failed factorization imports ``scipy.linalg``
-either way, to count the rigid modes.
+``2 n + 1`` for node ``n``), at zero by pinning them in a Fortran-ordered
+copy of ``K``'s band, which LAPACK reads as its lower band as it stands:
+their rows, columns and loads are zeroed and their diagonal set to a
+positive ``scale``, so the matrix stays symmetric positive definite once
+enough DOFs are fixed and the solve returns the full displacement vector,
+zero at the fixed DOFs. A node column whose DOFs are all fixed (a clamp
+line) cuts the band into independent segments, and only those that carry
+load are factored. An unloaded one borders a fixed column, so its stiffness
+is positive definite and its ``u`` exactly ``+0.0``: a clamped plate
+factors its span, not its overhangs. Each loaded segment is factored and
+solved by banded Cholesky in one call of LAPACK's ``dpbsv``, lower form
+(see :func:`_pinned_band`). It comes from the ILP64 OpenBLAS that numpy's
+wheels bundle (``scipy-openblas``), found on the first solve by its
+``scipy_dpbsv_64_`` symbol and called through ctypes, so solving imports no
+scipy. Where numpy ships no such library (conda/MKL or system-BLAS builds,
+older wheels) the same routine comes from ``scipy.linalg.lapack``. A failed
+factorization imports ``scipy.linalg`` either way, to count the rigid
+modes.
 """
 
 from __future__ import annotations
@@ -355,27 +357,23 @@ def solve(mesh: Mesh, K: np.ndarray, fixed_dofs, P: np.ndarray) -> np.ndarray:
 
 
 def _pinned_band(K: np.ndarray, fixed: np.ndarray, scale: float, lo, hi) -> np.ndarray:
-    """Copy of ``K``'s band over DOFs ``[lo, hi)``, fixed ones pinned, F-ordered.
+    """F-ordered copy of ``K``'s band over DOFs ``[lo, hi)``, fixed ones pinned.
 
     A fixed DOF's row and column are zeroed and its diagonal set to
     ``scale``, which leaves the stiffness over the free DOFs decoupled from
-    one eigenvalue ``scale`` per fixed DOF. Where a fixed node column
-    follows ``hi``, the entries coupling to it are zeroed too. The copy is
-    the C-ordered transpose of ``K[:, lo:hi]``, so its ``.T`` is LAPACK's
-    column-major lower band. The upper form factored ~5x slower on a 2-CPU
-    host, with stalls of up to 1 s, unless OpenBLAS ran single-threaded.
+    one eigenvalue ``scale`` per fixed DOF. The copy keeps ``K``'s ``[d, c]``
+    indexing, LAPACK's column-major lower band, so entries with
+    ``c + d >= hi - lo`` are left as copied: LAPACK never reads them. The
+    upper form factored ~5x slower on a 2-CPU host, with stalls of up to
+    1 s, unless OpenBLAS ran single-threaded.
     """
-    abT = np.array(K[:, lo:hi].T, dtype=float, order="C")
+    ab = np.array(K[:, lo:hi], dtype=float, order="F")
     f = np.flatnonzero(fixed[lo:hi])
-    n, kd = abT.shape[0], abT.shape[1] - 1
-    i, d = np.nonzero(f[:, None] >= np.arange(kd + 1))
-    abT[f[i] - d, d] = 0.0  # row f: K[d, f - d]
-    abT[f] = 0.0  # column f: K[:, f]
-    abT[f, 0] = scale
-    if hi < len(fixed):
-        tail = abT[max(n - kd, 0) :]
-        tail[np.add.outer(np.arange(n - len(tail), n), np.arange(kd + 1)) >= n] = 0.0
-    return abT.T
+    d, i = np.nonzero(np.arange(len(ab))[:, None] <= f)
+    ab[d, f[i] - d] = 0.0  # row f: K[d, f - d]
+    ab[:, f] = 0.0  # column f: K[:, f]
+    ab[0, f] = scale
+    return ab
 
 
 def _banded_solver():
@@ -398,21 +396,12 @@ def _banded_solver():
 def _numpy_openblas():
     """:func:`_banded_solver`'s routine on numpy's bundled OpenBLAS.
 
-    numpy's wheels link ``scipy-openblas`` built with 64-bit integers and
-    ship it next to the package (``numpy.libs/``, or ``numpy/.dylibs/`` on
-    macOS), exporting LAPACK as ``scipy_<name>_64_``. The build config
-    names the library; its ``lib directory`` is the build machine's, so the
-    file is looked up next to numpy. Returns None where any of this is
-    missing.
+    numpy's wheels link ``scipy-openblas`` and ship it next to the package
+    (``numpy.libs/``, or ``numpy/.dylibs/`` on macOS). Its ILP64 build,
+    with 64-bit integers, exports LAPACK as ``scipy_<name>_64_``, so finding
+    ``scipy_dpbsv_64_`` in a ``libscipy_openblas64_*`` there is the whole
+    test. Returns None where there is no such file or symbol.
     """
-    try:
-        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
-        return None
-    if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get(
-        "openblas configuration", ""
-    ):
-        return None
     here = os.path.dirname(np.__file__)
     paths = glob.glob(os.path.join(here + ".libs", "libscipy_openblas64_*"))
     paths += glob.glob(os.path.join(here, ".dylibs", "libscipy_openblas64_*"))

@@ -170,8 +170,11 @@ def evaluate(
         if not np.delete(P, fixed).any():
             raise ConfigError(f"probe load at l_1 = {spec.l_1} mm acts on no free "
                               f"DOF: {bc.value} fixes DOFs {fixed.tolist()}")
+    # stresses past the float range become inf or NaN, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        analyses = analyze(mesh, layers, fixed_sets, P)
     results = []
-    for analysis in analyze(mesh, layers, fixed_sets, P):
+    for analysis in analyses:
         by_tag = analysis.field.max_se_by_tag()
         peak = max(by_tag.values())
         # a subnormal peak has lost digits and F_probe * sigma_el may overflow

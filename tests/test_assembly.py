@@ -153,6 +153,16 @@ class TestMesh:
         with pytest.raises(MeshError, match=f"{name} must be finite"):
             Mesh(x, y, 1.0)
 
+    @pytest.mark.parametrize(
+        "x, y, name",
+        [([0.0, 1.0], [0.0], "y_lines"), ([0.0, 1.0], [[0.0, 1.0]], "y_lines"),
+         ([0.0], [0.0, 1.0], "x_lines"), ([0.0, 1.0], [0.0, 1.0, 1.0, 2.0], "y_lines")],
+        ids=["one-y-line", "2d-y-lines", "one-x-line", "repeated-y-line"],
+    )
+    def test_rejects_too_few_or_repeated_lines(self, x, y, name):
+        with pytest.raises(MeshError, match=f"{name} must be strictly increasing"):
+            Mesh(x, y, 1.0)
+
     def test_rejects_non_monotone(self):
         with pytest.raises(MeshError):
             Mesh([0.0, 2.0, 1.0], [0.0, 1.0], 1.0)
@@ -237,6 +247,10 @@ class TestAssemble:
         with pytest.raises(MeshError, match="isotropic"):
             Layer(ti, "incompatible", "core")
         assert Layer(ti, "conforming", "core").kind == "conforming"
+
+    def test_layer_rejects_unknown_kind(self, steelish):
+        with pytest.raises(MeshError, match="unknown element kind 'quad'"):
+            Layer(steelish, "quad", "plate")
 
     def test_layer_count_mismatch(self, steelish):
         mesh = grid_mesh(2, 2)

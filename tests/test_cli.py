@@ -243,6 +243,31 @@ class TestConfigValidation:
         assert f"cannot read config {path}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("scenario: solid\nsolid: {layers: 2.5}\n", "solid.layers has wrong type float"),
+            ("- scenario: solid\n", "config must be a mapping at the top level"),
+            ("scenario: solid\nmaterial: 5\n", "top level.material must be a mapping"),
+            ("scenario: solid\nbc: sideways\n",
+             "bc must be one of ('clamped', 'supported'), got 'sideways'"),
+            ("bc: clamped\n", "missing required key 'scenario' in top level"),
+            ("scenario: solid\nplate: {x1_mm: 30.0}\n",
+             "bad plate spec: require 0 < x1 < l_1 < x2 < a, got x1=30.0"),
+            ("scenario: setup1\n",
+             "setup1/setup2 solve needs honeycomb.d_a_mm and honeycomb.rho_rel"),
+        ],
+        ids=["float-layers", "list", "material-number", "unknown-bc",
+             "no-scenario", "x1-past-l1", "no-cell"],
+    )
+    def test_malformed_config_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_command_for_scenario(self, tmp_path):
         cfg = write_config(tmp_path, SOLID_CONFIG)
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
@@ -291,9 +316,9 @@ class TestConfigValidation:
         path = tmp_path / "scenario.yaml"
         path.write_text(f"scenario: solid\nload: {{F_y_n: {load}}}\n")
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
-        assert "probe load " in capsys.readouterr().err
+        assert run(["solve", "--config", path, "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "probe load " in err[0]
         assert not (out / "summary.csv").exists()
 
     @pytest.mark.parametrize("load", ["1.0e+300", "1.0e-300"])

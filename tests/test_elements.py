@@ -262,6 +262,11 @@ def test_rejects_unknown_kind():
         element_stiffness("serendipity", UNIT_SQUARE, np.eye(3))
 
 
+def test_strain_displacement_rejects_unknown_kind():
+    with pytest.raises(MaterialError, match="unknown element kind 'serendipity'"):
+        strain_displacement_full("serendipity", UNIT_SQUARE, 0.0, 0.0, 0.3)
+
+
 class TestStrainDisplacement:
     def test_constant_stretch_field(self, rng):
         # pure x-stretch of the corners: eps_xx constant, eps_yy zero

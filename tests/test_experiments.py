@@ -121,9 +121,8 @@ def test_probe_at_the_ends_of_the_float_range_rejected(F_probe):
     # the stresses overflow to NaN; or their peak is subnormal (digits lost)
     # or 0; or the peak is finite but F_probe * sigma_el overflows: no
     # F_crit to trust
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ConfigError, match=re.escape(f"probe load {F_probe} N")):
-            run_solid_case(CLAMPED, F_probe=F_probe)
+    with pytest.raises(ConfigError, match=re.escape(f"probe load {F_probe} N")):
+        run_solid_case(CLAMPED, F_probe=F_probe)
 
 
 EXTREME_LOAD_CASES = {

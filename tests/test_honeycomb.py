@@ -91,6 +91,12 @@ class TestRelativeDensity:
             0.149140297654752078, rel=1e-13
         )
 
+    def test_density_rejects_hand_built_thick_walls(self):
+        # a geometry built by hand skips geometry_from_cell's check
+        g = honeycomb.TetrachiralGeometry(d_a=1.0, t_sw=1.0, L_h=1.6, l=1.0, theta=0.5)
+        with pytest.raises(GeometryError, match="beta = t_sw/r = 1 must be below 1"):
+            relative_density(g)
+
     def test_vanishes_with_walls(self):
         assert relative_density(geometry_from_cell(1.0, 1e-8)) < 1e-7
 

@@ -10,6 +10,8 @@ through :func:`evaluate`, the path the campaigns and the CLI take.
   reactions) sum to the applied ``F_y`` within ``1e-9 F_y``.
 * Energy: the strain energy ``u.K u`` equals the work ``P.u`` within
   ``1e-10 P.u``.
+* Reciprocity (Maxwell-Betti): two unit loads on the top face do equal work
+  on each other's displacements, ``u_a.P_b = u_b.P_a``, within 1e-10.
 * Pin and roller: the supported set without the x DOF at ``x2`` is
   statically determinate, so the x reaction at ``x1`` vanishes and each
   support carries ``F_y / 2``; the pinned set instead ties the supports
@@ -39,6 +41,7 @@ from chiralplate import (
     build_solid_mesh,
     composite_model,
     evaluate,
+    solve,
 )
 from chiralplate.experiments import (
     DA_GRID,
@@ -110,6 +113,29 @@ def test_paper_cases_balance(setup, algorithm):
     assert residual[0] <= 1e-10, residual
     assert equilibrium[1] <= 1e-9, equilibrium
     assert energy[2] <= 1e-10, energy
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("setup", [1, 2])
+def test_paper_cases_reciprocal(setup, algorithm):
+    # Maxwell-Betti: unit loads at the top node at l_1 (a) and at node line
+    # 13, x = 19.5 mm (b), give u_a . P_b = u_b . P_a under either BC
+    worst = (0.0,)
+    for d_a in DA_GRID:
+        for rho in RHO_GRID:
+            spec, _, mesh, layers = composite_model(
+                setup, d_a, rho, algorithm, FORMLABS_CLEAR, SPEC
+            )
+            assert mesh.x[13] == pytest.approx(19.5)
+            P_a = apply_load(mesh, 1.0, spec)
+            P_b = np.zeros(mesh.n_dofs)
+            P_b[2 * mesh.node_id(13, len(mesh.y) - 1) + 1] = -1.0
+            K = assemble(mesh, layers)
+            for bc in BCS:
+                fixed = apply_boundary(mesh, bc, spec)
+                ab, ba = solve(mesh, K, fixed, P_a) @ P_b, solve(mesh, K, fixed, P_b) @ P_a
+                worst = max(worst, (abs(ab - ba) / abs(ab), d_a, rho, bc.value))
+    assert worst[0] <= 1e-10, worst
 
 
 @pytest.mark.parametrize("layers", range(1, 13))

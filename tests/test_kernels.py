@@ -222,8 +222,43 @@ class TestConstrainedBand:
             ref = np.zeros((len(K), hi - lo))
             for d in range(min(len(ref), hi - lo)):
                 ref[d, : hi - lo - d] = np.diagonal(K_pinned[lo:hi, lo:hi], -d)
-            assert f_contiguous
-            assert ab.shape == ref.shape and ab.tobytes() == ref.tobytes()
+            read = ~_unread(ab)
+            assert f_contiguous and ab.shape == ref.shape
+            assert ab[read].tobytes() == ref[read].tobytes()
+        # NaN where LAPACK does not read leaves u as it was, to the last bit
+        for route in (assembly._numpy_openblas, lambda: None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(assembly, "_numpy_openblas", route)
+                u = solve(mesh, K, fixed, P)
+                mp.setattr(assembly, "_banded_solver", _nan_unread(assembly._banded_solver()))
+                assert solve(mesh, K, fixed, P).tobytes() == u.tobytes()
+
+    def test_is_a_fortran_copy_that_leaves_K_alone(self):
+        mesh = Mesh(np.arange(4.0), np.arange(3.0), 1.0)
+        card = IsotropicMaterial(E=1e3, mu=0.3)
+        K = np.asfortranarray(assemble(mesh, [Layer(card, "conforming", "plate")] * 2))
+        before = K.copy()
+        fixed = np.zeros(mesh.n_dofs, dtype=bool)
+        fixed[[0, 1, 7]] = True
+        ab = assembly._pinned_band(K, fixed, 1e3, 0, 12)
+        assert ab.flags.f_contiguous and not np.shares_memory(ab, K)
+        assert K.tobytes() == before.tobytes()
+
+
+def _unread(ab):
+    """Mask of the band entries ``[d, c]`` with ``c + d >= n``, which LAPACK's
+    lower band storage holds but never reads."""
+    return np.add.outer(np.arange(len(ab)), np.arange(ab.shape[1])) >= ab.shape[1]
+
+
+def _nan_unread(pbsv):
+    """``pbsv`` on its band with NaN written where LAPACK does not read."""
+
+    def nan_pbsv(ab, b):
+        ab[_unread(ab)] = np.nan
+        return pbsv(ab, b)
+
+    return lambda: nan_pbsv
 
 
 class TestBandedSolve:

@@ -167,6 +167,19 @@ class TestTransverselyIsotropic:
         with pytest.raises(MaterialError, match="finite"):
             TransverselyIsotropicMaterial(**card)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("E1", -1.0, "E1 must be non-negative, got -1.0"),
+         ("E2", 0.0, "E2 must be positive, got 0.0"),
+         ("E2", -400.0, "E2 must be positive, got -400.0")],
+        ids=["negative-E1", "zero-E2", "negative-E2"],
+    )
+    def test_rejects_bad_modulus(self, field, value, message):
+        card = dict(E1=100.0, mu1=0.2, E2=400.0, mu2=0.1, G2=50.0)
+        card[field] = value
+        with pytest.raises(MaterialError, match=message):
+            TransverselyIsotropicMaterial(**card)
+
     def test_rejects_illposed_denominator(self):
         # n1 * mu2^2 large enough to flip the denominator sign
         with pytest.raises(MaterialError):

@@ -48,6 +48,28 @@ def test_plates_is_geometry_only():
                 assert alias.name.split(".")[-1] != "materials", ast.unparse(node)
 
 
+REJECTED = {
+    "t_fl-without-t_cl": (lambda: PlateSpec(t_cl=None),
+                          "t_fl and t_cl must be given together"),
+    "unknown-snap": (lambda: build_solid_mesh(PlateSpec().solid(), 2, snap="odd"),
+                     "unknown snap mode 'odd'"),
+    "composite-of-solid": (lambda: build_composite_mesh(PlateSpec().solid()),
+                           "composite mesh needs t_fl and t_cl"),
+    "no-core-layer": (lambda: build_composite_mesh(PlateSpec(), core_layers=0),
+                      "core needs at least one layer, got 0"),
+    # a 10 mm mesh built by hand, under the default l_1 = 27 mm
+    "load-past-mesh": (lambda: apply_load(Mesh(np.arange(11.0), [0.0, 1.0], 1.0),
+                                          1.0, PlateSpec()),
+                       "load abscissa l_1 = 27.0 outside the mesh"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED.values(), ids=REJECTED)
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(MeshError, match=message):
+        call()
+
+
 class TestPlateSpec:
     def test_defaults_consistent(self, spec):
         assert spec.t_p == 2 * spec.t_fl + spec.t_cl
