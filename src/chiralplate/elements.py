@@ -30,9 +30,12 @@ already exact; higher orders must agree identically).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 from .errors import GeometryError, MaterialError
 

@@ -101,13 +101,13 @@ def composite_model(
     """Homogenized three-layer model of one design case.
 
     Setup 1 keeps the layer thicknesses of ``spec``; setup 2 derives the
-    core thickness from the volume rule. The wall thickness is inverted
-    from ``rho_rel`` and the cell homogenized into the core card. Returns
-    the case's plate spec, the wall thickness, the mesh and its layer cards.
+    core thickness from the volume rule. The unit cell of the density's
+    shape ratio tau is homogenized into the core card; d_a only scales
+    t_sw = d_a * tau. Returns the case's plate spec, t_sw, mesh and cards.
     """
     # The cell first: it rejects a rho_rel outside (0, 1) before setup 2
     # divides by it.
-    t_sw = hc.wall_thickness_for_density(d_a, rho_rel)
+    tau = hc._wall_ratio_for_density(d_a, rho_rel)
     if setup == 1:
         t_cl = spec.t_cl
     elif setup == 2:
@@ -115,11 +115,11 @@ def composite_model(
     else:
         raise GeometryError(f"setup must be 1 or 2, got {setup}")
     case_spec = replace(spec, t_p=2 * spec.t_fl + t_cl, t_cl=t_cl)
-    core = hc.effective_material(hc.geometry_from_cell(d_a, t_sw), material)
+    core = hc.effective_material(hc.geometry_from_cell(1.0, tau), material)
     mesh, tags = build_composite_mesh(case_spec)
     if algorithm not in ("conforming", "incompatible_faces"):
         raise MeshError(f"unknown algorithm {algorithm!r}")
-    return case_spec, t_sw, mesh, _cards(tags, algorithm, material, core)
+    return case_spec, d_a * tau, mesh, _cards(tags, algorithm, material, core)
 
 
 def solid_model(
@@ -349,12 +349,12 @@ def honeycomb_grid(
     rho_values: Sequence[float] = RHO_GRID,
     material: IsotropicMaterial = FORMLABS_CLEAR,
 ) -> list[HoneycombRow]:
-    """Cell properties and both Poisson estimates along the density grid."""
+    """Unit-cell properties and both Poisson estimates along the density grid."""
     rows = []
     for d_a in d_a_values:
         for rho in rho_values:
-            t_sw = hc.wall_thickness_for_density(d_a, rho)
-            g = hc.geometry_from_cell(d_a, t_sw)
+            tau = hc._wall_ratio_for_density(d_a, rho)
+            g = hc.geometry_from_cell(1.0, tau)
             try:
                 mu_lu = hc.poisson_lu(g)
             except GeometryError:
@@ -362,7 +362,7 @@ def honeycomb_grid(
             rows.append(
                 HoneycombRow(
                     d_a=d_a,
-                    t_sw=t_sw,
+                    t_sw=d_a * tau,
                     rho_rel=hc.relative_density(g),
                     E1=hc.effective_E1(g, material.E),
                     E2=hc.effective_E2(g, material.E),

@@ -8,15 +8,15 @@ rib angle follow from the tangency construction:
     l     = sqrt(L_h^2 - d_a^2)
     theta = arctan(2 r_a / l)            (r_a = d_a / 2)
 
-All homogenized properties are dimensionless in the geometry (they depend
-only on ratios such as ``t_sw / l``), so uniformly scaling a cell leaves
-them unchanged.
+All homogenized properties depend only on ratios such as ``t_sw / l``, so
+a cell is its shape ratio ``tau = t_sw / d_a`` and ``d_a`` enters only as
+the length scale ``t_sw = d_a * tau``.
 
 The closed-form relative density uses ``alpha = l/r`` and ``beta = t_sw/r``
 with ``r = r_a + t_sw/2`` the outer cylinder radius and
 ``phi = arccos(1 - beta)``; its denominator ``(2-beta)^2 + alpha^2`` is the
-cell area in units of ``r^2``. The expression is inverted numerically by
-bisection (the value is strictly increasing in wall thickness).
+cell area in units of ``r^2``. It is inverted for ``tau`` by bisection on
+the unit cell ``d_a = 1`` (the value is strictly increasing in ``tau``).
 
 Two independent closed-form estimates of the in-plane Poisson's ratio are
 provided (``poisson_qi``, ``poisson_lu``). Both are negative for thin
@@ -37,7 +37,6 @@ __all__ = [
     "TetrachiralGeometry",
     "geometry_from_cell",
     "relative_density",
-    "max_relative_density",
     "wall_thickness_for_density",
     "effective_E1",
     "effective_E2",
@@ -50,6 +49,8 @@ __all__ = [
 PITCH_RATIO = 1.6  # L_h / d_a, fixed by the cell family under study
 
 _BISECTION_TOL = 1e-12
+_UNIT_RIB = math.sqrt(PITCH_RATIO**2 - 1.0)  # rib length of the unit cell, d_a = 1
+_TAU_MAX = 1.0 - 1e-12  # t_sw / d_a as the walls close up
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,6 @@ class TetrachiralGeometry:
         return self.t_sw / self.r
 
 
-def _rib_length(d_a: float) -> float:
-    """Rib length ``l = sqrt(L_h^2 - d_a^2)`` at the fixed pitch ratio."""
-    return math.sqrt((PITCH_RATIO * d_a) ** 2 - d_a**2)
-
-
 def geometry_from_cell(d_a: float, t_sw: float) -> TetrachiralGeometry:
     """Construct the cell geometry from diameter and wall thickness.
 
@@ -112,7 +108,7 @@ def geometry_from_cell(d_a: float, t_sw: float) -> TetrachiralGeometry:
     if not 0 < t_sw < math.inf:
         raise GeometryError(f"wall thickness must be positive and finite, got {t_sw}")
     L_h = PITCH_RATIO * d_a
-    l = _rib_length(d_a)
+    l = math.sqrt(L_h**2 - d_a**2)
     theta = math.atan2(d_a, l)
     g = TetrachiralGeometry(d_a=d_a, t_sw=t_sw, L_h=L_h, l=l, theta=theta)
     if not g.beta < 1.0:
@@ -135,12 +131,11 @@ def relative_density(g: TetrachiralGeometry) -> float:
     return _density(alpha, beta)
 
 
-def _density_of_cell(d_a: float, l: float, t_sw: float) -> float:
-    """:func:`relative_density` of the cell ``(d_a, t_sw)`` with rib length
-    ``l``, without building its geometry; the same float operations, so
-    the same value to the last bit. Requires ``0 < t_sw < d_a``."""
-    r = d_a / 2.0 + t_sw / 2.0
-    return _density(l / r, t_sw / r)
+def _density_of_cell(tau: float) -> float:
+    """:func:`relative_density` of the unit cell ``(1, tau)``, ``0 < tau < 1``,
+    by the same float operations, without building its geometry."""
+    r = 0.5 + tau / 2.0
+    return _density(_UNIT_RIB / r, tau / r)
 
 
 def _density(alpha: float, beta: float) -> float:
@@ -153,30 +148,31 @@ def _density(alpha: float, beta: float) -> float:
     return num / den
 
 
-def max_relative_density(d_a: float) -> float:
-    """Supremum of reachable relative density as the walls close up."""
-    return relative_density(geometry_from_cell(d_a, d_a * (1.0 - 1e-12)))
+_RHO_MAX = _density_of_cell(_TAU_MAX)  # reachable supremum, walls closed up
 
 
 def wall_thickness_for_density(d_a: float, rho_target: float) -> float:
-    """Invert the relative-density relation for the wall thickness.
+    """Invert the relative-density relation for the wall thickness ``d_a * tau``."""
+    return d_a * _wall_ratio_for_density(d_a, rho_target)
 
-    Bisection on the monotone branch ``t_sw in (0, d_a)``; the returned
-    thickness reproduces ``rho_target`` to better than 1e-10.
-    """
+
+def _wall_ratio_for_density(d_a: float, rho_target: float) -> float:
+    """The shape ratio ``tau = t_sw / d_a`` of density ``rho_target``, by
+    bisection on the unit cell, to better than 1e-10 in density; one float
+    for every ``d_a``, which is only checked and named in the messages."""
     if not 0.0 < rho_target < 1.0:
         raise GeometryError(f"target density must lie in (0, 1), got {rho_target}")
-    rho_max = max_relative_density(d_a)
-    if rho_target >= rho_max:
+    if not 0 < d_a < math.inf:
+        raise GeometryError(f"cylinder diameter must be positive and finite, got {d_a}")
+    if rho_target >= _RHO_MAX:
         raise GeometryError(
             f"target density {rho_target:g} unreachable: maximum for "
-            f"d_a={d_a} is {rho_max:g}"
+            f"d_a={d_a} is {_RHO_MAX:g}"
         )
-    l = _rib_length(d_a)
-    lo, hi = 0.0, d_a * (1.0 - 1e-12)
-    while hi - lo > _BISECTION_TOL * max(1.0, d_a):
+    lo, hi = 0.0, _TAU_MAX
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if _density_of_cell(d_a, l, mid) < rho_target:
+        if _density_of_cell(mid) < rho_target:
             lo = mid
         else:
             hi = mid

@@ -26,6 +26,7 @@ from chiralplate import (
     run_case,
     run_solid_case,
     run_sweep,
+    wall_thickness_for_density,
 )
 from chiralplate import assembly, experiments
 from chiralplate.experiments import (
@@ -198,6 +199,30 @@ class TestSweeps:
         ref = rows[1.0]
         for val in rows.values():
             assert abs(val / ref - 1) < 0.03
+
+    @pytest.mark.parametrize("algorithm", ["conforming", "incompatible_faces"])
+    @pytest.mark.parametrize("bc", [CLAMPED, SUPPORTED], ids=["clamped", "supported"])
+    @pytest.mark.parametrize("setup", [1, 2])
+    def test_cell_diameter_is_only_a_length_scale(self, setup, bc, algorithm):
+        # the density is inverted once on the unit cell and the unit cell
+        # homogenized, so at one density every d_a gives the same model
+        rows = run_sweep(setup, bc, algorithm)
+        for i, rho in enumerate(RHO_GRID):
+            same_rho = rows[i :: len(RHO_GRID)]
+            assert [r.rho_rel for r in same_rho] == [rho] * len(DA_GRID)
+            outputs = {
+                (r.t_cl, r.sigma_core, r.sigma_top, r.sigma_bottom, r.F_crit, r.governing)
+                for r in same_rho
+            }
+            assert len(outputs) == 1, (rho, outputs)
+
+    def test_wall_thickness_scales_with_the_diameter(self):
+        # for any positive finite d_a: a per-diameter inversion overflowed
+        # at 1e200 and lost the density to underflow at 1e-310
+        for rho in RHO_GRID:
+            tau = wall_thickness_for_density(1.0, rho)
+            for d_a in (*DA_GRID, 1e-310, 1e200):
+                assert wall_thickness_for_density(d_a, rho) == d_a * tau
 
     @pytest.mark.xfail(
         reason="homogenized continuum core stresses stay far below face "
