@@ -8,49 +8,42 @@ step is a pure function of its inputs.
 
 The mesh is a structured grid of axis-aligned rectangles grouped into
 horizontal layers; every element of a layer shares the same height and
-material. Nodes are numbered column by column, y fastest within a node
-column, and degrees of freedom are node-major (x then y per node), matching
-the element block layout. Numbering across the short side of the plate
-keeps the DOFs an element couples at most ``bw = 2 * len(mesh.y) + 3``
-apart.
-
-``K`` is stored as its lower band, ``(bw + 1, n_dofs)``: ``K[d, c]`` holds
-the global entry coupling DOFs ``c + d`` and ``c`` (LAPACK's lower band
-storage).
+material. :meth:`Mesh.grid` states the DOF layout once: a per-DOF axis is
+``(len(x), len(y), 2)``, node columns outermost, so the DOFs an element
+couples lie at most ``bw = 2 * len(mesh.y) + 3`` apart. Every per-DOF
+array (``K``'s band, fixed DOFs, loads, ``u``) is indexed through it, and
+``Mesh.element_dofs`` is sliced from it. ``K`` is stored as its lower band,
+``(bw + 1, n_dofs)``: ``K[d, c]`` couples DOFs ``c + d`` and ``c``
+(LAPACK's lower band storage).
 
 Every element of a layer is the same element, so assembly and recovery
 work per distinct layer card ``(kind, material, height)``, not per
 element: one element stiffness, strain matrix and elasticity matrix per
 card; layers of one nominal height share one (:meth:`Mesh.layer_height`).
-Assembly places element ``i``'s 2x2 block ``(q, s)`` at global block
-``(m, n)`` when its local nodes ``q`` and ``s`` sit at global nodes ``m``
-and ``n``. On the structured grid the DOF gap ``d`` between two corners of
-an element is the same for every element, so with ``K`` viewed as
-``(bw + 1, len(x), len(y), 2)`` each column corner adds the blocks of all
-elements in one strided slice. Recovery gathers the corner displacements
-as ``u[mesh.element_dofs]`` and applies each card's operator, the four
-corners' stress rows stacked into one matrix, to all layers of that card
-in one matmul.
+The DOF gap ``d`` between two corners of an element is the same for every
+element, so with ``K`` viewed through ``mesh.grid`` each column corner
+adds the blocks of all elements in one strided slice. Recovery gathers the
+corner displacements as ``u[mesh.element_dofs]`` and applies each card's
+operator, the four corners' stress rows stacked into one matrix, to all
+layers of that card in one matmul.
 
-:func:`solve` holds the fixed DOFs, a sorted array of DOF ids (``2 n`` and
-``2 n + 1`` for node ``n``), at zero by pinning them in a Fortran-ordered
-copy of ``K``'s band, which LAPACK reads as its lower band as it stands:
-their rows, columns and loads are zeroed and their diagonal set to a
-positive ``scale``, so the matrix stays symmetric positive definite once
-enough DOFs are fixed and the solve returns the full displacement vector,
-zero at the fixed DOFs. A node column whose DOFs are all fixed (a clamp
-line) cuts the band into independent segments, and only those that carry
-load are factored. An unloaded one borders a fixed column, so its stiffness
-is positive definite and its ``u`` exactly ``+0.0``: a clamped plate
-factors its span, not its overhangs. Each loaded segment is factored and
-solved by banded Cholesky in one call of LAPACK's ``dpbsv``, lower form
-(see :func:`_pinned_band`). It comes from the ILP64 OpenBLAS that numpy's
-wheels bundle (``scipy-openblas``), found on the first solve by its
+:func:`solve` holds the fixed DOFs, a sorted array of DOF ids, at zero by
+pinning them in a Fortran-ordered copy of ``K``'s band, which LAPACK reads
+as its lower band as it stands: their rows, columns and loads are zeroed and
+their diagonal set to a positive ``scale``, so the matrix stays symmetric
+positive definite once enough DOFs are fixed and the solve returns the full
+displacement vector, zero at the fixed DOFs. A node column whose DOFs are
+all fixed (a clamp line) cuts the band into independent segments, and only
+those that carry load are factored. An unloaded one borders a fixed column,
+so its stiffness is positive definite and its ``u`` exactly ``+0.0``: a
+clamped plate factors its span, not its overhangs. Each loaded segment is
+factored and solved by banded Cholesky in one call of LAPACK's ``dpbsv``,
+lower form (see :func:`_pinned_band`). It comes from the ILP64 OpenBLAS that
+numpy's wheels bundle (``scipy-openblas``), found on the first solve by its
 ``scipy_dpbsv_64_`` symbol and called through ctypes, so solving imports no
 scipy. Where numpy ships no such library (conda/MKL or system-BLAS builds,
 older wheels) the same routine comes from ``scipy.linalg.lapack``. A failed
-factorization imports ``scipy.linalg`` either way, to count the rigid
-modes.
+factorization imports ``scipy.linalg`` either way, to count the rigid modes.
 """
 
 from __future__ import annotations
@@ -95,6 +88,11 @@ Material = IsotropicMaterial | TransverselyIsotropicMaterial
 
 _log = logging.getLogger(__name__)
 
+# Corner q of an element sits _XO[q] node columns right of and _YO[q] node
+# rows above its corner 1: (0, 1, 1, 0) and (0, 0, 1, 1).
+_XO = (1 + np.array(XI_CORNERS, dtype=int)) // 2
+_YO = (1 + np.array(ETA_CORNERS, dtype=int)) // 2
+
 
 @dataclass(frozen=True)
 class Layer:
@@ -126,14 +124,12 @@ class Mesh:
     h : float
         Out-of-plane depth [mm].
 
-    Node ``(i, j)`` at ``(x[i], y[j])`` is number ``i * len(y) + j``:
-    column by column, y fastest. Element corner order is (-1,-1), (1,-1),
-    (1,1), (-1,1). Elements are numbered row-major (x fastest within a
-    layer), so the layer of element ``i`` is ``i // nx``. ``element_dofs``
-    is the read-only ``(n_elements, 8)`` table of each element's global
-    DOFs in local block order (x, y of corner 1, then corner 2, ...), for
-    the field dump, the recovery's gather and the test oracles; assembly
-    indexes the grid directly and does not read it. Widths within
+    :meth:`grid` is the one statement of the DOF layout. Element corner
+    order is (-1,-1), (1,-1), (1,1), (-1,1). Elements are numbered row-major
+    (x fastest within a layer), so the layer of element ``i`` is ``i // nx``.
+    ``element_dofs``, the read-only ``(n_elements, 8)`` table of each
+    element's DOFs in local block order (x, y of corner 1, then corner 2,
+    ...), is sliced from the grid for the recovery's gather. Widths within
     ``1e-12 + 1e-12 * |w0|`` of the first, ``w0``, are all ``a_fe = w0``;
     :meth:`layer_height` merges layer heights by the same rule.
     """
@@ -162,10 +158,11 @@ class Mesh:
             self._heights.append(next(same, b))
         self.nx = len(self.x) - 1
         self.n_layers = len(self.y) - 1
-        col = len(self.y)
-        corner1 = np.add.outer(np.arange(self.n_layers), np.arange(self.nx) * col)
-        nodes = corner1.reshape(-1, 1) + np.array([0, col, col + 1, 1])
-        dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=2).reshape(-1, 8)
+        # element (i, j)'s corner q is node (i + _XO[q], j + _YO[q])
+        ids = self.grid(np.arange(self.n_dofs)).swapaxes(0, 1)  # [j, i, c]
+        corners = [ids[yo : yo + self.n_layers, xo : xo + self.nx]
+                   for xo, yo in zip(_XO, _YO)]
+        dofs = np.stack(corners, axis=2).reshape(-1, 8)
         dofs.flags.writeable = False
         self.element_dofs = dofs
 
@@ -181,13 +178,10 @@ class Mesh:
     def n_dofs(self) -> int:
         return 2 * self.n_nodes
 
-    def node_id(self, i: int, j: int) -> int:
-        return i * len(self.y) + j
-
-    def node_coords(self) -> np.ndarray:
-        """(n_nodes, 2) array of node positions."""
-        xx, yy = np.meshgrid(self.x, self.y, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+    def grid(self, a: np.ndarray) -> np.ndarray:
+        """``a``'s last, per-DOF axis as ``(len(x), len(y), 2)``; ``[..., i, j, c]``
+        is DOF ``c`` (x, y) of node ``(x[i], y[j])``, a view if ``a`` is contiguous."""
+        return a.reshape(*a.shape[:-1], len(self.x), len(self.y), 2)
 
     def layer_height(self, j: int) -> float:
         """``y[j + 1] - y[j]``, or the first earlier height within tolerance."""
@@ -229,12 +223,6 @@ def _card_groups(mesh: Mesh, layers) -> list[tuple]:
     ]
 
 
-# Corner q of an element sits _XO[q] node columns right of and _YO[q] node
-# rows above its corner 1: (0, 1, 1, 0) and (0, 0, 1, 1).
-_XO = (1 + np.array(XI_CORNERS, dtype=int)) // 2
-_YO = (1 + np.array(ETA_CORNERS, dtype=int)) // 2
-
-
 def _band_scatter_table():
     """Per column corner s: the lower-band entries of its element columns.
 
@@ -271,7 +259,7 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
     maps layer index to a :class:`Layer`; the element stiffness is computed
     once per distinct card ``(kind, material, height)``.
 
-    The band is viewed as ``(bw + 1, len(x), len(y), 2)``. For a column
+    ``mesh.grid(K)`` is ``(bw + 1, len(x), len(y), 2)``. For a column
     corner ``s`` at grid offset ``(xs, ys)`` from corner 1, element
     ``(i, j)``'s column DOF ``b`` is ``[.., i + xs, j + ys, b]`` and each
     of its lower-band rows is a fixed gap ``d`` below it, so one strided add
@@ -291,7 +279,7 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
     ny, nx, n_layers = len(mesh.y), mesh.nx, mesh.n_layers
     bw = 2 * ny + 3
     K = np.zeros((bw + 1, mesh.n_dofs))
-    K4 = K.reshape(bw + 1, len(mesh.x), ny, 2)
+    K4 = mesh.grid(K)
     for xs, ys, rows, cols, dx, dy, da, b in _BAND_SCATTER:
         d = 2 * (dx * ny + dy) + da
         K4[d, xs : xs + nx, ys : ys + n_layers, b] += k_layers[:, rows, cols].T[:, None]
@@ -336,11 +324,11 @@ def solve(mesh: Mesh, K: np.ndarray, fixed_dofs, P: np.ndarray) -> np.ndarray:
         )
     fixed = np.zeros(mesh.n_dofs, dtype=bool)
     fixed[ids] = True
-    scale = max(np.max(K[0, ~fixed]), 1.0)
+    scale = np.max(K[0, ~fixed])
     u = np.array(P, dtype=float)
     u[fixed] = 0.0
-    col = 2 * len(mesh.y)  # no element couples across a fully fixed column
-    cut = np.flatnonzero(fixed.reshape(-1, col).all(axis=1)).tolist()
+    col = 2 * len(mesh.y)  # DOFs per node column
+    cut = np.flatnonzero(mesh.grid(fixed).all(axis=(1, 2))).tolist()  # clamp lines
     pbsv = _banded_solver()
     for i, j in zip([-1, *cut], [*cut, len(mesh.x)]):
         lo, hi = col * (i + 1), col * j
@@ -436,7 +424,7 @@ def _rigid_mode_error(ab: np.ndarray) -> SolveError:
     from scipy.linalg import eigvals_banded
 
     eigvals = eigvals_banded(ab, lower=True, check_finite=False)
-    bad = int(np.sum(eigvals <= 1e-10 * max(eigvals.max(), 1.0)))
+    bad = int(np.sum(eigvals <= 1e-10 * eigvals.max()))
     return SolveError(
         f"reduced stiffness not positive definite "
         f"({bad} near-zero/negative modes); fix more DOFs",
@@ -481,7 +469,8 @@ def recover(mesh: Mesh, layers, u: np.ndarray):
     operator, the stress rows ``chi[:2, :2] @ B[:2]`` of the four corners
     (sxx of corners 1-4, then syy), so each distinct card is one
     :func:`strain_displacement_full` call, one gather of its elements'
-    corner displacements through ``mesh.element_dofs`` and one matmul.
+    corner displacements through ``mesh.element_dofs``, the DOF table
+    sliced from ``mesh.grid``, and one matmul.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != mesh.n_dofs:

@@ -95,13 +95,16 @@ class BoundaryCondition(enum.Enum):
     SUPPORTED = "supported"  # elastic rotation at the two bottom supports
 
 
+_MAX_ELEMENTS = 100_000  # bound on a solid mesh's element count
+
+
 def _node_count_constraint(spec: PlateSpec) -> int:
     """Smallest nx for which x1, x2 and l_1 all fall on node lines."""
     lcm = 1
     for x0 in (spec.x1, spec.x2, spec.l_1):
         q = (Fraction(x0).limit_denominator(10**9) / Fraction(spec.a).limit_denominator(10**9)).denominator
         lcm = lcm * q // math.gcd(lcm, q)
-    if lcm > 100_000:
+    if lcm > _MAX_ELEMENTS:
         raise MeshError(
             "no admissible element count places nodes at x1, x2 and l_1 "
             f"(smallest candidate would need {lcm} elements)"
@@ -128,7 +131,8 @@ def build_solid_mesh(
     nearest value that puts nodes on ``x1``, ``x2`` and ``l_1`` while
     keeping ``a_fe`` close to ``b_fe``. ``snap="equal_aspect"`` uses
     ``nx = round(a / b_fe)`` like the refinement meshes of the convergence
-    study; support lines must still land on nodes.
+    study; support lines must still land on nodes. More than 100 000
+    elements raise :class:`MeshError` before anything is allocated.
 
     Returns the mesh and the per-layer tag list (all ``"plate"``).
     """
@@ -136,12 +140,19 @@ def build_solid_mesh(
         raise MeshError(f"need at least one layer, got {layers}")
     b_fe = spec.t_p / layers
     target = spec.a / b_fe
+    if not target * layers <= _MAX_ELEMENTS:  # tested as a float: it may be inf
+        raise MeshError(
+            f"{layers} layers of b_fe = {b_fe:g} mm need about "
+            f"{target * layers:.3g} elements, more than {_MAX_ELEMENTS}"
+        )
     if snap == "exact":
         nx = _snap_count(spec, target)
     elif snap == "equal_aspect":
         nx = max(1, round(target))
     else:
         raise MeshError(f"unknown snap mode {snap!r}")
+    if nx * layers > _MAX_ELEMENTS:  # the snap may add a node-count step
+        raise MeshError(f"{layers} layers of {nx} elements are more than {_MAX_ELEMENTS}")
     x_lines = np.linspace(0.0, spec.a, nx + 1)
     y_lines = np.linspace(0.0, spec.t_p, layers + 1)
     mesh = Mesh(x_lines, y_lines, spec.h)
@@ -206,40 +217,39 @@ def build_composite_mesh(
 
 
 def apply_boundary(mesh: Mesh, bc: BoundaryCondition, spec: PlateSpec) -> np.ndarray:
-    """Fixed DOF ids of ``bc``, strictly increasing: ``2 n`` and ``2 n + 1``
-    of each node ``n`` it fixes; a node line's DOFs are consecutive."""
-    if bc is BoundaryCondition.CLAMPED:  # every DOF of both lines
-        dofs, line = np.arange(2 * len(mesh.y)), "clamp line"
-    elif bc is BoundaryCondition.SUPPORTED:  # both DOFs of each bottom node
-        dofs, line = np.arange(2), "support line"
+    """Fixed DOF ids of ``bc``, strictly increasing: both DOFs of the nodes
+    it fixes in node columns ``x1`` and ``x2``, marked on ``mesh.grid``."""
+    if bc is BoundaryCondition.CLAMPED:  # every node of both lines
+        nodes, line = slice(None), "clamp line"
+    elif bc is BoundaryCondition.SUPPORTED:  # the bottom node of each line
+        nodes, line = 0, "support line"
     else:
         raise MeshError(f"unknown boundary condition {bc!r}")
-    cols = []
+    fixed = np.zeros(mesh.n_dofs, dtype=bool)
     for x0 in (spec.x1, spec.x2):
         if (i := mesh.column_at(x0)) is None:
             raise MeshError(f"{line} x = {x0} does not coincide with a node line")
-        cols.append(i)
-    return np.add.outer(np.array(cols) * 2 * len(mesh.y), dofs).ravel()
+        mesh.grid(fixed)[i, nodes] = True
+    return np.flatnonzero(fixed)
 
 
 def apply_load(mesh: Mesh, F_y: float, spec: PlateSpec) -> np.ndarray:
     """Load vector: total force ``F_y`` [N], downward, on the top edge at ``l_1``.
 
-    The force goes to the top node at ``x = l_1``. Where ``l_1`` falls
-    between two node lines (the odd layer counts of the refinement family),
-    it is split linearly between the two straddling top nodes, the
-    consistent nodal load.
+    The force goes to the y DOF of the top node at ``x = l_1``,
+    ``mesh.grid(P)[i, -1, 1]``. Where ``l_1`` falls between two node lines
+    (the odd layer counts of the refinement family), it is split linearly
+    between the two straddling top nodes, the consistent nodal load.
     """
     P = np.zeros(mesh.n_dofs)
-    j_top = len(mesh.y) - 1
+    top = mesh.grid(P)[:, -1, 1]  # y DOFs of the top nodes, a view of P
     if (i := mesh.column_at(spec.l_1)) is not None:
-        P[2 * mesh.node_id(i, j_top) + 1] = -F_y
+        top[i] = -F_y
         return P
     i_lo = int(np.searchsorted(mesh.x, spec.l_1)) - 1
-    i_hi = i_lo + 1
-    if i_lo < 0 or i_hi >= len(mesh.x):
+    if not 0 <= i_lo < mesh.nx:  # checked before writing: -1 would wrap
         raise MeshError(f"load abscissa l_1 = {spec.l_1} outside the mesh")
-    w_hi = (spec.l_1 - mesh.x[i_lo]) / (mesh.x[i_hi] - mesh.x[i_lo])
-    P[2 * mesh.node_id(i_lo, j_top) + 1] = -F_y * (1.0 - w_hi)
-    P[2 * mesh.node_id(i_hi, j_top) + 1] = -F_y * w_hi
+    w_hi = (spec.l_1 - mesh.x[i_lo]) / (mesh.x[i_lo + 1] - mesh.x[i_lo])
+    top[i_lo] = -F_y * (1.0 - w_hi)
+    top[i_lo + 1] = -F_y * w_hi
     return P

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .assembly import StressField
+from .assembly import _XO, _YO, StressField
 from .experiments import ConvergenceRow, HoneycombRow, LayerStressLedger
 
 __all__ = [
@@ -91,25 +91,25 @@ FIELD_HEADER = [
 def write_field_csv(
     field: StressField, u, path: Path, max_rows: int | None = None
 ) -> int:
-    """Per-corner field dump; returns the number of rows written."""
+    """Per-corner field dump of the solution ``u``; returns the number of rows
+    written. Corner q of element (i, j) is grid node (i + _XO[q], j + _YO[q])."""
     mesh = field.mesh
-    coords = mesh.node_coords()
-    corners = mesh.element_dofs[:, 0::2] // 2  # node ids in local corner order
+    u_grid = mesh.grid(u)
     handle, writer = _open_writer(path)
     written = 0
     with handle:
         writer.writerow(FIELD_HEADER)
-        for e, nodes in enumerate(corners):
-            tag = field.tags[e // mesh.nx]
+        for e in range(mesh.n_elements):
+            j, i = divmod(e, mesh.nx)
             for q in range(4):
                 if max_rows is not None and written >= max_rows:
                     return written
-                m = nodes[q]
+                ni, nj = i + _XO[q], j + _YO[q]
                 writer.writerow([
-                    e, q + 1, fmt(coords[m, 0]), fmt(coords[m, 1]),
-                    fmt(u[2 * m]), fmt(u[2 * m + 1]),
+                    e, q + 1, fmt(mesh.x[ni]), fmt(mesh.y[nj]),
+                    fmt(u_grid[ni, nj, 0]), fmt(u_grid[ni, nj, 1]),
                     fmt(field.sxx[e, q]), fmt(field.syy[e, q]),
-                    fmt(field.se[e, q]), tag,
+                    fmt(field.se[e, q]), field.tags[j],
                 ])
                 written += 1
     return written

@@ -3,8 +3,13 @@
 Each oracle follows the textbook rule one element, node or corner at a time
 and trades speed for obviousness:
 
-* :func:`element_nodes` reads an element's corner nodes off the grid
-  indices and the corner signs, independently of ``Mesh.element_dofs``;
+* :func:`node_id` numbers the nodes column by column, y fastest, the
+  layout ``Mesh.grid`` states once in the library, :func:`node_coords` lists
+  their positions in that order, :func:`element_nodes` reads an element's
+  corner nodes off the grid indices and the corner signs, and
+  :func:`element_dof_table` lists every element's DOFs one element at a
+  time from those nodes, independently of ``Mesh.element_dofs``, which the
+  library slices from ``Mesh.grid``;
 * :func:`correspondence_matrix` and :func:`expanded_stiffness` place an
   element matrix at global size through the node-correspondence matrix A;
 * :func:`assemble_dense` sums every element block into a dense ``n x n``
@@ -13,7 +18,7 @@ and trades speed for obviousness:
 * :func:`band_matvec` multiplies ``K @ u`` straight from that band, for
   residuals and reactions on meshes whose dense K would not fit;
 * :func:`assemble_scatter` adds every element block into the band in one
-  ``bincount`` through ``Mesh.element_dofs``, in element order;
+  ``bincount`` through that table, in element order;
 * :func:`node_dofs` lists the DOF ids of whole nodes, one node at a time,
   and :func:`solve_dense` factors the dense reduced matrix
   ``K[free, free]`` over the DOFs a fixed-DOF set leaves free;
@@ -54,6 +59,17 @@ from chiralplate.elements import (
 )
 
 
+def node_id(mesh: Mesh, i: int, j: int) -> int:
+    """Number of the node at ``(x[i], y[j])``: column by column, y fastest.
+    Its DOFs are ``2 n`` (x) and ``2 n + 1`` (y)."""
+    return i * len(mesh.y) + j
+
+
+def node_coords(mesh: Mesh) -> np.ndarray:
+    """``(n_nodes, 2)`` node positions in :func:`node_id` order."""
+    return np.array([(x, y) for x in mesh.x for y in mesh.y])
+
+
 def element_nodes(mesh: Mesh, elem: int) -> tuple[int, ...]:
     """Global node ids of the element's corners in local order 1..4.
 
@@ -63,9 +79,18 @@ def element_nodes(mesh: Mesh, elem: int) -> tuple[int, ...]:
     """
     i, j = elem % mesh.nx, elem // mesh.nx
     return tuple(
-        mesh.node_id(i + (xi > 0), j + (eta > 0))
+        node_id(mesh, i + (xi > 0), j + (eta > 0))
         for xi, eta in zip(XI_CORNERS, ETA_CORNERS)
     )
+
+
+def element_dof_table(mesh: Mesh) -> np.ndarray:
+    """``(n_elements, 8)``: the x and y DOF of each corner of each element,
+    corners in local order, built one element at a time."""
+    return np.array([
+        [2 * m + c for m in element_nodes(mesh, e) for c in (0, 1)]
+        for e in range(mesh.n_elements)
+    ])
 
 
 def correspondence_matrix(mesh: Mesh) -> np.ndarray:
@@ -116,12 +141,12 @@ def assemble_dense(mesh: Mesh, layers) -> np.ndarray:
     """Dense global stiffness K in node-major DOF order.
 
     Every element of a layer shares one stiffness matrix. All element
-    blocks are scattered in one pass through ``mesh.element_dofs``, adding
-    the contributions to each entry in element order.
+    blocks are scattered in one pass through :func:`element_dof_table`,
+    adding the contributions to each entry in element order.
     """
     k_layers = _layer_stiffness(mesh, tuple(layers))
     n = mesh.n_dofs
-    dofs = mesh.element_dofs
+    dofs = element_dof_table(mesh)
     flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
     weights = np.repeat(k_layers, mesh.nx, axis=0).ravel()
     return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
@@ -131,12 +156,13 @@ def assemble_scatter(mesh: Mesh, layers) -> np.ndarray:
     """Lower band of K, ``(bw + 1, n_dofs)``, in one scatter of all elements.
 
     Every lower-triangle entry of every element block goes through
-    ``mesh.element_dofs`` to its band slot, and ``np.bincount`` adds the
+    :func:`element_dof_table` to its band slot, and ``np.bincount`` adds the
     contributions to each slot in element order.
     """
     k_layers = _layer_stiffness(mesh, tuple(layers))
     n, bw = mesh.n_dofs, 2 * len(mesh.y) + 3
-    row, col = mesh.element_dofs[:, :, None], mesh.element_dofs[:, None, :]
+    dofs = element_dof_table(mesh)
+    row, col = dofs[:, :, None], dofs[:, None, :]
     lower = row >= col
     flat = ((row - col) * n + col)[lower]
     weights = np.repeat(k_layers, mesh.nx, axis=0)[lower]
@@ -220,14 +246,14 @@ def recover_per_layer(mesh: Mesh, layers, u: np.ndarray):
     """Corner stresses, one layer at a time.
 
     Each layer is one strain-matrix call over its four corners, one gather
-    through ``mesh.element_dofs`` and one matmul with the operator
+    through :func:`element_dof_table` and one matmul with the operator
     ``recover`` builds per card, the stress rows of the four corners
     stacked in the same order (sxx of corners 1-4, then syy), so each
     element's values come out to the same bits.
     """
     n_el = mesh.n_elements
     sxx, syy, se = (np.zeros((n_el, 4)) for _ in range(3))
-    U = u[mesh.element_dofs]
+    U = u[element_dof_table(mesh)]
     for j, layer in enumerate(layers):
         g = ElementGeometry(mesh.a_fe, mesh.layer_height(j), mesh.h)
         chi = full_elasticity_matrix(layer.material)

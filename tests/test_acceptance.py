@@ -19,7 +19,7 @@ import chiralplate as cp
 from chiralplate.elements import ElementGeometry
 from chiralplate.experiments import DA_GRID, RHO_GRID
 from conftest import random_iso, random_ti
-from oracles import dense_from_band, quadrature_stiffness
+from oracles import dense_from_band, node_coords, quadrature_stiffness
 
 CLAMPED = cp.BoundaryCondition.CLAMPED
 SUPPORTED = cp.BoundaryCondition.SUPPORTED
@@ -150,7 +150,7 @@ def test_criterion_06_rigid_modes_and_patch(rng, resin):
     mesh = cp.Mesh(np.linspace(0, 6.0, 7), np.linspace(0, 2.0, 5), 1.0)
     layers = [cp.Layer(resin, "conforming", "plate")] * 4
     K = dense_from_band(mesh, cp.assemble(mesh, layers))
-    coords = mesh.node_coords()
+    coords = node_coords(mesh)
     exx, eyy = 1.5e-3, -0.5e-3
     u_exact = np.zeros(mesh.n_dofs)
     u_exact[0::2] = exx * coords[:, 0]

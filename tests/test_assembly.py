@@ -43,9 +43,12 @@ from oracles import (
     assemble_dense,
     correspondence_matrix,
     dense_from_band,
+    element_dof_table,
     element_nodes,
     expanded_stiffness,
+    node_coords,
     node_dofs,
+    node_id,
     solve_dense,
 )
 
@@ -80,15 +83,33 @@ class TestMesh:
         assert tuple(mesh.element_dofs[1, 0::2] // 2) == (2, 4, 5, 3)
 
     def test_node_ids_match_coordinates(self):
+        # the grid's [i, j, c] is DOF c of the node at (x[i], y[j])
         mesh = Mesh([0.0, 1.5, 3.0, 4.5], [0.0, 0.5, 2.0], 1.0)
-        coords = mesh.node_coords()
+        coords = node_coords(mesh)
+        grid = mesh.grid(np.arange(mesh.n_dofs))
+        assert grid.shape == (4, 3, 2)
         for i, x in enumerate(mesh.x):
             for j, y in enumerate(mesh.y):
-                assert tuple(coords[mesh.node_id(i, j)]) == (x, y)
+                assert tuple(coords[node_id(mesh, i, j)]) == (x, y)
+                for c in (0, 1):
+                    assert grid[i, j, c] == 2 * node_id(mesh, i, j) + c
+
+    def test_grid_is_a_view_of_each_row(self):
+        mesh = grid_mesh(3, 2)
+        stack = np.zeros((2, mesh.n_dofs))
+        mesh.grid(stack)[1, 2, 0, 1] = 1.0  # y DOF of node (2, 0), second row
+        assert np.flatnonzero(stack[1]).tolist() == [2 * node_id(mesh, 2, 0) + 1]
+        assert not stack[0].any()
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 2), (2, 5), (36, 3)])
+    def test_element_dofs_match_oracle_table(self, nx, ny):
+        mesh = grid_mesh(nx, ny)
+        assert np.array_equal(mesh.element_dofs, element_dof_table(mesh))
+        assert not mesh.element_dofs.flags.writeable
 
     def test_element_dofs_sit_at_corner_signs(self):
         mesh = Mesh([0.0, 1.5, 3.0, 4.5], [0.0, 0.5, 2.0], 1.0)
-        coords = mesh.node_coords()
+        coords = node_coords(mesh)
         for e in range(mesh.n_elements):
             i, j = e % mesh.nx, e // mesh.nx
             dofs = mesh.element_dofs[e]
@@ -318,8 +339,8 @@ class TestConstraintsAndSolve:
         mesh = single_element_mesh()
         K = assemble(mesh, [Layer(FORMLABS_CLEAR, "conforming", "plate")])
         P = np.zeros(mesh.n_dofs)
-        P[2 * mesh.node_id(1, 1) + 1] = -1.0
-        roller = 2 * mesh.node_id(1, 0)
+        P[2 * node_id(mesh, 1, 1) + 1] = -1.0
+        roller = 2 * node_id(mesh, 1, 0)
         fixed = np.array([0, 1, roller + 1])
         u = solve(mesh, K, fixed, P)
         u_ref = solve_dense(dense_from_band(mesh, K), fixed, P)
@@ -333,7 +354,7 @@ class TestConstraintsAndSolve:
             mesh, assemble(mesh, [Layer(steelish, "conforming", "plate")])
         )
         # bottom edge: 4 DOFs > 3 rigid modes
-        fixed = node_dofs([mesh.node_id(0, 0), mesh.node_id(1, 0)])
+        fixed = node_dofs([node_id(mesh, 0, 0), node_id(mesh, 1, 0)])
         free = np.delete(np.arange(mesh.n_dofs), fixed)
         eig = np.linalg.eigvalsh(K[np.ix_(free, free)])
         assert eig.min() > 0
@@ -343,7 +364,7 @@ class TestConstraintsAndSolve:
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
         fixed = node_dofs([0])  # rotation about node 0 remains
         P = np.zeros(mesh.n_dofs)
-        P[2 * mesh.node_id(0, 1) + 1] = 1.0
+        P[2 * node_id(mesh, 0, 1) + 1] = 1.0
         with pytest.raises(SolveError) as err:
             solve(mesh, K, fixed, P)
         assert err.value.rigid_modes >= 1
@@ -352,7 +373,7 @@ class TestConstraintsAndSolve:
         mesh = grid_mesh(3, 1)
         layers = [Layer(steelish, "conforming", "plate")]
         K = dense_from_band(mesh, assemble(mesh, layers))
-        left_edge = [mesh.node_id(0, 0), mesh.node_id(0, 1)]
+        left_edge = [node_id(mesh, 0, 0), node_id(mesh, 0, 1)]
         with pytest.raises(MeshError, match="band"):
             solve(mesh, K, node_dofs(left_edge), np.ones(mesh.n_dofs))
 
@@ -418,18 +439,18 @@ class TestConstraintsAndSolve:
     def test_zero_load_zero_displacement(self, steelish):
         mesh = grid_mesh(3, 1)
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        left_edge = [mesh.node_id(0, 0), mesh.node_id(0, 1)]
+        left_edge = [node_id(mesh, 0, 0), node_id(mesh, 0, 1)]
         u = solve(mesh, K, node_dofs(left_edge), np.zeros(mesh.n_dofs))
         assert_allclose(u, 0.0, atol=0)
 
     def test_against_dense_oracle_and_linearity(self, steelish):
         mesh = single_element_mesh()
         K = assemble(mesh, [Layer(steelish, "conforming", "plate")])
-        bottom = [mesh.node_id(0, 0), mesh.node_id(1, 0)]
+        bottom = [node_id(mesh, 0, 0), node_id(mesh, 1, 0)]
         fixed = node_dofs(bottom)
         keep = np.delete(np.arange(mesh.n_dofs), fixed)
         P = np.zeros(mesh.n_dofs)
-        P[2 * mesh.node_id(1, 1) + 1] = -1.0  # unit downward load at a top node
+        P[2 * node_id(mesh, 1, 1) + 1] = -1.0  # unit downward load at a top node
         u = solve(mesh, K, fixed, P)
         K_dense = dense_from_band(mesh, K)
         u_oracle = np.linalg.solve(K_dense[np.ix_(keep, keep)], P[keep])
@@ -441,8 +462,8 @@ class TestConstraintsAndSolve:
         mesh = grid_mesh(6, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
         P = np.zeros(mesh.n_dofs)
-        P[2 * mesh.node_id(3, 2) + 1] = -5.0
-        fixed = node_dofs([mesh.node_id(0, 0), mesh.node_id(6, 0)])
+        P[2 * node_id(mesh, 3, 2) + 1] = -5.0
+        fixed = node_dofs([node_id(mesh, 0, 0), node_id(mesh, 6, 0)])
         [result] = analyze(mesh, layers, [fixed], P)
         free = np.delete(np.arange(mesh.n_dofs), result.fixed_dofs)
         K_a = dense_from_band(mesh, assemble(mesh, layers))[np.ix_(free, free)]
@@ -459,7 +480,7 @@ class TestRecovery:
     def test_zero_displacement_zero_stress(self, steelish):
         mesh = grid_mesh(2, 1)
         layers = [Layer(steelish, "conforming", "plate")]
-        bottom_corners = node_dofs([mesh.node_id(0, 0), mesh.node_id(2, 0)])
+        bottom_corners = node_dofs([node_id(mesh, 0, 0), node_id(mesh, 2, 0)])
         [result] = analyze(mesh, layers, [bottom_corners], np.zeros(mesh.n_dofs))
         field = result.field
         assert_allclose(field.se, 0.0, atol=0)
@@ -467,7 +488,7 @@ class TestRecovery:
     def test_uniform_stretch_patch(self, steelish):
         # prescribe a linear displacement field directly: eps_xx = 1e-3
         mesh = grid_mesh(3, 2)
-        coords = mesh.node_coords()
+        coords = node_coords(mesh)
         eps = 1e-3
         u = np.zeros(mesh.n_dofs)
         u[0::2] = eps * coords[:, 0]
@@ -488,17 +509,17 @@ class TestRecovery:
         mesh = grid_mesh(5, 2)
         P = np.zeros(mesh.n_dofs)
         above_bottom = [
-            2 * mesh.node_id(i, j) + c for i in range(6) for j in (1, 2) for c in (0, 1)
+            2 * node_id(mesh, i, j) + c for i in range(6) for j in (1, 2) for c in (0, 1)
         ]
         P[rng.choice(above_bottom, 5)] = rng.normal(0, 3, 5)
         layers = [Layer(steelish, "conforming", "plate")] * 2
-        bottom_corners = node_dofs([mesh.node_id(0, 0), mesh.node_id(5, 0)])
+        bottom_corners = node_dofs([node_id(mesh, 0, 0), node_id(mesh, 5, 0)])
         assert analyze(mesh, layers, [bottom_corners], P)[0].field.se.min() >= 0.0
 
     def test_superposition_componentwise(self, steelish):
         mesh = grid_mesh(4, 2)
         layers = [Layer(steelish, "conforming", "plate")] * 2
-        fixed = node_dofs([mesh.node_id(0, 0), mesh.node_id(4, 0)])
+        fixed = node_dofs([node_id(mesh, 0, 0), node_id(mesh, 4, 0)])
 
         def run(*loads):
             P = np.zeros(mesh.n_dofs)
@@ -506,7 +527,7 @@ class TestRecovery:
                 P[load_dof] = value
             return analyze(mesh, layers, [fixed], P)[0].field
 
-        right, middle = 2 * mesh.node_id(4, 2) + 1, 2 * mesh.node_id(2, 2) + 1
+        right, middle = 2 * node_id(mesh, 4, 2) + 1, 2 * node_id(mesh, 2, 2) + 1
         f1 = run((right, -2.0))
         f2 = run((middle, 1.5))
         f12 = run((right, -2.0), (middle, 1.5))
@@ -523,8 +544,8 @@ class TestRecovery:
             Layer(soft, "conforming", "top"),
         ]
         P = np.zeros(mesh.n_dofs)
-        P[2 * mesh.node_id(1, 2) + 1] = -1.0
-        bottom_corners = node_dofs([mesh.node_id(0, 0), mesh.node_id(2, 0)])
+        P[2 * node_id(mesh, 1, 2) + 1] = -1.0
+        bottom_corners = node_dofs([node_id(mesh, 0, 0), node_id(mesh, 2, 0)])
         [result] = analyze(mesh, layers, [bottom_corners], P)
         by_tag = result.field.max_se_by_tag()
         assert set(by_tag) == {"bottom", "top"}
@@ -538,7 +559,7 @@ class TestPatchTest:
         mesh = grid_mesh(6, 4, a_fe=0.9, b_fe=0.5)
         layers = [Layer(steelish, "conforming", "plate")] * 4
         K = dense_from_band(mesh, assemble(mesh, layers))
-        coords = mesh.node_coords()
+        coords = node_coords(mesh)
         exx, eyy = 2e-3, -1e-3
         u_exact = np.zeros(mesh.n_dofs)
         u_exact[0::2] = exx * coords[:, 0]
@@ -625,7 +646,7 @@ class TestAnalyze:
             analyze(mesh, layers, [], P)
         # one flat DOF list is not a sequence of sets
         with pytest.raises(ConstraintError, match="1-D sequence"):
-            analyze(mesh, layers, list(node_dofs([0, mesh.node_id(3, 0)])), P)
+            analyze(mesh, layers, list(node_dofs([0, node_id(mesh, 3, 0)])), P)
 
     def test_debug_record_per_call(self, caplog):
         mesh, layers, fixed_sets, P = two_bc_model("conforming")

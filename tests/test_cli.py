@@ -1,5 +1,6 @@
 """Command-line interface: config validation, outputs, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -12,12 +13,23 @@ import pytest
 import yaml
 
 import chiralplate.cli as cli
-from chiralplate import assembly, experiments
+from chiralplate import (
+    BoundaryCondition,
+    analyze,
+    apply_boundary,
+    apply_load,
+    assembly,
+    composite_model,
+    experiments,
+    solid_model,
+)
 from chiralplate.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from chiralplate.errors import SolveError
 from chiralplate.experiments import FORMLABS_CLEAR
 from chiralplate.materials import IsotropicMaterial
 from chiralplate.plates import PlateSpec
+from chiralplate.reporting import FIELD_HEADER, fmt, write_field_csv
+from oracles import element_nodes, node_coords
 
 SOLID_CONFIG = {
     "scenario": "solid",
@@ -150,6 +162,40 @@ class TestSolve:
         summary = (out / "summary.csv").read_text().splitlines()
         f_crit = float(dict(line.split(",") for line in summary[1:])["F_crit_n"])
         assert f_crit == pytest.approx(60.1, rel=0.03)
+
+
+class TestFieldDump:
+    @pytest.mark.parametrize("case", ["solid", "setup2"])
+    def test_rows_are_the_element_corners(self, tmp_path, case):
+        # row (e, q): the oracle's corner node q of element e, its position
+        # and u, the corner's stresses and the tag of the element's layer
+        if case == "solid":  # 3 layers, supported, incompatible
+            spec = PlateSpec().solid()
+            mesh, layers = solid_model(spec, 3, "incompatible", FORMLABS_CLEAR)
+            bc = BoundaryCondition.SUPPORTED
+        else:
+            spec, _, mesh, layers = composite_model(
+                2, 1.6, 0.353, "incompatible_faces", FORMLABS_CLEAR, PlateSpec()
+            )
+            bc = BoundaryCondition.CLAMPED
+        P = apply_load(mesh, 30.0, spec)
+        [analysis] = analyze(mesh, layers, [apply_boundary(mesh, bc, spec)], P)
+        field, u = analysis.field, analysis.u
+        coords = node_coords(mesh)
+        want = [FIELD_HEADER]
+        for e in range(mesh.n_elements):
+            for q, m in enumerate(element_nodes(mesh, e)):
+                want.append([
+                    str(e), str(q + 1), fmt(coords[m, 0]), fmt(coords[m, 1]),
+                    fmt(u[2 * m]), fmt(u[2 * m + 1]), fmt(field.sxx[e, q]),
+                    fmt(field.syy[e, q]), fmt(field.se[e, q]),
+                    layers[e // mesh.nx].tag,
+                ])
+        path = tmp_path / "field.csv"
+        for max_rows, n in ((None, 4 * mesh.n_elements), (7, 7)):
+            assert write_field_csv(field, u, path, max_rows=max_rows) == n
+            with open(path, newline="") as handle:
+                assert list(csv.reader(handle)) == want[: n + 1]
 
 
 class TestLibraryDefaults:
@@ -500,6 +546,33 @@ class TestConfigValidation:
         assert run(args + dry_run) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bad plate spec: " in err
+        if dry_run:  # the dry run reports what the run would
+            assert run(args) == EXIT_CONFIG
+            assert capsys.readouterr().err == err
+
+    # a solid plate 1e-9 mm thick, or 1e300 mm long, asks for ~1e11 or
+    # ~1e300 elements; supports at 54 * k / 49999 mm snap the 2-layer solid
+    # to 99998 columns: all refused before any array is allocated
+    SNAPPED = {"x1_mm": 54 * 10000 / 49999, "x2_mm": 54 * 39999 / 49999}
+
+    @pytest.mark.parametrize(
+        "command, scenario, plate, dry_run",
+        [("solve", "solid", {"t_p_mm": 1.0e-9}, []),
+         ("solve", "solid", {"t_p_mm": 1.0e-9}, ["--dry-run"]),
+         ("solve", "solid", SNAPPED, ["--dry-run"]),
+         ("convergence", "convergence", {"t_p_mm": 1.0e-9}, ["--dry-run"]),
+         ("convergence", "convergence", {"a_mm": 1.0e300}, ["--dry-run"])],
+        ids=["solve-thin", "solve-thin-dry-run", "solve-snapped-dry-run",
+             "convergence-thin-dry-run", "convergence-long-dry-run"],
+    )
+    def test_oversized_solid_mesh_is_a_config_error(
+        self, tmp_path, capsys, command, scenario, plate, dry_run
+    ):
+        cfg = write_config(tmp_path, {"scenario": scenario, "plate": plate})
+        args = [command, "--config", cfg, "--out", tmp_path / "o"]
+        assert run(args + dry_run) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad plate spec: " in err and "more than 100000" in err
         if dry_run:  # the dry run reports what the run would
             assert run(args) == EXIT_CONFIG
             assert capsys.readouterr().err == err

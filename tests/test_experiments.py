@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from chiralplate import (
     BoundaryCondition,
@@ -164,7 +164,7 @@ def test_scaling_every_modulus_keeps_stresses_and_scales_u_inversely(setup, algo
     fixed_sets = [apply_boundary(mesh, bc, spec) for bc in (CLAMPED, SUPPORTED)]
     P = apply_load(mesh, DEFAULT_PROBE[setup], spec)
     base = analyze(mesh, layers, fixed_sets, P)
-    for c in (1e-3, 7.0, 1e4):
+    for c in (2.0**-52, 1e-3, 7.0, 1e4, 2.0**52):
         scaled = [Layer(_moduli_times(layer.material, c), layer.kind, layer.tag)
                   for layer in layers]
         for want, got in zip(base, analyze(mesh, scaled, fixed_sets, P), strict=True):
@@ -189,16 +189,6 @@ class TestSweeps:
         bots = [r.sigma_bottom for r in rows]
         assert all(b < a for a, b in zip(tops, tops[1:]))
         assert all(b < a for a, b in zip(bots, bots[1:]))
-
-    def test_face_stress_da_independent(self):
-        # homogenized cards depend on density ratios only, so face maxima
-        # coincide across cell sizes at equal density
-        rows = {
-            d_a: run_case(1, d_a, 0.425, CLAMPED).sigma_top for d_a in DA_GRID
-        }
-        ref = rows[1.0]
-        for val in rows.values():
-            assert abs(val / ref - 1) < 0.03
 
     @pytest.mark.parametrize("algorithm", ["conforming", "incompatible_faces"])
     @pytest.mark.parametrize("bc", [CLAMPED, SUPPORTED], ids=["clamped", "supported"])
@@ -346,9 +336,19 @@ class TestPoissonDiagram:
                 assert r.mu_qi > 0
 
     def test_narrow_band_across_cell_sizes(self, diagram_rows):
-        for rho in RHO_GRID:
-            vals = [r.mu_qi for r in diagram_rows if math.isclose(r.rho_rel, rho, abs_tol=1e-6)]
-            assert max(vals) - min(vals) < 0.05
+        # d_a is only a length scale: at each density the four cell sizes
+        # give the same unit cell, so the same card to the bit, and the wall
+        # scales with the cell
+        n = len(RHO_GRID)
+        unit = diagram_rows[:n]
+        assert [r.d_a for r in unit] == [1.0] * n
+        for k, d_a in enumerate(DA_GRID):
+            for ref, r in zip(unit, diagram_rows[k * n : (k + 1) * n], strict=True):
+                assert r.d_a == d_a and r.t_sw == d_a * ref.t_sw
+                names = ("rho_rel", "E1", "E2", "G2", "mu_qi", "mu_lu")
+                assert_array_equal(  # NaN as NaN
+                    [getattr(r, f) for f in names], [getattr(ref, f) for f in names]
+                )
 
     def test_lu_invalid_region_is_nan(self, diagram_rows):
         # flexure model loses validity above roughly 55% density

@@ -58,7 +58,7 @@ from chiralplate.experiments import (
     V_CL,
 )
 from chiralplate.plates import COMPOSITE_NX
-from oracles import band_matvec, dense_from_band
+from oracles import band_matvec, dense_from_band, node_id
 
 BCS = (BoundaryCondition.CLAMPED, BoundaryCondition.SUPPORTED)
 ALGORITHMS = ("conforming", "incompatible_faces")
@@ -136,7 +136,7 @@ def test_paper_cases_reciprocal(setup, algorithm):
             assert mesh.x[13] == pytest.approx(19.5)
             P_a = apply_load(mesh, 1.0, spec)
             P_b = np.zeros(mesh.n_dofs)
-            P_b[2 * mesh.node_id(13, len(mesh.y) - 1) + 1] = -1.0
+            P_b[2 * node_id(mesh, 13, len(mesh.y) - 1) + 1] = -1.0
             K = assemble(mesh, layers)
             for bc in BCS:
                 fixed = apply_boundary(mesh, bc, spec)
@@ -163,7 +163,7 @@ def support_reactions(layers, kind):
     spec = SPEC.solid()
     mesh, cards = solid_cards(spec, layers, "exact", kind)
     pinned = apply_boundary(mesh, BoundaryCondition.SUPPORTED, spec)
-    x1, x2 = (2 * mesh.node_id(mesh.column_at(x0), 0) for x0 in (spec.x1, spec.x2))
+    x1, x2 = (2 * node_id(mesh, mesh.column_at(x0), 0) for x0 in (spec.x1, spec.x2))
     roller = pinned[pinned != x2]  # the pin at x1 keeps both DOFs
     P = apply_load(mesh, 60.0, spec)
     K = assemble(mesh, cards)

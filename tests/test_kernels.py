@@ -14,6 +14,9 @@ the load. The solve checks run on both LAPACK routes, numpy's bundled
 OpenBLAS and the scipy fallback, which must agree to the last bit.
 """
 
+import glob
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -210,7 +213,7 @@ class TestConstrainedBand:
             mp.setattr(assembly, "_banded_solver", lambda: recording_pbsv)
             solve(mesh, K, fixed, P)
         K_pinned = dense_from_band(mesh, K)
-        scale = max(np.delete(np.diagonal(K_pinned), fixed).max(), 1.0)
+        scale = np.delete(np.diagonal(K_pinned), fixed).max()
         K_pinned[fixed] = 0.0
         K_pinned[:, fixed] = 0.0
         K_pinned[fixed, fixed] = scale
@@ -321,6 +324,23 @@ class TestBandedSolveScipyLapack(TestBandedSolve):
     test_matches_dense_oracle, test_under_constrained_reports_rigid_modes = (
         _solve_properties()
     )
+
+
+# numpy's FFT extension loads but neither has nor links scipy_dpbsv_64_;
+# _multiarray_umath would not do: dlsym also searches the OpenBLAS it links
+_NUMPY_EXTENSION = glob.glob(
+    os.path.join(os.path.dirname(np.__file__), "fft", "_pocketfft*")
+)[0]
+
+
+@pytest.mark.parametrize(
+    "found", [[], [_NUMPY_EXTENSION], [__file__]],
+    ids=["no-file", "no-symbol", "not-a-library"],
+)
+def test_numpy_openblas_is_none_without_the_routine(monkeypatch, found):
+    # the uncached lookup, so the binding solve uses stays as it is
+    monkeypatch.setattr(assembly.glob, "glob", lambda pattern: list(found))
+    assert assembly._numpy_openblas.__wrapped__() is None
 
 
 def _on_both_routes(*args):

@@ -27,7 +27,7 @@ from chiralplate import (
     core_layer_count,
 )
 from chiralplate import assembly, plates
-from oracles import band_matvec, dense_from_band, node_dofs
+from oracles import band_matvec, dense_from_band, node_coords, node_dofs, node_id
 
 
 @pytest.fixture
@@ -210,7 +210,7 @@ class TestBoundaryAndLoad:
         # both DOFs of each fixed node, strictly increasing
         assert fixed.tolist() == node_dofs(nodes).tolist()
         assert len(nodes) == 2 * (2 + 1)  # two columns x (layers+1) nodes
-        coords = mesh.node_coords()[nodes]
+        coords = node_coords(mesh)[nodes]
         assert set(np.round(coords[:, 0], 9)) == {12.0, 42.0}
 
     def test_supported_fixes_two_bottom_nodes(self, spec, resin):
@@ -219,7 +219,7 @@ class TestBoundaryAndLoad:
         nodes = np.unique(fixed // 2)
         assert fixed.tolist() == node_dofs(nodes).tolist()
         assert len(nodes) == 2
-        coords = mesh.node_coords()[nodes]
+        coords = node_coords(mesh)[nodes]
         assert_allclose(coords[:, 1], 0.0)
 
     def test_unknown_bc_rejected(self, spec):
@@ -248,7 +248,7 @@ class TestBoundaryAndLoad:
         assert len(nz) == 1
         assert P[nz[0]] == -30.0
         m = nz[0] // 2
-        coords = mesh.node_coords()
+        coords = node_coords(mesh)
         assert coords[m, 0] == pytest.approx(27.0)
         assert coords[m, 1] == pytest.approx(2.0)  # top surface
         assert nz[0] % 2 == 1  # y DOF
@@ -258,7 +258,7 @@ class TestBoundaryAndLoad:
         P = apply_load(mesh, 30.0, spec)
         # l_1 = 27 lies midway between the top nodes at x = 26 and x = 28
         nz = np.flatnonzero(P)
-        assert nz.tolist() == [2 * mesh.node_id(i, 1) + 1 for i in (13, 14)]
+        assert nz.tolist() == [2 * node_id(mesh, i, 1) + 1 for i in (13, 14)]
         assert_allclose(mesh.x[[13, 14]], [26.0, 28.0])
         assert P[nz].tolist() == [-15.0, -15.0]
 
@@ -280,8 +280,8 @@ class TestMirrorSymmetry:
         scale = np.abs(u).max()
         for j in range(len(mesh.y)):
             for i in range(nxn):
-                m = mesh.node_id(i, j)
-                m_ref = mesh.node_id(nxn - 1 - i, j)
+                m = node_id(mesh, i, j)
+                m_ref = node_id(mesh, nxn - 1 - i, j)
                 assert u[2 * m + 1] == pytest.approx(
                     u[2 * m_ref + 1], abs=1e-8 * scale
                 )

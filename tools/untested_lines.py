@@ -3,7 +3,8 @@
 Runs the test suite in this process, as ``pytest.main(["tests"])`` from the
 repository root, with a line tracer on every frame of a file under
 ``src/chiralplate``, then prints ``file:line statement`` for each statement
-(found with ``ast``, docstrings excluded) on whose lines no trace event fell.
+(found with ``ast``, docstrings and the bodies of ``if TYPE_CHECKING:`` and
+``if __name__ == "__main__":`` excluded) on whose lines no trace event fell.
 Standard library only; code that the tests run in a subprocess counts as
 untested. Usage::
 
@@ -45,6 +46,17 @@ def docstrings(tree):
                 yield first
 
 
+def never_run(tree):
+    """The statements in the bodies of ``if TYPE_CHECKING:`` and
+    ``if __name__ == "__main__":``, which no imported module runs."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "__name__ == '__main__'"
+        ):
+            for stmt in node.body:
+                yield from (n for n in ast.walk(stmt) if isinstance(n, ast.stmt))
+
+
 def main(args):
     hit = defaultdict(set)
 
@@ -75,7 +87,7 @@ def main(args):
         with open(path) as f:
             source = f.read()
         tree = ast.parse(source)
-        skip = set(map(id, docstrings(tree)))
+        skip = set(map(id, [*docstrings(tree), *never_run(tree)]))
         lines = source.splitlines()
         for first, last, node in sorted(statement_lines(tree), key=lambda s: s[0]):
             if id(node) in skip or hit[path] & set(range(first, last + 1)):
