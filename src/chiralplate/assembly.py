@@ -9,20 +9,20 @@ step is a pure function of its inputs.
 The mesh is a structured grid of axis-aligned rectangles grouped into
 horizontal layers; every element of a layer shares the same height and
 material. :meth:`Mesh.grid` states the DOF layout once: a per-DOF axis is
-``(len(x), len(y), 2)``, node columns outermost, so the DOFs an element
-couples lie at most ``bw = 2 * len(mesh.y) + 3`` apart. Every per-DOF
-array (``K``'s band, fixed DOFs, loads, ``u``) is indexed through it, and
+``(len(x), len(y), 2)``, node columns outermost. Every per-DOF array
+(``K``'s band, fixed DOFs, loads, ``u``) is indexed through it, and
 ``Mesh.element_dofs`` is sliced from it. ``K`` is stored as its lower band,
-``(bw + 1, n_dofs)``: ``K[d, c]`` couples DOFs ``c + d`` and ``c``
-(LAPACK's lower band storage).
+``(height, n_dofs)``: ``K[d, c]`` couples DOFs ``c + d`` and ``c``
+(LAPACK's lower band storage); the height is 1 + the largest DOF gap within
+an element, read off ``mesh.element_dofs`` (:func:`_element_gaps`).
 
 Every element of a layer is the same element, so assembly and recovery
 work per distinct layer card ``(kind, material, height)``, not per
 element: one element stiffness, strain matrix and elasticity matrix per
 card; layers of one nominal height share one (:meth:`Mesh.layer_height`).
 The DOF gap ``d`` between two corners of an element is the same for every
-element, so with ``K`` viewed through ``mesh.grid`` each column corner
-adds the blocks of all elements in one strided slice. Recovery gathers the
+element, so with ``K`` viewed through ``mesh.grid`` each column corner adds
+the blocks of all elements in one strided slice. Recovery gathers the
 corner displacements as ``u[mesh.element_dofs]`` and applies each card's
 operator, the four corners' stress rows stacked into one matrix, to all
 layers of that card in one matmul.
@@ -33,13 +33,14 @@ as its lower band as it stands: their rows, columns and loads are zeroed and
 their diagonal set to a positive ``scale``, so the matrix stays symmetric
 positive definite once enough DOFs are fixed and the solve returns the full
 displacement vector, zero at the fixed DOFs. A node column whose DOFs are
-all fixed (a clamp line) cuts the band into independent segments, and only
-those that carry load are factored. An unloaded one borders a fixed column,
-so its stiffness is positive definite and its ``u`` exactly ``+0.0``: a
-clamped plate factors its span, not its overhangs. Each loaded segment is
-factored and solved by banded Cholesky in one call of LAPACK's ``dpbsv``,
-lower form (see :func:`_pinned_band`). It comes from the ILP64 OpenBLAS that
-numpy's wheels bundle (``scipy-openblas``), found on the first solve by its
+all fixed (a clamp line) cuts the band into independent segments, runs of
+node columns of ``mesh.grid``, and only those that carry load are factored.
+An unloaded one borders a fixed column, so its stiffness is positive
+definite and its ``u`` exactly ``+0.0``: a clamped plate factors its span,
+not its overhangs. Each loaded segment is factored and solved by banded
+Cholesky in one call of LAPACK's ``dpbsv``, lower form (see
+:func:`_pinned_band`). It comes from the ILP64 OpenBLAS that numpy's wheels
+bundle (``scipy-openblas``), found on the first solve by its
 ``scipy_dpbsv_64_`` symbol and called through ctypes, so solving imports no
 scipy. Where numpy ships no such library (conda/MKL or system-BLAS builds,
 older wheels) the same routine comes from ``scipy.linalg.lapack``. A failed
@@ -223,43 +224,26 @@ def _card_groups(mesh: Mesh, layers) -> list[tuple]:
     ]
 
 
-def _band_scatter_table():
-    """Per column corner s: the lower-band entries of its element columns.
-
-    Entry ``(r, a, s, b)`` of an element stiffness couples row DOF ``a`` of
-    corner ``r`` with column DOF ``b`` of corner ``s``. Their global DOFs
-    lie ``2 * (dx * len(y) + dy) + a - b`` apart, with ``(dx, dy)`` the grid
-    offset of ``r`` from ``s``, the same for every element. That gap is
-    >= 0, i.e. the entry is in the lower band, exactly when
-    ``(dx, dy, a - b) >= (0, 0, 0)`` in lexicographic order, since
-    ``len(y) >= 2``. The corners run in the order 3, 4, 2, 1, see
-    :func:`assemble`.
+def _element_gaps(mesh: Mesh) -> tuple[np.ndarray, int]:
+    """``(gap, height)``: ``gap[p, q]`` is element DOF ``p`` minus DOF ``q``
+    (local block order), the same for every element, so read off element 0.
+    An entry ``>= 0`` lies in ``K``'s lower band, in band row ``gap[p, q]``;
+    the largest, corner 3's y DOF minus corner 1's x DOF, plus 1 is its height.
     """
-    table = []
-    for s in (2, 3, 1, 0):
-        entries = [
-            (2 * r + a, 2 * s + b, _XO[r] - _XO[s], _YO[r] - _YO[s], a - b, b)
-            for r in range(4)
-            for a in range(2)
-            for b in range(2)
-            if (_XO[r] - _XO[s], _YO[r] - _YO[s], a - b) >= (0, 0, 0)
-        ]
-        table.append((_XO[s], _YO[s], *map(np.array, zip(*entries))))
-    return tuple(table)
-
-
-_BAND_SCATTER = _band_scatter_table()
+    e = mesh.element_dofs[0]
+    gap = e[:, None] - e
+    return gap, int(gap.max()) + 1
 
 
 def assemble(mesh: Mesh, layers) -> np.ndarray:
-    """Lower band of the global stiffness K, shape ``(bw + 1, n_dofs)``.
+    """Lower band of the global stiffness K, shape ``(height, n_dofs)``.
 
-    ``K[d, c]`` couples DOFs ``c + d`` and ``c``, with half-bandwidth
-    ``bw = 2 * len(mesh.y) + 3`` (see the module docstring). ``layers``
-    maps layer index to a :class:`Layer`; the element stiffness is computed
-    once per distinct card ``(kind, material, height)``.
+    ``K[d, c]`` couples DOFs ``c + d`` and ``c``; the height is 1 + the
+    largest DOF gap within an element, read off ``mesh.element_dofs``
+    (:func:`_element_gaps`). ``layers`` maps layer index to a :class:`Layer`;
+    the element stiffness is computed once per card ``(kind, material, height)``.
 
-    ``mesh.grid(K)`` is ``(bw + 1, len(x), len(y), 2)``. For a column
+    ``mesh.grid(K)`` is ``(height, len(x), len(y), 2)``. For a column
     corner ``s`` at grid offset ``(xs, ys)`` from corner 1, element
     ``(i, j)``'s column DOF ``b`` is ``[.., i + xs, j + ys, b]`` and each
     of its lower-band rows is a fixed gap ``d`` below it, so one strided add
@@ -276,13 +260,14 @@ def assemble(mesh: Mesh, layers) -> np.ndarray:
     k_layers = np.empty((mesh.n_layers, 8, 8))
     for kind, g, chi, mu, js in _card_groups(mesh, layers):
         k_layers[js] = element_stiffness(kind, g, chi, mu)
-    ny, nx, n_layers = len(mesh.y), mesh.nx, mesh.n_layers
-    bw = 2 * ny + 3
-    K = np.zeros((bw + 1, mesh.n_dofs))
+    gap, height = _element_gaps(mesh)
+    K = np.zeros((height, mesh.n_dofs))
     K4 = mesh.grid(K)
-    for xs, ys, rows, cols, dx, dy, da, b in _BAND_SCATTER:
-        d = 2 * (dx * ny + dy) + da
-        K4[d, xs : xs + nx, ys : ys + n_layers, b] += k_layers[:, rows, cols].T[:, None]
+    for s in (2, 3, 1, 0):  # corners 3, 4, 2, 1: each entry sums in element order
+        rows, b = np.nonzero(gap[:, 2 * s : 2 * s + 2] >= 0)  # lower-band entries
+        xs, ys, col = _XO[s], _YO[s], 2 * s + b
+        window = K4[:, xs : xs + mesh.nx, ys : ys + mesh.n_layers]
+        window[gap[rows, col], ..., b] += k_layers[:, rows, col].T[:, None]
     return K
 
 
@@ -290,27 +275,31 @@ def solve(mesh: Mesh, K: np.ndarray, fixed_dofs, P: np.ndarray) -> np.ndarray:
     """Direct symmetric solve with the DOFs ``fixed_dofs`` held at zero.
 
     ``K`` is the band :func:`assemble` returns for ``mesh`` and ``P`` the
-    full load vector; any other shape raises :class:`MeshError`. Neither is
-    modified. ``fixed_dofs`` is one strictly increasing 1-D sequence of
-    integer DOF ids in ``[0, n_dofs)``, neither empty nor all of them;
-    anything else raises :class:`ConstraintError`. Factors and solves ``K``'s
-    band with the fixed DOFs pinned (:func:`_pinned_band`) in one ``dpbsv``
-    call per segment and returns the full ``u``, ``+0.0`` at each fixed DOF.
-    Only the loaded segments between fully fixed node columns are solved
-    (see the module docstring); with no such column, the whole band, even
-    under zero load. A singular or indefinite stiffness over the free DOFs
-    (not enough constraints), or one whose smallest pivot is below 1e-10 of
-    its largest diagonal entry, raises :class:`SolveError` naming the number
-    of near-zero or negative eigenvalues.
+    full, finite load vector; anything else raises :class:`MeshError`.
+    Neither is modified. ``fixed_dofs`` is one strictly increasing 1-D
+    sequence of integer DOF ids in ``[0, n_dofs)``, neither empty nor all of
+    them; anything else raises :class:`ConstraintError`. Factors and solves
+    ``K``'s band with the fixed DOFs pinned (:func:`_pinned_band`) in one
+    ``dpbsv`` call per segment and returns the full ``u``, ``+0.0`` at each
+    fixed DOF. Only the loaded segments between fully fixed node columns are
+    solved (see the module docstring); with no such column, the whole band,
+    even under zero load. A stiffness over the free DOFs that is singular or
+    indefinite (not enough constraints), has a pivot below 1e-10 of its
+    largest diagonal entry or reads a non-finite entry of ``K`` raises
+    :class:`SolveError`, naming that entry or the number of near-zero or
+    negative eigenvalues.
     """
-    bw_K = 2 * len(mesh.y) + 3
-    if np.shape(K) != (bw_K + 1, mesh.n_dofs):
+    _, height = _element_gaps(mesh)
+    if np.shape(K) != (height, mesh.n_dofs):
         raise MeshError(
-            f"K must be the ({bw_K + 1}, {mesh.n_dofs}) band assemble returns "
+            f"K must be the ({height}, {mesh.n_dofs}) band assemble returns "
             f"for this mesh, got shape {np.shape(K)}"
         )
     if np.shape(P) != (mesh.n_dofs,):
         raise MeshError(f"P must have shape ({mesh.n_dofs},), got {np.shape(P)}")
+    if not np.isfinite(P).all():
+        dof = np.flatnonzero(~np.isfinite(P))[0]
+        raise MeshError(f"P must be finite, got {P[dof]} at DOF {dof}")
     ids = np.asarray(fixed_dofs)
     if ids.ndim != 1:
         raise ConstraintError("fixed DOFs must be a 1-D sequence of DOF ids")
@@ -327,36 +316,38 @@ def solve(mesh: Mesh, K: np.ndarray, fixed_dofs, P: np.ndarray) -> np.ndarray:
     scale = np.max(K[0, ~fixed])
     u = np.array(P, dtype=float)
     u[fixed] = 0.0
-    col = 2 * len(mesh.y)  # DOFs per node column
-    cut = np.flatnonzero(mesh.grid(fixed).all(axis=(1, 2))).tolist()  # clamp lines
+    K4, u4, fixed4 = mesh.grid(K), mesh.grid(u), mesh.grid(fixed)
+    cut = np.flatnonzero(fixed4.all(axis=(1, 2))).tolist()  # clamp lines
     pbsv = _banded_solver()
     for i, j in zip([-1, *cut], [*cut, len(mesh.x)]):
-        lo, hi = col * (i + 1), col * j
-        if cut and not u[lo:hi].any():
-            u[lo:hi] = 0.0  # unloaded and held by a fixed column: u = 0
+        seg = u4[i + 1 : j].reshape(-1)  # a view of u: node columns i + 1 to j - 1
+        if cut and not seg.any():
+            seg[:] = 0.0  # unloaded and held by a fixed column: u = 0
             continue
-        cb, x, info = pbsv(_pinned_band(K, fixed, scale, lo, hi), u[lo:hi])
+        ab = _pinned_band(K4[:, i + 1 : j], fixed4[i + 1 : j], scale)
+        cb, x, info = pbsv(ab, seg)
         if info < 0:
             raise ValueError(f"dpbsv: illegal value in argument {-info}")
-        if info > 0 or np.min(cb[0] ** 2) <= 1e-10 * scale:
-            raise _rigid_mode_error(_pinned_band(K, fixed, scale, lo, hi))
-        u[lo:hi] = x
+        if info > 0 or not np.min(cb[0] ** 2) > 1e-10 * scale:  # NaN fails too
+            raise _rigid_mode_error(K, fixed, scale)
+        seg[:] = x
     return u
 
 
-def _pinned_band(K: np.ndarray, fixed: np.ndarray, scale: float, lo, hi) -> np.ndarray:
-    """F-ordered copy of ``K``'s band over DOFs ``[lo, hi)``, fixed ones pinned.
+def _pinned_band(K_seg: np.ndarray, fixed_seg: np.ndarray, scale: float) -> np.ndarray:
+    """F-ordered copy of ``K``'s band over a run of DOFs, fixed ones pinned.
 
-    A fixed DOF's row and column are zeroed and its diagonal set to
-    ``scale``, which leaves the stiffness over the free DOFs decoupled from
-    one eigenvalue ``scale`` per fixed DOF. The copy keeps ``K``'s ``[d, c]``
-    indexing, LAPACK's column-major lower band, so entries with
-    ``c + d >= hi - lo`` are left as copied: LAPACK never reads them. The
-    upper form factored ~5x slower on a 2-CPU host, with stalls of up to
-    1 s, unless OpenBLAS ran single-threaded.
+    ``K_seg`` and ``fixed_seg`` are the band and the fixed-DOF mask over the
+    run, flat or through ``mesh.grid``. A fixed DOF's row and column are
+    zeroed and its diagonal set to ``scale``, which leaves the stiffness
+    over the free DOFs decoupled from one eigenvalue ``scale`` per fixed
+    DOF. The copy keeps ``K``'s ``[d, c]`` indexing, LAPACK's column-major
+    lower band, so entries past the run's last DOF are left as copied:
+    LAPACK never reads them. The upper form factored ~5x slower on a 2-CPU
+    host, with stalls of up to 1 s, unless OpenBLAS ran single-threaded.
     """
-    ab = np.array(K[:, lo:hi], dtype=float, order="F")
-    f = np.flatnonzero(fixed[lo:hi])
+    ab = np.array(K_seg.reshape(len(K_seg), -1), dtype=float, order="F")
+    f = np.flatnonzero(fixed_seg)
     d, i = np.nonzero(np.arange(len(ab))[:, None] <= f)
     ab[d, f[i] - d] = 0.0  # row f: K[d, f - d]
     ab[:, f] = 0.0  # column f: K[:, f]
@@ -419,8 +410,15 @@ def _numpy_openblas():
     return pbsv
 
 
-def _rigid_mode_error(ab: np.ndarray) -> SolveError:
-    """SolveError counting the near-zero/negative modes of the pinned band."""
+def _rigid_mode_error(K: np.ndarray, fixed: np.ndarray, scale: float) -> SolveError:
+    """SolveError for ``K`` pinned as :func:`solve` pins it: the first non-finite
+    entry of ``K`` at free DOFs, else the count of near-zero/negative modes."""
+    ab = _pinned_band(K, fixed, scale)
+    nonfinite = ~np.isfinite(ab)
+    nonfinite[0, fixed] = False  # scale: the largest free diagonal entry, checked there
+    if nonfinite.any():
+        d, c = np.argwhere(nonfinite)[0]
+        return SolveError(f"K must be finite, got {ab[d, c]} at K[{d}, {c}]")
     from scipy.linalg import eigvals_banded
 
     eigvals = eigvals_banded(ab, lower=True, check_finite=False)

@@ -16,6 +16,7 @@ OpenBLAS and the scipy fallback, which must agree to the last bit.
 
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from chiralplate import (
     IsotropicMaterial,
     Layer,
     Mesh,
+    MeshError,
     PlateSpec,
     SolveError,
     TransverselyIsotropicMaterial,
@@ -38,6 +40,7 @@ from chiralplate import (
     assemble,
     composite_model,
     recover,
+    solid_model,
     solve,
 )
 from chiralplate import assembly
@@ -243,7 +246,7 @@ class TestConstrainedBand:
         before = K.copy()
         fixed = np.zeros(mesh.n_dofs, dtype=bool)
         fixed[[0, 1, 7]] = True
-        ab = assembly._pinned_band(K, fixed, 1e3, 0, 12)
+        ab = assembly._pinned_band(mesh.grid(K)[:, :2], mesh.grid(fixed)[:2], 1e3)
         assert ab.flags.f_contiguous and not np.shares_memory(ab, K)
         assert K.tobytes() == before.tobytes()
 
@@ -315,6 +318,36 @@ class TestBandedSolve:
         K = assemble(mesh, [Layer(card, "conforming", "plate")])
         with pytest.raises(ValueError, match=message):
             solve(mesh, K, node_dofs([0, 3]), np.ones(mesh.n_dofs))
+
+    @staticmethod
+    def supported_solid():
+        """A 2-layer supported solid plate: its mesh, K, fixed DOFs and load."""
+        spec = PlateSpec()
+        mesh, layers = solid_model(spec, 2, "conforming", FORMLABS_CLEAR)
+        fixed = apply_boundary(mesh, BoundaryCondition.SUPPORTED, spec)
+        return mesh, assemble(mesh, layers), fixed, apply_load(mesh, 30.0, spec)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_load_rejected(self, value):
+        mesh, K, fixed, P = self.supported_solid()
+        P[7] = value
+        with pytest.raises(MeshError, match=f"P must be finite, got {value} at DOF 7"):
+            solve(mesh, K, fixed, P)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry", [(0, 50), (0, 100), (3, 20)], ids=["diagonal", "past-fixed", "coupling"]
+    )
+    def test_non_finite_stiffness_rejected(self, entry, value):
+        # DOFs 20, 23, 50 and 100 are free and 72 is fixed. A non-finite
+        # diagonal entry is the pivot scale too, which solve writes on the
+        # fixed DOFs' diagonal; the error names K's own entry, not DOF 72's
+        mesh, K, fixed, P = self.supported_solid()
+        assert not np.isin([20, 23, 50, 100], fixed).any() and 72 in fixed
+        K[entry] = value
+        message = f"K must be finite, got {value} at K[{entry[0]}, {entry[1]}]"
+        with pytest.raises(SolveError, match=re.escape(message)):
+            solve(mesh, K, fixed, P)
 
 
 @pytest.mark.usefixtures("scipy_lapack")
